@@ -423,11 +423,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     from .quasimodular import OVERDETERMINATION_MARGIN, basis
 
-    n_basis = len(basis(args.max_weight, 0))
     q_order = args.q_order
-    if q_order is None:
-        q_order = known_order if known_order is not None else n_basis + OVERDETERMINATION_MARGIN
     try:
+        n_basis = len(basis(args.max_weight, 0))
+        if q_order is None:
+            q_order = known_order if known_order is not None else n_basis + OVERDETERMINATION_MARGIN
         result = quasimodular_fit(series, args.max_weight, q_order)
     except ValueError as exc:
         raise CliError(FIT_ERROR, str(exc)) from exc

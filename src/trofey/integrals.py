@@ -10,7 +10,9 @@ with the dressed factors of :mod:`trofey.propagators`; the plain variant
 drops all z-machinery (and requires an all-zero genus function).  Since
 q_k occurs in exactly one factor, the q-extraction happens per edge: a
 query at multidegree a multiplies the per-edge q^{a_k} slices and only
-then extracts x- and z-coefficients.
+then extracts x- and z-coefficients.  The q-series with q_1 = ... = q_r
+= q instead carries the total degree d = sum(a) as one more coordinate
+of the partial product, so one pass covers every multidegree.
 
 Winding bounds.  A slice term of a curled edge (a_k > 0) moves w | a_k
 units between its endpoints; an uncurled edge (a_k = 0) carries w >= 1 in
@@ -23,28 +25,31 @@ monomials whose exponent at some vertex can no longer reach l_v with the
 remaining edges' capacity.  Nothing is silently truncated: the bounds are
 sufficient, and an explicit smaller ``x_bound`` raises instead.
 
+The graded pass of :func:`integral_series_q` extracts x^0 (sum|l| = 0)
+and keeps only partial products with d <= q_order, so the single cap
+B = q_order bounds every uncurled winding of every multidegree it sums;
+each edge multiplies in its q^a slices for a <= q_order - d.  The 1/S(z_i)
+prefactors are applied once, at extraction: a surviving monomial of
+z-degree zs_i at vertex i takes the z^{2 g_i - zs_i} coefficient of 1/S.
+
 For cross-validation, :func:`refined_coeff_reference` computes the same
 coefficient directly from truncated propagator series products.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     FeynmanGraph,
-    GraphAssignment,
     VertexOrder,
     all_orders,
     automorphism_count,
     edge_orientation,
     enumerate_labeled_graphs,
-    identity_order,
-    validate_assignment,
 )
 from .propagators import (
     EdgeContext,
@@ -59,7 +64,6 @@ from .series import (
     TruncatedSeries,
     TruncationSpec,
     invert,
-    monomial,
     s_function_series,
 )
 
@@ -396,19 +400,80 @@ def integral_series_q(
     q_order: int,
     vertex_contributions: bool | None = None,
 ) -> dict[int, Coeff]:
-    """q-series with q_1 = ... = q_r = q: coefficient of q^d sums Σa = d."""
-    table = integral_series_refined(
-        graph,
-        order,
-        [q_order] * graph.num_edges,
-        gf=gf,
-        vertex_contributions=vertex_contributions,
-        total_q_cap=q_order,
-    )
+    """q-series with q_1 = ... = q_r = q: coefficient of q^d sums Σa = d.
+
+    One DP over the edges whose state also carries the total q-degree d,
+    so every multidegree with Σa <= q_order is covered in a single pass.
+    """
+    _, _, gf_t, _ = _normalize_query(graph, None, None, gf, vertex_contributions)
+    if q_order < 0:
+        raise ValueError(f"q-order must be >= 0, got {q_order}")
+    n = graph.n
+    remaining_cap = [0] * n
+    for u, v in graph.edges:
+        if u != v:
+            remaining_cap[u - 1] += q_order
+            remaining_cap[v - 1] += q_order
+
+    zero = (0,) * n
+    state: dict[tuple[tuple[int, ...], tuple[int, ...], int], Coeff] = {
+        (zero, zero, 0): 1
+    }
+    for idx in _edge_processing_order(graph, order):
+        u, v = graph.edges[idx]
+        if u != v:
+            tail, head = edge_orientation(graph, idx, order)
+            remaining_cap[tail - 1] -= q_order
+            remaining_cap[head - 1] -= q_order
+        else:
+            tail = head = u
+        t_idx, h_idx = tail - 1, head - 1
+        zt_max, zh_max = 2 * gf_t[t_idx], 2 * gf_t[h_idx]
+        t_cap, h_cap = remaining_cap[t_idx], remaining_cap[h_idx]
+        slices = [
+            _slice_terms(u == v, a, q_order, gf_t[t_idx], gf_t[h_idx])
+            for a in range(q_order + 1)
+        ]
+        new: dict[tuple[tuple[int, ...], tuple[int, ...], int], Coeff] = {}
+        for (xs, zs, d), c in state.items():
+            for a in range(q_order - d + 1):
+                for xt, zt, xh, zh, ec in slices[a]:
+                    zt_new = zs[t_idx] + zt
+                    if zt_new > zt_max:
+                        continue
+                    xt_new = xs[t_idx] + xt
+                    if not -t_cap <= xt_new <= t_cap:
+                        continue
+                    xs2 = list(xs)
+                    zs2 = list(zs)
+                    xs2[t_idx] = xt_new
+                    zs2[t_idx] = zt_new
+                    if t_idx != h_idx:
+                        zh_new = zs[h_idx] + zh
+                        if zh_new > zh_max:
+                            continue
+                        xh_new = xs[h_idx] + xh
+                        if not -h_cap <= xh_new <= h_cap:
+                            continue
+                        xs2[h_idx] = xh_new
+                        zs2[h_idx] = zh_new
+                    key = (tuple(xs2), tuple(zs2), d + a)
+                    s = new.get(key, 0) + c * ec
+                    if s == 0:
+                        new.pop(key, None)
+                    else:
+                        new[key] = s
+        state = new
+
+    # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
+    dressed = [(vi, g, _inv_s_coeffs(g)) for vi, g in enumerate(gf_t) if g]
     out: dict[int, Coeff] = {}
-    for a, value in table.items():
-        d = sum(a)
-        s = out.get(d, 0) + value
+    for (xs, zs, d), c in state.items():
+        if xs != zero:
+            continue
+        for vi, g, inv in dressed:
+            c *= inv[g - zs[vi] // 2]
+        s = out.get(d, 0) + c
         if s == 0:
             out.pop(d, None)
         else:

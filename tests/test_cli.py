@@ -95,6 +95,17 @@ def test_integral_bad_vector_is_parse_error(graphs, capsys):
     assert code == 2
 
 
+def test_integral_negative_q_order_is_validation_error(graphs, capsys):
+    for order in ("id", "all"):
+        code, out, err = run(
+            capsys,
+            "integral", "--graph", graphs["triangle"], "--order", order, "--q-order", "-3",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: q-order must be >= 0, got -3\n"
+
+
 def test_missing_graph_file_is_parse_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "integral", "--graph", str(tmp_path / "nope.json"), "--a", "1"
@@ -249,6 +260,13 @@ def test_fit_underdetermined_is_exit_5(capsys):
     )
     assert code == 5
     assert "underdetermined" in err
+
+
+def test_fit_odd_weight_bound_is_exit_5(capsys):
+    code, out, err = run(capsys, "fit", "--coeffs", "1,0,240", "--max-weight", "3")
+    assert code == 5
+    assert out == ""
+    assert err == "error: weight bound must be a nonnegative even integer\n"
 
 
 def test_fit_needs_exactly_one_source(capsys):

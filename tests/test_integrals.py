@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trofey.graphs import FeynmanGraph, all_orders, enumerate_graphs, identity_order
 from trofey.integrals import (
@@ -108,6 +110,22 @@ def test_frozen_triangle_series():
     }
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=st.sampled_from([TRIANGLE, RIGHT, MIDDLE]),
+    order=st.permutations([1, 2, 3]).map(tuple),
+    gf=st.none() | st.tuples(*[st.integers(0, 2)] * 3),
+    q_order=st.integers(0, 6),
+)
+def test_series_q_matches_refined_table(graph, order, gf, q_order):
+    by_degree: dict[int, Fraction] = {}
+    table = integral_series_refined(graph, order, q_order, gf=gf, total_q_cap=q_order)
+    for a, value in table.items():
+        by_degree[sum(a)] = by_degree.get(sum(a), 0) + value
+    expected = {d: c for d, c in by_degree.items() if c != 0}
+    assert integral_series_q(graph, gf, order, q_order) == expected
+
+
 def test_all_orders_equals_explicit_sum():
     total = integral_series_all_orders(TRIANGLE, (1, 0, 0), 3)
     by_hand: dict[int, Fraction] = {}
@@ -132,6 +150,11 @@ def test_mirror_total_series_frozen_values():
         2: 27,
         3: 279,
     }
+
+
+def test_mirror_total_series_four_points():
+    # the cover route gives the same d=4 value
+    assert mirror_total_series((1, 1, 1, 1), 4) == {2: 48, 3: 3840, 4: 58752}
 
 
 def test_fast_engine_matches_reference_randomized():
