@@ -21,10 +21,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
-from .covers import cover_count, descendant_contribution, invariant_series
+from .covers import _contribution, cover_count, invariant_series
 from .fock import (
     double_hurwitz,
     elliptic_hurwitz_disconnected,
@@ -37,11 +37,13 @@ from .graphs import (
     enumerate_labeled_graphs,
     graph_from_json_dict,
     identity_order,
+    orientation_classes,
     validate_assignment,
 )
 from .integrals import (
     integral_series_q,
     integral_series_all_orders,
+    integral_series_refined,
     multidegrees,
     refined_coeff,
 )
@@ -250,23 +252,32 @@ def _strip_private(report: dict[str, Any]) -> None:
 def _compare_tasks(
     k: tuple[int, ...], dmax: int
 ) -> list[Callable[[], tuple[dict[int, Fraction], tuple | None]]]:
+    """One task per (labeled graph, orientation class), weighted count/|Aut|.
+
+    A task reads the integral side at every multidegree from one DP pass
+    and compares it with the cover side, multidegree by multidegree.
+    """
     tasks = []
     for assignment in enumerate_labeled_graphs(k):
         graph, gf = assignment.graph, assignment.gf
+        reasons = validate_assignment(graph, gf, k)
+        if reasons:
+            raise CliError(VALIDATION_ERROR, "; ".join(reasons))
         aut = automorphism_count(graph, gf, "vertex_labeled")
-        for order in all_orders(graph.n):
+        for order, count in orientation_classes(graph):
 
-            def task(graph=graph, gf=gf, order=order, aut=aut):
+            def task(graph=graph, gf=gf, order=order, weight=Fraction(count, aut)):
+                integral = integral_series_refined(graph, order, dmax, gf=gf, total_q_cap=dmax)
                 part: dict[int, Fraction] = {}
                 for a in multidegrees(graph, [dmax] * graph.num_edges, dmax):
-                    covers_value = descendant_contribution(graph, gf, order, a, k)
-                    integral_value = refined_coeff(graph, order, a, gf=gf)
+                    covers_value = _contribution(graph, order, a, k)
+                    integral_value = integral.get(a, 0)
                     if covers_value != integral_value:
                         witness = (graph.edges, gf, order, a, covers_value, integral_value)
                         return part, witness
                     if covers_value != 0:
                         d = sum(a)
-                        part[d] = part.get(d, Fraction(0)) + Fraction(covers_value, aut)
+                        part[d] = part.get(d, Fraction(0)) + covers_value * weight
                 return part, None
 
             tasks.append(task)
@@ -327,6 +338,8 @@ def cmd_invariant(args: argparse.Namespace) -> int:
 def cmd_fock(args: argparse.Namespace) -> int:
     try:
         if args.fock_command == "double":
+            if args.n < 0:
+                raise CliError(VALIDATION_ERROR, f"--n must be >= 0, got {args.n}")
             mu = _parse_int_vector(args.mu, "--mu")
             nu = _parse_int_vector(args.nu, "--nu")
             value = double_hurwitz(mu, nu, args.n)
@@ -348,6 +361,8 @@ def cmd_fock(args: argparse.Namespace) -> int:
             _emit(_report(query, results), args.format)
             return 0
         # fock check
+        if args.amax < 0:
+            raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
         graph, _, relabeling = _load_graph(args.graph)
         orders = list(all_orders(graph.n))
         amax = args.amax

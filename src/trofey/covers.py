@@ -33,18 +33,16 @@ from typing import Iterator, Sequence
 from .graphs import (
     FeynmanGraph,
     VertexOrder,
-    all_orders,
     automorphism_count,
-    derived_k,
     edge_orientation,
     enumerate_labeled_graphs,
+    orientation_classes,
     validate_assignment,
 )
 from .integrals import multidegrees
 from .propagators import divisors
 from .series import (
     Coeff,
-    TruncatedSeries,
     TruncationSpec,
     invert,
     s_function_series,
@@ -120,7 +118,6 @@ def enumerate_tuples(
             orient.append((tail, head))
             (curled_idx if a[idx] > 0 else direct_idx).append(idx)
 
-    pos = {v: order.index(v) for v in range(1, n + 1)}
     out_direct: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for idx in direct_idx:
         out_direct[orient[idx][0]].append(idx)
@@ -262,17 +259,11 @@ def _vertex_profiles(
     return profiles
 
 
-def descendant_contribution(
-    graph: FeynmanGraph,
-    gf: Sequence[int],
-    order: VertexOrder,
-    a: Sequence[int],
-    k: Sequence[int],
+def _contribution(
+    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int], k: Sequence[int]
 ) -> Coeff:
-    """Sum over covers of prod w_k times the per-vertex one-point multiplicities."""
-    reasons = validate_assignment(graph, gf, k)
-    if reasons:
-        raise ValueError("invalid (graph, gf, k): " + "; ".join(reasons))
+    """Body of :func:`descendant_contribution`, for callers that validated
+    (graph, gf, k) once."""
     total: Coeff = 0
     for t in enumerate_tuples(graph, order, a):
         term: Coeff = t.weight()
@@ -286,6 +277,24 @@ def descendant_contribution(
     return total
 
 
+def _check_assignment(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> None:
+    reasons = validate_assignment(graph, gf, k)
+    if reasons:
+        raise ValueError("invalid (graph, gf, k): " + "; ".join(reasons))
+
+
+def descendant_contribution(
+    graph: FeynmanGraph,
+    gf: Sequence[int],
+    order: VertexOrder,
+    a: Sequence[int],
+    k: Sequence[int],
+) -> Coeff:
+    """Sum over covers of prod w_k times the per-vertex one-point multiplicities."""
+    _check_assignment(graph, gf, k)
+    return _contribution(graph, order, a, k)
+
+
 def descendant_contribution_by_windings(
     graph: FeynmanGraph,
     gf: Sequence[int],
@@ -295,9 +304,7 @@ def descendant_contribution_by_windings(
 ) -> dict[tuple[int, ...], Coeff]:
     """Per-cover breakdown of descendant_contribution, keyed like
     :func:`cover_count_by_windings`."""
-    reasons = validate_assignment(graph, gf, k)
-    if reasons:
-        raise ValueError("invalid (graph, gf, k): " + "; ".join(reasons))
+    _check_assignment(graph, gf, k)
     marked = [idx for idx in range(graph.num_edges) if a[idx] > 0]
     out: dict[tuple[int, ...], Coeff] = {}
     for t in enumerate_tuples(graph, order, a):
@@ -357,8 +364,31 @@ def invariant_fixed_order(
     return total
 
 
+def _invariant_totals(k: Sequence[int], degrees: range) -> dict[int, Coeff]:
+    """Nonzero invariant values at the given degrees >= 1, in one pass:
+    labeled graphs -> orientation classes -> multidegrees, bucketed by d."""
+    totals: dict[int, Coeff] = {}
+    if not degrees:
+        return totals
+    cap = degrees[-1]
+    for assignment in enumerate_labeled_graphs(k):
+        graph, gf = assignment.graph, assignment.gf
+        _check_assignment(graph, gf, k)
+        aut = automorphism_count(graph, gf, "vertex_labeled")
+        weighted = [(order, Fraction(count, aut)) for order, count in orientation_classes(graph)]
+        for a in multidegrees(graph, [cap] * graph.num_edges, cap):
+            d = sum(a)
+            if d not in degrees:
+                continue
+            for order, weight in weighted:
+                value = _contribution(graph, order, a, k)
+                if value != 0:
+                    totals[d] = totals.get(d, 0) + value * weight
+    return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
+
+
 def invariant(k: Sequence[int], d: int) -> Coeff:
-    """The degree-d descendant invariant: sum of all order slices.
+    """The degree-d descendant invariant: sum over all vertex orders.
 
     Sums over vertex-labeled (graph, gf) classes weighted by the
     vertex-labeled automorphism count (equivalently: isomorphism classes
@@ -368,17 +398,14 @@ def invariant(k: Sequence[int], d: int) -> Coeff:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    total: Coeff = 0
-    for order in all_orders(len(k)):
-        total = total + invariant_fixed_order(k, d, order)
-    return total
+    return _invariant_totals(k, range(d, d + 1)).get(d, 0)
 
 
 def invariant_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
-    """Invariant values for all degrees 1..q_order."""
-    out: dict[int, Coeff] = {}
-    for d in range(1, q_order + 1):
-        value = invariant(k, d)
-        if value != 0:
-            out[d] = value
-    return out
+    """Invariant values for all degrees 1..q_order (zero values dropped).
+
+    Each (labeled graph, gf) is enumerated, validated and weighted once,
+    and each orientation class of its vertex orders is evaluated once and
+    weighted by its size.
+    """
+    return _invariant_totals(k, range(1, q_order + 1))

@@ -190,6 +190,35 @@ def edge_orientation(graph: FeynmanGraph, edge_index: int, order: VertexOrder) -
     return (v, u)
 
 
+def _orientation_signature(graph: FeynmanGraph, order: VertexOrder) -> tuple:
+    """Edgewise (tail, head) data -- everything order-dependent computations see."""
+    sig = []
+    for idx, (u, v) in enumerate(graph.edges):
+        if u == v:
+            sig.append((u, u))
+        else:
+            sig.append(edge_orientation(graph, idx, order))
+    return tuple(sig)
+
+
+def orientation_classes(graph: FeynmanGraph) -> list[tuple[VertexOrder, int]]:
+    """The n! vertex orders grouped by the edge directions they induce.
+
+    Returns (representative, class size) pairs; the representative is the
+    first order of its class in :func:`all_orders`.  Integrals and covers
+    see an order only through these directions, so one computation per
+    class, weighted by its size, stands for the sum over all orders.
+    """
+    classes: dict[tuple, list] = {}
+    for order in all_orders(graph.n):
+        sig = _orientation_signature(graph, order)
+        if sig in classes:
+            classes[sig][1] += 1
+        else:
+            classes[sig] = [order, 1]
+    return [(rep, count) for rep, count in classes.values()]
+
+
 # -- automorphisms -----------------------------------------------------
 
 

@@ -31,6 +31,9 @@ B = q_order bounds every uncurled winding of every multidegree it sums;
 each edge multiplies in its q^a slices for a <= q_order - d.  The 1/S(z_i)
 prefactors are applied once, at extraction: a surviving monomial of
 z-degree zs_i at vertex i takes the z^{2 g_i - zs_i} coefficient of 1/S.
+:func:`integral_series_refined` runs the same pass with the degrees of the
+edges done so far in place of d, so one pass yields the coefficient at
+every multidegree within the bounds (single cap B = total cap + sum|l|).
 
 For cross-validation, :func:`refined_coeff_reference` computes the same
 coefficient directly from truncated propagator series products.
@@ -46,10 +49,10 @@ from typing import Iterator, Sequence
 from .graphs import (
     FeynmanGraph,
     VertexOrder,
-    all_orders,
     automorphism_count,
     edge_orientation,
     enumerate_labeled_graphs,
+    orientation_classes,
 )
 from .propagators import (
     EdgeContext,
@@ -368,6 +371,122 @@ def multidegrees(
     yield from rec(0, total_cap, [])
 
 
+def _graded_pass(
+    graph: FeynmanGraph,
+    gf_t: tuple[int, ...],
+    order: VertexOrder,
+    bounds: Sequence[int],
+    total_cap: int,
+    target: LeakVector,
+    by_multidegree: bool,
+) -> dict:
+    """Coefficients of x^target z^{2g} for every multidegree with a_k <= bounds[k]
+    and sum(a) <= total_cap, in one DP over the edges.
+
+    The state is (x-exponents, z-exponents, grade).  The grade is the total
+    q-degree d, or with ``by_multidegree`` the degrees of the edges done so
+    far (keys of the result are then multidegrees in edge-index order).
+    Every uncurled winding is capped once, at total_cap + sum|target|.
+    """
+    n = graph.n
+    edge_order = _edge_processing_order(graph, order)
+    winding_cap = total_cap + sum(abs(x) for x in target)
+    remaining_cap = [0] * n
+    for u, v in graph.edges:
+        if u != v:
+            remaining_cap[u - 1] += winding_cap
+            remaining_cap[v - 1] += winding_cap
+    if by_multidegree:
+        start, advance, spent = (), (lambda p, a: p + (a,)), sum
+    else:
+        start, advance, spent = 0, (lambda d, a: d + a), (lambda d: d)
+
+    zero = (0,) * n
+    state: dict[tuple[tuple[int, ...], tuple[int, ...], object], Coeff] = {
+        (zero, zero, start): 1
+    }
+    for idx in edge_order:
+        u, v = graph.edges[idx]
+        if u != v:
+            tail, head = edge_orientation(graph, idx, order)
+            remaining_cap[tail - 1] -= winding_cap
+            remaining_cap[head - 1] -= winding_cap
+        else:
+            tail = head = u
+        t_idx, h_idx = tail - 1, head - 1
+        zt_max, zh_max = 2 * gf_t[t_idx], 2 * gf_t[h_idx]
+        t_lo = target[t_idx] - remaining_cap[t_idx]
+        t_hi = target[t_idx] + remaining_cap[t_idx]
+        h_lo = target[h_idx] - remaining_cap[h_idx]
+        h_hi = target[h_idx] + remaining_cap[h_idx]
+        slices = [
+            _slice_terms(u == v, a, winding_cap, gf_t[t_idx], gf_t[h_idx])
+            for a in range(min(bounds[idx], total_cap) + 1)
+        ]
+        moves: dict[object, list] = {}  # grade -> [(next grade, slice terms)]
+        new: dict[tuple[tuple[int, ...], tuple[int, ...], object], Coeff] = {}
+        for (xs, zs, grade), c in state.items():
+            step = moves.get(grade)
+            if step is None:
+                budget = min(len(slices) - 1, total_cap - spent(grade))
+                step = moves[grade] = [
+                    (advance(grade, a), slices[a])
+                    for a in range(budget + 1)
+                    if slices[a]
+                ]
+            for grade2, terms in step:
+                for xt, zt, xh, zh, ec in terms:
+                    zt_new = zs[t_idx] + zt
+                    if zt_new > zt_max:
+                        continue
+                    xt_new = xs[t_idx] + xt
+                    if not t_lo <= xt_new <= t_hi:
+                        continue
+                    xs2 = list(xs)
+                    zs2 = list(zs)
+                    xs2[t_idx] = xt_new
+                    zs2[t_idx] = zt_new
+                    if t_idx != h_idx:
+                        zh_new = zs[h_idx] + zh
+                        if zh_new > zh_max:
+                            continue
+                        xh_new = xs[h_idx] + xh
+                        if not h_lo <= xh_new <= h_hi:
+                            continue
+                        xs2[h_idx] = xh_new
+                        zs2[h_idx] = zh_new
+                    key = (tuple(xs2), tuple(zs2), grade2)
+                    s = new.get(key, 0) + c * ec
+                    if s == 0:
+                        new.pop(key, None)
+                    else:
+                        new[key] = s
+        state = new
+
+    # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
+    dressed = [(vi, g, _inv_s_coeffs(g)) for vi, g in enumerate(gf_t) if g]
+    out: dict = {}
+    for (xs, zs, grade), c in state.items():
+        if xs != target:
+            continue
+        for vi, g, inv in dressed:
+            c *= inv[g - zs[vi] // 2]
+        s = out.get(grade, 0) + c
+        if s == 0:
+            out.pop(grade, None)
+        else:
+            out[grade] = s
+    if not by_multidegree:
+        return out
+    table: dict[Multidegree, Coeff] = {}
+    for prefix, c in out.items():
+        a = [0] * graph.num_edges
+        for idx, a_k in zip(edge_order, prefix):
+            a[idx] = a_k
+        table[tuple(a)] = c
+    return table
+
+
 def integral_series_refined(
     graph: FeynmanGraph,
     order: VertexOrder,
@@ -377,20 +496,22 @@ def integral_series_refined(
     vertex_contributions: bool | None = None,
     total_q_cap: int | None = None,
 ) -> dict[Multidegree, Coeff]:
-    """All refined coefficients with a_k <= q_bounds[k] (zero entries dropped)."""
+    """All refined coefficients with a_k <= q_bounds[k] (zero entries dropped).
+
+    One pass of :func:`integral_series_q`'s DP, with the degrees of the
+    edges done so far in place of the total degree, gives every
+    multidegree at once; each value equals :func:`refined_coeff` at it.
+    """
     if isinstance(q_bounds, int):
         q_bounds = [q_bounds] * graph.num_edges
-    _, leaks, gf_t, vc = _normalize_query(graph, None, l, gf, vertex_contributions)
-    out: dict[Multidegree, Coeff] = {}
+    if len(q_bounds) != graph.num_edges:
+        raise ValueError("need one q-bound per edge")
+    _, leaks, gf_t, _ = _normalize_query(graph, None, l, gf, vertex_contributions)
     if sum(leaks) != 0:
-        return out
-    for a in multidegrees(graph, q_bounds, total_q_cap):
-        value = refined_sweep(
-            graph, order, a, [leaks], gf_t if vc else None, vertex_contributions=vc
-        )[leaks]
-        if value != 0:
-            out[a] = value
-    return out
+        return {}
+    if total_q_cap is None:
+        total_q_cap = sum(q_bounds)
+    return _graded_pass(graph, gf_t, order, q_bounds, total_q_cap, leaks, True)
 
 
 def integral_series_q(
@@ -408,77 +529,8 @@ def integral_series_q(
     _, _, gf_t, _ = _normalize_query(graph, None, None, gf, vertex_contributions)
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
-    n = graph.n
-    remaining_cap = [0] * n
-    for u, v in graph.edges:
-        if u != v:
-            remaining_cap[u - 1] += q_order
-            remaining_cap[v - 1] += q_order
-
-    zero = (0,) * n
-    state: dict[tuple[tuple[int, ...], tuple[int, ...], int], Coeff] = {
-        (zero, zero, 0): 1
-    }
-    for idx in _edge_processing_order(graph, order):
-        u, v = graph.edges[idx]
-        if u != v:
-            tail, head = edge_orientation(graph, idx, order)
-            remaining_cap[tail - 1] -= q_order
-            remaining_cap[head - 1] -= q_order
-        else:
-            tail = head = u
-        t_idx, h_idx = tail - 1, head - 1
-        zt_max, zh_max = 2 * gf_t[t_idx], 2 * gf_t[h_idx]
-        t_cap, h_cap = remaining_cap[t_idx], remaining_cap[h_idx]
-        slices = [
-            _slice_terms(u == v, a, q_order, gf_t[t_idx], gf_t[h_idx])
-            for a in range(q_order + 1)
-        ]
-        new: dict[tuple[tuple[int, ...], tuple[int, ...], int], Coeff] = {}
-        for (xs, zs, d), c in state.items():
-            for a in range(q_order - d + 1):
-                for xt, zt, xh, zh, ec in slices[a]:
-                    zt_new = zs[t_idx] + zt
-                    if zt_new > zt_max:
-                        continue
-                    xt_new = xs[t_idx] + xt
-                    if not -t_cap <= xt_new <= t_cap:
-                        continue
-                    xs2 = list(xs)
-                    zs2 = list(zs)
-                    xs2[t_idx] = xt_new
-                    zs2[t_idx] = zt_new
-                    if t_idx != h_idx:
-                        zh_new = zs[h_idx] + zh
-                        if zh_new > zh_max:
-                            continue
-                        xh_new = xs[h_idx] + xh
-                        if not -h_cap <= xh_new <= h_cap:
-                            continue
-                        xs2[h_idx] = xh_new
-                        zs2[h_idx] = zh_new
-                    key = (tuple(xs2), tuple(zs2), d + a)
-                    s = new.get(key, 0) + c * ec
-                    if s == 0:
-                        new.pop(key, None)
-                    else:
-                        new[key] = s
-        state = new
-
-    # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
-    dressed = [(vi, g, _inv_s_coeffs(g)) for vi, g in enumerate(gf_t) if g]
-    out: dict[int, Coeff] = {}
-    for (xs, zs, d), c in state.items():
-        if xs != zero:
-            continue
-        for vi, g, inv in dressed:
-            c *= inv[g - zs[vi] // 2]
-        s = out.get(d, 0) + c
-        if s == 0:
-            out.pop(d, None)
-        else:
-            out[d] = s
-    return out
+    bounds = [q_order] * graph.num_edges
+    return _graded_pass(graph, gf_t, order, bounds, q_order, (0,) * graph.n, False)
 
 
 def integral_series_all_orders(
@@ -492,16 +544,8 @@ def integral_series_all_orders(
     Orders inducing the same edge orientations give identical series, so
     the sum is computed once per orientation class and multiplied.
     """
-    classes: dict[tuple, tuple[VertexOrder, int]] = {}
-    for order in all_orders(graph.n):
-        sig = _orientation_signature(graph, order)
-        if sig in classes:
-            rep, count = classes[sig]
-            classes[sig] = (rep, count + 1)
-        else:
-            classes[sig] = (order, 1)
     out: dict[int, Coeff] = {}
-    for rep, count in classes.values():
+    for rep, count in orientation_classes(graph):
         part = integral_series_q(graph, gf, rep, q_order, vertex_contributions)
         for d, c in part.items():
             s = out.get(d, 0) + c * count
@@ -510,17 +554,6 @@ def integral_series_all_orders(
             else:
                 out[d] = s
     return out
-
-
-def _orientation_signature(graph: FeynmanGraph, order: VertexOrder) -> tuple:
-    """Edgewise (tail, head) data -- everything order-dependent computations see."""
-    sig = []
-    for idx, (u, v) in enumerate(graph.edges):
-        if u == v:
-            sig.append((u, u))
-        else:
-            sig.append(edge_orientation(graph, idx, order))
-    return tuple(sig)
 
 
 def mirror_total_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:

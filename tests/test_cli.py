@@ -1,11 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 import trofey
+from trofey import cli
 from trofey.cli import main
+from trofey.covers import descendant_contribution
+from trofey.graphs import FeynmanGraph, orientation_classes
 from trofey.quasimodular import fit as quasimodular_fit
 
 
@@ -163,6 +169,53 @@ def test_invariant_compare_passes(capsys):
     code, out, _ = run(capsys, "invariant", "--k", "1,1", "--dmax", "2", "--compare")
     assert code == 0
     assert out.splitlines() == ["d=1 0", "d=2 4"]
+    # three vertices: some orientation classes hold two vertex orders
+    code, out, _ = run(capsys, "invariant", "--k", "2,0,0", "--dmax", "3", "--compare")
+    assert code == 0
+    assert out.splitlines() == ["d=1 1/4", "d=2 27", "d=3 279"]
+
+
+def test_invariant_compare_mismatch_prints_reproducible_witness(capsys, monkeypatch, tmp_path):
+    # corrupt the integral side off the identity order (the first class
+    # representative of every graph), so the witness has to name another order
+    true_table = cli.integral_series_refined
+
+    def doubled(graph, order, *args, **kwargs):
+        table = true_table(graph, order, *args, **kwargs)
+        if order == tuple(range(1, graph.n + 1)):
+            return table
+        return {a: 2 * c for a, c in table.items()}
+
+    monkeypatch.setattr(cli, "integral_series_refined", doubled)
+    code, out, err = run(capsys, "invariant", "--k", "2,0,0", "--dmax", "2", "--compare")
+    assert code == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"route mismatch: edges=(.*) gf=(.*) order=(.*) a=(.*) covers=(\S+) integral=(\S+)",
+        lines[0],
+    )
+    assert match, lines[0]
+    edges, gf, order, a = (ast.literal_eval(match.group(i)) for i in range(1, 5))
+    covers, integral = (Fraction(match.group(i)) for i in (5, 6))
+    graph = FeynmanGraph(len(gf), edges)
+    assert order != (1, 2, 3)
+    assert order in [rep for rep, _ in orientation_classes(graph)]
+    # the printed order and multidegree reproduce both sides of the mismatch
+    assert descendant_contribution(graph, gf, order, a, (2, 0, 0)) == covers
+    assert doubled(graph, order, 2, gf=gf, total_q_cap=2)[a] == integral
+    assert covers != integral
+    # and so does the integral command at that order (which the doubling misses)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"n": graph.n, "edges": [list(e) for e in edges]}))
+    code, out, _ = run(
+        capsys, "integral", "--graph", str(path), "--gf", ",".join(map(str, gf)),
+        "--order", ",".join(map(str, order)), "--a", ",".join(map(str, a)),
+    )
+    assert code == 0
+    assert 2 * Fraction(out.strip()) == integral
+    assert Fraction(out.strip()) == covers
 
 
 def test_invariant_rejects_one_point(capsys):
@@ -185,6 +238,13 @@ def test_fock_double(capsys):
     assert out == "9\n"
 
 
+def test_fock_double_rejects_negative_n(capsys):
+    code, out, err = run(capsys, "fock", "double", "--mu", "2,1", "--nu", "2,1", "--n", "-1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: --n must be >= 0, got -1"]
+
+
 def test_fock_elliptic_prints_formula_value(capsys):
     code, out, _ = run(capsys, "fock", "elliptic", "--g", "2", "--d", "3")
     assert code == 0
@@ -195,6 +255,14 @@ def test_fock_check_passes(graphs, capsys):
     code, _, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 0
     assert err == ""
+
+
+def test_fock_check_rejects_negative_amax(graphs, capsys):
+    # a negative bound sweeps no multidegree; "0 instances" would be a vacuous pass
+    code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "-1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: --amax must be >= 0, got -1"]
 
 
 def test_fock_check_rejects_bad_graph(graphs, capsys):

@@ -19,7 +19,7 @@ from trofey.covers import (
     invariant_series,
     one_point_mult,
 )
-from trofey.graphs import FeynmanGraph, identity_order
+from trofey.graphs import FeynmanGraph, all_orders, identity_order
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -160,6 +160,20 @@ def test_invariant_series_matches_pointwise():
         2: 27,
         3: 279,
     }
+
+
+@pytest.mark.parametrize(
+    "k, q_order", [((2, 0, 0), 4), ((1, 1), 4), ((2, 2), 2), ((2, 1, 1), 2)]
+)
+def test_invariant_series_equals_sum_of_order_slices(k, q_order):
+    # the one-pass series (orientation classes weighted by size) against the
+    # per-degree, per-order definition
+    expected = {}
+    for d in range(1, q_order + 1):
+        value = sum(invariant_fixed_order(k, d, order) for order in all_orders(len(k)))
+        if value != 0:
+            expected[d] = value
+    assert invariant_series(k, q_order) == expected
 
 
 def test_invariant_values_k11():

@@ -20,7 +20,9 @@ from trofey.graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     identity_order,
+    _orientation_signature,
     labeled_copy_count,
+    orientation_classes,
     order_position,
     validate,
     validate_assignment,
@@ -31,6 +33,8 @@ RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
 MIDDLE = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
 THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
 DUMBBELL = FeynmanGraph(2, ((1, 1), (2, 2), (1, 2)))
+K4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
 
 
 def test_basic_counts():
@@ -223,3 +227,18 @@ def test_json_rejects_garbage():
         graph_from_json_dict({"n": 2, "edges": [[1, 3]]})
     with pytest.raises(ValueError):
         graph_from_json_dict({"n": 2, "edges": [[1, 2]], "genus": [0]})
+
+
+@pytest.mark.parametrize(
+    "graph, n_classes",
+    [(K4, 24), (THETA, 2), (MIDDLE, 4), (DBL_DBL, 14), (DUMBBELL, 2)],
+)
+def test_orientation_classes_match_signature_grouping(graph, n_classes):
+    groups: dict[tuple, list] = {}
+    for order in all_orders(graph.n):
+        groups.setdefault(_orientation_signature(graph, order), []).append(order)
+    classes = orientation_classes(graph)
+    assert len(classes) == n_classes
+    assert sum(count for _, count in classes) == len(list(all_orders(graph.n)))
+    # each representative is the first order of its group, counts are group sizes
+    assert sorted(classes) == sorted((members[0], len(members)) for members in groups.values())

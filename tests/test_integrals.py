@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trofey.graphs import FeynmanGraph, all_orders, enumerate_graphs, identity_order
+from trofey.graphs import (
+    FeynmanGraph,
+    all_orders,
+    enumerate_graphs,
+    identity_order,
+    orientation_classes,
+)
 from trofey.integrals import (
     integral_series_all_orders,
     integral_series_q,
@@ -29,7 +35,20 @@ TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
 MIDDLE = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
 THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
+DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
 ID3 = identity_order(3)
+
+
+def refined_table_by_coeff(graph, order, q_bounds, l=None, gf=None, total_q_cap=None):
+    """Oracle for integral_series_refined: one refined_coeff per multidegree."""
+    if isinstance(q_bounds, int):
+        q_bounds = [q_bounds] * graph.num_edges
+    table = {}
+    for a in multidegrees(graph, q_bounds, total_q_cap):
+        value = refined_coeff(graph, order, a, l=l, gf=gf)
+        if value != 0:
+            table[a] = value
+    return table
 
 
 def test_frozen_triangle_coefficient():
@@ -119,7 +138,7 @@ def test_frozen_triangle_series():
 )
 def test_series_q_matches_refined_table(graph, order, gf, q_order):
     by_degree: dict[int, Fraction] = {}
-    table = integral_series_refined(graph, order, q_order, gf=gf, total_q_cap=q_order)
+    table = refined_table_by_coeff(graph, order, q_order, gf=gf, total_q_cap=q_order)
     for a, value in table.items():
         by_degree[sum(a)] = by_degree.get(sum(a), 0) + value
     expected = {d: c for d, c in by_degree.items() if c != 0}
@@ -142,6 +161,57 @@ def test_integral_series_refined_table():
     for a, value in table.items():
         assert a[0] >= 1 and sum(a) <= 2
         assert value == refined_coeff(RIGHT, ID3, a, gf=(0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "graph, gf, q_order",
+    [
+        (TRIANGLE, (1, 0, 0), 4),
+        (RIGHT, (0, 0, 0), 4),
+        (RIGHT, (1, 0, 0), 3),
+        (DBL_DBL, (0, 0, 0, 0), 4),
+    ],
+)
+def test_refined_table_matches_coeff_on_every_class(graph, gf, q_order):
+    # the a-keyed pass read at every multidegree with sum(a) <= q_order
+    for order, _ in orientation_classes(graph):
+        table = integral_series_refined(graph, order, q_order, gf=gf, total_q_cap=q_order)
+        assert table, (graph.edges, order)
+        for a in multidegrees(graph, [q_order] * graph.num_edges, q_order):
+            assert table.get(a, 0) == refined_coeff(graph, order, a, gf=gf), (order, a)
+        assert set(table) <= set(multidegrees(graph, [q_order] * graph.num_edges, q_order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=st.sampled_from([TRIANGLE, RIGHT, MIDDLE, THETA]),
+    data=st.data(),
+)
+def test_refined_table_matches_coeff_with_bounds_and_leaks(graph, data):
+    n, r = graph.n, graph.num_edges
+    order = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
+    q_bounds = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+    total = data.draw(st.none() | st.integers(0, 5))
+    gf = data.draw(st.none() | st.tuples(*[st.integers(0, 1)] * n))
+    l = None
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(list(range(n))))[:2]
+        w = data.draw(st.integers(1, 2))
+        l = [0] * n
+        l[i], l[j] = w, -w
+    table = integral_series_refined(graph, order, q_bounds, l=l, gf=gf, total_q_cap=total)
+    assert table == refined_table_by_coeff(graph, order, q_bounds, l=l, gf=gf, total_q_cap=total)
+
+
+def test_refined_table_leaks_widen_the_winding_cap():
+    # at a = 0 the leak (2,0,-2) needs winding 1 on every edge of the
+    # triangle, beyond a cap of sum(a) = 0: the cap must add sum|l|
+    for total in (0, 1, 2):
+        table = integral_series_refined(
+            TRIANGLE, ID3, 2, l=(2, 0, -2), vertex_contributions=False, total_q_cap=total
+        )
+        assert table[(0, 0, 0)] == 1
+        assert table == refined_table_by_coeff(TRIANGLE, ID3, 2, l=(2, 0, -2), total_q_cap=total)
 
 
 def test_mirror_total_series_frozen_values():
