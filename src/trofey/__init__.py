@@ -51,16 +51,8 @@ from .integrals import (
     refined_coeff,
     refined_sweep,
 )
-from .propagators import (
-    eisenstein,
-    eisenstein_coefficients,
-    loop_propagator,
-    propagator,
-    vertex_loop_propagator,
-    vertex_propagator,
-)
+from .propagators import eisenstein_coefficients
 from .quasimodular import QuasimodularFit, basis, fit, weight_bound
-from .series import TruncatedSeries, TruncationSpec, s_function_series
 
 __version__ = "0.1.0"
 
@@ -69,8 +61,6 @@ __all__ = [
     "FeynmanGraph",
     "GraphAssignment",
     "QuasimodularFit",
-    "TruncatedSeries",
-    "TruncationSpec",
     "all_orders",
     "automorphism_count",
     "basis",
@@ -80,7 +70,6 @@ __all__ = [
     "descendant_contribution",
     "descendant_contribution_by_windings",
     "double_hurwitz",
-    "eisenstein",
     "eisenstein_coefficients",
     "elliptic_hurwitz_connected",
     "elliptic_hurwitz_disconnected",
@@ -102,16 +91,11 @@ __all__ = [
     "invariant_series",
     "labeled_matrix_element",
     "labeled_series_product_check",
-    "loop_propagator",
     "matrix_element",
     "mirror_total_series",
     "one_point_mult",
-    "propagator",
     "refined_coeff",
     "refined_sweep",
-    "s_function_series",
-    "vertex_loop_propagator",
-    "vertex_propagator",
     "validate",
     "validate_assignment",
     "weight_bound",

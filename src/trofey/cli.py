@@ -119,13 +119,17 @@ def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[i
 
 
 def _thread_count(args: argparse.Namespace) -> int:
+    """TROFEY_THREADS if set, else --threads (checked in :func:`main`)."""
     env = os.environ.get("TROFEY_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise CliError(PARSE_ERROR, "TROFEY_THREADS must be an integer") from exc
-    return max(1, args.threads)
+    if env is None:
+        return args.threads
+    try:
+        threads = int(env)
+    except ValueError as exc:
+        raise CliError(PARSE_ERROR, "TROFEY_THREADS must be an integer") from exc
+    if threads < 1:
+        raise CliError(VALIDATION_ERROR, f"TROFEY_THREADS must be >= 1, got {threads}")
+    return threads
 
 
 def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> list[Any]:
@@ -353,6 +357,10 @@ def cmd_fock(args: argparse.Namespace) -> int:
             _emit(_report(query, results), args.format)
             return 0
         if args.fock_command == "elliptic":
+            if args.g < 1:
+                raise CliError(VALIDATION_ERROR, f"--g must be >= 1, got {args.g}")
+            if args.d < 1:
+                raise CliError(VALIDATION_ERROR, f"--d must be >= 1, got {args.d}")
             value = elliptic_hurwitz_disconnected(args.g, 2 * args.g - 2, args.d)
             query = {"command": "fock elliptic", "g": args.g, "d": args.d}
             results = [
@@ -545,6 +553,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise CliError(VALIDATION_ERROR, f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,13 +41,7 @@ from .graphs import (
 )
 from .integrals import multidegrees
 from .propagators import divisors
-from .series import (
-    Coeff,
-    TruncationSpec,
-    invert,
-    s_function_series,
-    scale_variable,
-)
+from .series import Coeff, invert, mul, s_series
 
 LOOP = "loop"
 CURLED = "curled"
@@ -220,12 +214,10 @@ def _one_point_cached(ends: tuple[int, ...], k: int) -> Coeff:
     two_g = k + 2 - len(ends)
     if two_g < 0 or two_g % 2 != 0:
         return 0
-    z = ("z", 1)
-    spec = TruncationSpec.make(z_bounds={1: two_g})
-    series = invert(s_function_series(spec, two_g, z))
+    series = invert(s_series(1, two_g), two_g)
     for w in ends:
-        series = series * scale_variable(s_function_series(spec, two_g, z), z, w)
-    return series.coefficient({z: two_g})
+        series = mul(series, s_series(w, two_g), two_g)
+    return series[two_g]
 
 
 def one_point_mult(mu: Sequence[int], nu: Sequence[int], k: int) -> Coeff:

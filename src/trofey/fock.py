@@ -34,7 +34,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .graphs import FeynmanGraph, VertexOrder, edge_orientation
 from .propagators import divisors
-from .series import Coeff
+from .series import Coeff, invert, mul, normalize
 
 Partition = tuple[int, ...]
 # unlabeled states: partition -> coefficient
@@ -176,12 +176,6 @@ def cut_join(state: State) -> State:
     return {k: c for k, c in out.items() if c != 0}
 
 
-def _normalize(value: Coeff) -> Coeff:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
-
-
 def matrix_element(mu: Sequence[int], n: int, nu: Sequence[int]) -> Coeff:
     """<b_mu | M^n | b_nu>."""
     if n < 0:
@@ -189,7 +183,7 @@ def matrix_element(mu: Sequence[int], n: int, nu: Sequence[int]) -> Coeff:
     state = state_from_partition(nu)
     for _ in range(n):
         state = cut_join(state)
-    return _normalize(inner_product(state_from_partition(mu), state))
+    return normalize(inner_product(state_from_partition(mu), state))
 
 
 # -- Hurwitz-type counts -------------------------------------------------
@@ -214,7 +208,7 @@ def double_hurwitz(mu: Sequence[int], nu: Sequence[int], n: int) -> Coeff:
     value = Fraction(factorial(n), prod(mu_t) * prod(nu_t)) * matrix_element(
         mu_t, n, nu_t
     )
-    return _normalize(value)
+    return normalize(value)
 
 
 def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> Coeff:
@@ -237,37 +231,12 @@ def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> Coeff:
         me = matrix_element(mu, n, mu)
         if me != 0:
             total = total + Fraction(factorial(n), partition_aut(mu) * prod(mu)) * me
-    return _normalize(total)
+    return normalize(total)
 
 
 def partition_counts(q_order: int) -> list[int]:
     """p(0), ..., p(q_order)."""
     return [len(partitions(d)) for d in range(q_order + 1)]
-
-
-def _series_mul(u: Sequence[Coeff], v: Sequence[Coeff], order: int) -> list[Coeff]:
-    out: list[Coeff] = [0] * (order + 1)
-    for i, ui in enumerate(u[: order + 1]):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v[: order + 1 - i]):
-            if vj != 0:
-                out[i + j] = out[i + j] + ui * vj
-    return out
-
-
-def _series_div(num: Sequence[Coeff], den: Sequence[Coeff], order: int) -> list[Coeff]:
-    if den[0] == 0:
-        raise ZeroDivisionError("series division needs a unit constant term")
-    inv0 = Fraction(1, 1) / den[0]
-    out: list[Coeff] = [0] * (order + 1)
-    for i in range(order + 1):
-        acc = num[i] if i < len(num) else 0
-        for j in range(1, i + 1):
-            if j < len(den) and den[j] != 0:
-                acc = acc - den[j] * out[i - j]
-        out[i] = _normalize(acc * inv0)
-    return out
 
 
 def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
@@ -298,7 +267,7 @@ def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
     def branched_over_p(m: int) -> tuple[Coeff, ...]:
         g = (m + 2) // 2
         disc = [0] + [elliptic_hurwitz_disconnected(g, m, e) for e in range(1, d + 1)]
-        return tuple(_series_div(disc, partition_counts(d), d))
+        return tuple(mul(disc, invert(partition_counts(d), d), d))
 
     @lru_cache(maxsize=None)
     def connected_series(m: int) -> tuple[Coeff, ...]:
@@ -310,10 +279,10 @@ def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
                 continue  # odd branch count cannot occur on a component
             term: list[Coeff] = [1] + [0] * d
             for b in blocks:
-                term = _series_mul(term, connected_series(len(b)), d)
+                term = mul(term, connected_series(len(b)), d)
             for e in range(d + 1):
                 total[e] = total[e] - term[e]
-        return tuple(_normalize(c) for c in total)
+        return tuple(normalize(c) for c in total)
 
     return connected_series(n)[d]
 
@@ -508,7 +477,7 @@ def labeled_matrix_element(
     cuts = _cut_counts(a, windings)
     for k, c in cuts.items():
         value = value * Fraction(1, windings[k]) ** c
-    return _normalize(value)
+    return normalize(value)
 
 
 def fock_cover_count(
@@ -518,7 +487,7 @@ def fock_cover_count(
     total: Coeff = 0
     for windings in winding_choices(a):
         total = total + labeled_matrix_element(graph, order, a, windings)
-    return _normalize(total)
+    return normalize(total)
 
 
 # -- variable-tracking operators ----------------------------------------
@@ -627,10 +596,10 @@ def labeled_series_product(
             continue
         if any(abs(e) > x_bound for e in xvec):
             continue
-        value = _normalize(coeff * norm * prefactor)
+        value = normalize(coeff * norm * prefactor)
         if value != 0:
             out[xvec] = out.get(xvec, 0) + value
-    return {k: _normalize(c) for k, c in out.items() if c != 0}
+    return {k: normalize(c) for k, c in out.items() if c != 0}
 
 
 def _edge_factor_product(
@@ -699,4 +668,4 @@ def labeled_series_product_check(
         total_zero = total_zero + lhs.get((0,) * graph.n, 0)
     from .covers import cover_count
 
-    return _normalize(total_zero) == cover_count(graph, order, a)
+    return normalize(total_zero) == cover_count(graph, order, a)

@@ -34,16 +34,12 @@ z-degree zs_i at vertex i takes the z^{2 g_i - zs_i} coefficient of 1/S.
 :func:`integral_series_refined` runs the same pass with the degrees of the
 edges done so far in place of d, so one pass yields the coefficient at
 every multidegree within the bounds (single cap B = total cap + sum|l|).
-
-For cross-validation, :func:`refined_coeff_reference` computes the same
-coefficient directly from truncated propagator series products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Iterator, Sequence
 
 from .graphs import (
@@ -54,38 +50,17 @@ from .graphs import (
     enumerate_labeled_graphs,
     orientation_classes,
 )
-from .propagators import (
-    EdgeContext,
-    divisors,
-    loop_propagator,
-    propagator,
-    vertex_loop_propagator,
-    vertex_propagator,
-)
-from .series import (
-    Coeff,
-    TruncatedSeries,
-    TruncationSpec,
-    invert,
-    s_function_series,
-)
+from .propagators import divisors
+from .series import Coeff, invert, s_coeff, s_series
 
 LeakVector = tuple[int, ...]
 Multidegree = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _s_coeff(m: int) -> Coeff:
-    """z^{2m}-coefficient of S(z)."""
-    return 1 if m == 0 else Fraction(1, 4**m * factorial(2 * m + 1))
-
-
-@lru_cache(maxsize=None)
-def _inv_s_coeffs(g: int) -> tuple[Coeff, ...]:
+def _inv_s_even(g: int) -> tuple[Coeff, ...]:
     """z^{2m}-coefficients (m = 0..g) of 1/S(z), via series inversion."""
-    spec = TruncationSpec.make(z_bounds={1: 2 * g})
-    inv = invert(s_function_series(spec, 2 * g, ("z", 1)))
-    return tuple(inv.coefficient({("z", 1): 2 * m}) for m in range(g + 1))
+    return tuple(invert(s_series(1, 2 * g), 2 * g)[::2])
 
 
 # An edge-slice term: exponent/dressing data at the two edge ends plus a
@@ -106,7 +81,7 @@ def _slice_terms(
         for w in divisors(a):
             # S(w z)^2 = sum_m (sum_{i+j=m} s_i s_j) w^{2m} z^{2m}
             for m in range(g_tail + 1):
-                conv = sum(_s_coeff(i) * _s_coeff(m - i) for i in range(m + 1))
+                conv = sum(s_coeff(i) * s_coeff(m - i) for i in range(m + 1))
                 out.append((0, 2 * m, 0, 0, w ** (2 * m + 1) * conv))
         return tuple(out)
     if a == 0:
@@ -116,7 +91,7 @@ def _slice_terms(
     for w, sgn in windings:
         for i in range(g_tail + 1):
             for j in range(g_head + 1):
-                c = w ** (1 + 2 * i + 2 * j) * _s_coeff(i) * _s_coeff(j)
+                c = w ** (1 + 2 * i + 2 * j) * s_coeff(i) * s_coeff(j)
                 out.append((sgn * w, 2 * i, -sgn * w, 2 * j, c))
     return tuple(out)
 
@@ -265,7 +240,7 @@ def _slice_products(
         g = gf[vi]
         if g == 0:
             continue
-        inv = _inv_s_coeffs(g)
+        inv = _inv_s_even(g)
         new = {}
         for (xs, zs), c in state.items():
             for m, im in enumerate(inv):
@@ -464,7 +439,7 @@ def _graded_pass(
         state = new
 
     # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
-    dressed = [(vi, g, _inv_s_coeffs(g)) for vi, g in enumerate(gf_t) if g]
+    dressed = [(vi, g, _inv_s_even(g)) for vi, g in enumerate(gf_t) if g]
     out: dict = {}
     for (xs, zs, grade), c in state.items():
         if xs != target:
@@ -577,60 +552,3 @@ def mirror_total_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
             else:
                 totals[d] = s
     return totals
-
-
-# -- slow reference path (tests) ----------------------------------------
-
-
-def refined_coeff_reference(
-    graph: FeynmanGraph,
-    order: VertexOrder,
-    a: Sequence[int],
-    l: Sequence[int] | None = None,
-    gf: Sequence[int] | None = None,
-    vertex_contributions: bool | None = None,
-) -> Coeff:
-    """Same coefficient via full TruncatedSeries propagator products.
-
-    Exponentially slower than :func:`refined_coeff`; exists to pin the
-    fast path against the series-level definitions.
-    """
-    a_t, leaks, gf_t, vc = _normalize_query(graph, a, l, gf, vertex_contributions)
-    assert a_t is not None
-    direct_cap = sum(a_t) + sum(abs(x) for x in leaks)
-    x_bound = max(1, direct_cap * max(graph.degrees()))
-    spec = TruncationSpec.make(
-        x_bound=x_bound,
-        q_bounds={kk + 1: a_t[kk] for kk in range(graph.num_edges)},
-        z_bounds={v: 2 * gf_t[v - 1] for v in range(1, graph.n + 1)},
-    )
-    product = TruncatedSeries.one(spec)
-    for idx in range(1, graph.num_edges + 1):
-        ctx = EdgeContext.from_graph(graph, order, idx)
-        if vc:
-            factor = (
-                vertex_loop_propagator(ctx, spec)
-                if ctx.is_loop
-                else vertex_propagator(ctx, spec)
-            )
-        else:
-            factor = (
-                loop_propagator(ctx, spec) if ctx.is_loop else propagator(ctx, spec)
-            )
-        product = product * factor
-    if vc:
-        for v in range(1, graph.n + 1):
-            if gf_t[v - 1] > 0:
-                product = product * invert(
-                    s_function_series(spec, 2 * gf_t[v - 1], ("z", v))
-                )
-    exponents: dict = {}
-    for kk in range(graph.num_edges):
-        if a_t[kk]:
-            exponents[("q", kk + 1)] = a_t[kk]
-    for v in range(1, graph.n + 1):
-        if leaks[v - 1]:
-            exponents[("x", v)] = leaks[v - 1]
-        if vc and gf_t[v - 1]:
-            exponents[("z", v)] = 2 * gf_t[v - 1]
-    return product.coefficient(exponents)

@@ -1,4 +1,4 @@
-"""Edge factors ("propagators") and arithmetic q-series.
+"""Arithmetic of the edge factors and the Eisenstein q-series.
 
 Under a vertex order, every non-loop edge k with oriented endpoints
 (tail, head) carries a factor in the endpoint ratio x_tail / x_head and
@@ -13,6 +13,8 @@ x-free factor  P_loop(q) = sum_{a>=1} sigma(a) q^a.
 The "vertex-dressed" variants multiply every winding-w term by
 S(w z_tail) S(w z_head), where S(z) = sinh(z/2)/(z/2); for a loop both
 S-factors sit at the loop vertex.  These carry the genus corrections.
+The integral DP of :mod:`trofey.integrals` builds the factors q-slice by
+q-slice from :func:`divisors` and :func:`trofey.series.s_coeff`.
 
 Eisenstein series E2, E4, E6 are provided for the quasimodular fitting
 layer; E2 = 1 - 24 sum sigma_1(d) q^d matches the propagator normalization
@@ -21,19 +23,9 @@ and E4, E6 use the standard 240/-504 expansions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import FeynmanGraph, VertexOrder, edge_orientation
-from .series import (
-    Coeff,
-    TruncatedSeries,
-    TruncationSpec,
-    Variable,
-    monomial,
-    s_function_series,
-    scale_variable,
-)
+from .series import Coeff
 
 
 @lru_cache(maxsize=None)
@@ -48,115 +40,6 @@ def sigma(a: int, power: int = 1) -> int:
     return sum(w**power for w in divisors(a))
 
 
-@dataclass(frozen=True)
-class EdgeContext:
-    """One edge slot of a graph, oriented by a vertex order.
-
-    For loops tail == head and both z-slots refer to that vertex.
-    """
-
-    edge_index: int  # 1-based, equals the q-variable index
-    tail: int
-    head: int
-
-    @property
-    def is_loop(self) -> bool:
-        return self.tail == self.head
-
-    @staticmethod
-    def from_graph(graph: FeynmanGraph, order: VertexOrder, edge_index: int) -> "EdgeContext":
-        u, v = graph.edges[edge_index - 1]
-        if u == v:
-            return EdgeContext(edge_index, u, u)
-        tail, head = edge_orientation(graph, edge_index - 1, order)
-        return EdgeContext(edge_index, tail, head)
-
-
-def s_at_weight(spec: TruncationSpec, z_var: Variable, w: int) -> TruncatedSeries:
-    """S(w z) truncated by the declared bound on ``z_var``."""
-    order = spec.bound(z_var)
-    return scale_variable(s_function_series(spec, order, z_var), z_var, w)
-
-
-def propagator(ctx: EdgeContext, spec: TruncationSpec) -> TruncatedSeries:
-    """Plain edge factor P(x_tail / x_head, q_k) up to the declared bounds."""
-    if ctx.is_loop:
-        raise ValueError("propagator() is for non-loop edges; use loop_propagator")
-    xt: Variable = ("x", ctx.tail)
-    xh: Variable = ("x", ctx.head)
-    q: Variable = ("q", ctx.edge_index)
-    terms: dict = {}
-    for w in range(1, spec.x_bound + 1):
-        terms[monomial({xt: w, xh: -w})] = w
-    for a in range(1, spec.bound(q) + 1):
-        for w in divisors(a):
-            if w > spec.x_bound:
-                continue
-            for sgn in (1, -1):
-                mono = monomial({xt: sgn * w, xh: -sgn * w, q: a})
-                terms[mono] = terms.get(mono, 0) + w
-    return TruncatedSeries(spec, terms)
-
-
-def loop_propagator(ctx: EdgeContext, spec: TruncationSpec) -> TruncatedSeries:
-    """Loop edge factor sum_a sigma(a) q_k^a (no constant term)."""
-    if not ctx.is_loop:
-        raise ValueError("loop_propagator() is for loop edges")
-    q: Variable = ("q", ctx.edge_index)
-    return TruncatedSeries(
-        spec, {monomial({q: a}): sigma(a) for a in range(1, spec.bound(q) + 1)}
-    )
-
-
-def vertex_propagator(ctx: EdgeContext, spec: TruncationSpec) -> TruncatedSeries:
-    """Dressed edge factor: each w-term of P times S(w z_tail) S(w z_head).
-
-    Both endpoint weights attach to every winding term regardless of the
-    term's direction: each edge end sits at its vertex either way.
-    """
-    if ctx.is_loop:
-        raise ValueError("vertex_propagator() is for non-loop edges")
-    xt: Variable = ("x", ctx.tail)
-    xh: Variable = ("x", ctx.head)
-    zt: Variable = ("z", ctx.tail)
-    zh: Variable = ("z", ctx.head)
-    q: Variable = ("q", ctx.edge_index)
-    total = TruncatedSeries.zero(spec)
-    for w in range(1, spec.x_bound + 1):
-        dress = s_at_weight(spec, zt, w) * s_at_weight(spec, zh, w)
-        total = total + dress * TruncatedSeries(spec, {monomial({xt: w, xh: -w}): w})
-    for a in range(1, spec.bound(q) + 1):
-        for w in divisors(a):
-            if w > spec.x_bound:
-                continue
-            dress = s_at_weight(spec, zt, w) * s_at_weight(spec, zh, w)
-            both = TruncatedSeries(
-                spec,
-                {
-                    monomial({xt: w, xh: -w, q: a}): w,
-                    monomial({xt: -w, xh: w, q: a}): w,
-                },
-            )
-            total = total + dress * both
-    return total
-
-
-def vertex_loop_propagator(ctx: EdgeContext, spec: TruncationSpec) -> TruncatedSeries:
-    """Dressed loop factor sum_a sum_{w|a} w S(w z_v)^2 q_k^a."""
-    if not ctx.is_loop:
-        raise ValueError("vertex_loop_propagator() is for loop edges")
-    zv: Variable = ("z", ctx.tail)
-    q: Variable = ("q", ctx.edge_index)
-    total = TruncatedSeries.zero(spec)
-    for a in range(1, spec.bound(q) + 1):
-        for w in divisors(a):
-            dress = s_at_weight(spec, zv, w)
-            total = total + dress * dress * TruncatedSeries(
-                spec, {monomial({q: a}): w}
-            )
-    return total
-
-
 def eisenstein_coefficients(weight: int, q_order: int) -> list[Coeff]:
     """Coefficients [q^0 .. q^q_order] of E2, E4 or E6."""
     if weight not in (2, 4, 6):
@@ -167,12 +50,3 @@ def eisenstein_coefficients(weight: int, q_order: int) -> list[Coeff]:
     for d in range(1, q_order + 1):
         out.append(factor * sigma(d, power))
     return out
-
-
-def eisenstein(weight: int, q_order: int) -> TruncatedSeries:
-    """E2/E4/E6 as a truncated series in the variable q_1."""
-    spec = TruncationSpec.make(q_bounds={1: q_order})
-    coeffs = eisenstein_coefficients(weight, q_order)
-    return TruncatedSeries(
-        spec, {monomial({("q", 1): d}): c for d, c in enumerate(coeffs)}
-    )

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .graphs import FeynmanGraph
 from .propagators import eisenstein_coefficients
-from .series import Coeff
+from .series import Coeff, mul, normalize
 
 EisensteinMonomial = tuple[int, int, int]  # exponents of E2, E4, E6
 
@@ -27,17 +27,6 @@ OVERDETERMINATION_MARGIN = 5
 def monomial_weight(monomial: EisensteinMonomial) -> int:
     a, b, c = monomial
     return 2 * a + 4 * b + 6 * c
-
-
-def _mul_trunc(u: Sequence[Coeff], v: Sequence[Coeff], order: int) -> list[Coeff]:
-    out: list[Coeff] = [0] * (order + 1)
-    for i, ui in enumerate(u[: order + 1]):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v[: order + 1 - i]):
-            if vj != 0:
-                out[i + j] = out[i + j] + ui * vj
-    return out
 
 
 def basis(
@@ -65,11 +54,11 @@ def basis(
     for a, b, c in monomials:
         row: list[Coeff] = [1] + [0] * q_order
         for _ in range(a):
-            row = _mul_trunc(row, e[2], q_order)
+            row = mul(row, e[2], q_order)
         for _ in range(b):
-            row = _mul_trunc(row, e[4], q_order)
+            row = mul(row, e[4], q_order)
         for _ in range(c):
-            row = _mul_trunc(row, e[6], q_order)
+            row = mul(row, e[6], q_order)
         out.append(((a, b, c), row))
     return out
 
@@ -112,7 +101,7 @@ class QuasimodularFit:
             row = rows[monomial]
             for d in range(q_order + 1):
                 total[d] = total[d] + coeff * row[d]
-        return [_simplify(c) for c in total]
+        return [normalize(c) for c in total]
 
     def format_polynomial(self) -> str:
         if not self.coefficients:
@@ -140,12 +129,6 @@ class QuasimodularFit:
                 parts.append(f"{sign} {mag}*{mono}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def _simplify(value: Coeff) -> Coeff:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 def _coefficient_list(
@@ -214,5 +197,5 @@ def fit(
     for col, (monomial, _) in enumerate(bas):
         value = rows[pivot_of_col[col]][ncols]
         if value != 0:
-            solution[monomial] = _simplify(value)
+            solution[monomial] = normalize(value)
     return QuasimodularFit(solution, max_weight, True, q_order)

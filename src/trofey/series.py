@@ -1,362 +1,67 @@
-"""Exact sparse truncated multivariate Laurent/power series.
+"""Exact univariate truncated power series.
 
-This is the arithmetic carrier for the whole package.  A series lives in
-three families of variables:
-
-* ``x1, x2, ...``  -- Laurent variables (negative exponents allowed, one
-  per graph vertex), truncated symmetrically at ``|exponent| <= x_bound``;
-* ``q1, q2, ...``  -- formal edge variables, exponents >= 0, truncated at a
-  per-variable bound;
-* ``z1, z2, ...``  -- vertex variables for genus corrections, exponents
-  >= 0, truncated at a per-variable bound.
-
-Coefficients are exact rationals (``fractions.Fraction``; plain ``int`` is
-kept as-is so integer-only computations never touch rational arithmetic).
-Truncation is enforced eagerly: every arithmetic operation drops monomials
-outside the :class:`TruncationSpec`, so intermediate objects can never
-smuggle out-of-bound terms into a result.
-
-Values are immutable: operations return new series, and ``terms`` should
-never be mutated by callers.
+A series is its coefficient list ``[c_0, c_1, ..., c_order]``.
+Coefficients are exact: ``int`` where integral, ``fractions.Fraction``
+otherwise (:func:`normalize` collapses denominators of one), so
+integer-only computations never touch rational arithmetic.  The
+operations return new lists truncated at the requested order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, Union
+from typing import Sequence, Union
 
 Coeff = Union[int, Fraction]
-Variable = tuple[str, int]  # (kind, index) with kind in {"x", "q", "z"}
-Monomial = tuple[tuple[Variable, int], ...]  # sorted ((kind, index), exponent)
-
-_KINDS = ("x", "q", "z")
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    """Collapse Fractions with denominator one back to int."""
+def normalize(c: Coeff) -> Coeff:
+    """Collapse a Fraction with denominator one back to int."""
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
 
 
-def variable(kind: str, index: int) -> Variable:
-    if kind not in _KINDS:
-        raise ValueError(f"unknown variable kind {kind!r}")
-    if index < 1:
-        raise ValueError("variable indices are 1-based")
-    return (kind, index)
+def mul(u: Sequence[Coeff], v: Sequence[Coeff], order: int) -> list[Coeff]:
+    """Product u * v through the coefficient of z^order."""
+    out: list[Coeff] = [0] * (order + 1)
+    for i, ui in enumerate(u[: order + 1]):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v[: order + 1 - i]):
+            if vj != 0:
+                out[i + j] = out[i + j] + ui * vj
+    return [normalize(c) for c in out]
 
 
-def monomial(exponents: Mapping[Variable, int]) -> Monomial:
-    """Canonical (sorted, zero-free) monomial from a {variable: exponent} map."""
-    return tuple(sorted((v, e) for v, e in exponents.items() if e != 0))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two canonical monomials (exponent-wise sum)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for v, e in b:
-        s = out.get(v, 0) + e
-        if s == 0:
-            out.pop(v, None)
-        else:
-            out[v] = s
-    return tuple(sorted(out.items()))
-
-
-def mono_degree(m: Monomial, kind: str) -> int:
-    """Total degree of a monomial in one variable family."""
-    return sum(e for (k, _), e in m if k == kind)
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Per-variable truncation bounds.
-
-    ``q_bounds`` / ``z_bounds`` declare the admissible variables of those
-    kinds together with their maximal exponents; a monomial mentioning an
-    undeclared q/z variable is a hard error (it means the caller built the
-    wrong series, not a truncation event).  All x variables share the
-    symmetric window ``|exponent| <= x_bound``.
-    """
-
-    x_bound: int = 0
-    q_bounds: tuple[tuple[int, int], ...] = ()
-    z_bounds: tuple[tuple[int, int], ...] = ()
-
-    @staticmethod
-    def make(
-        x_bound: int = 0,
-        q_bounds: Mapping[int, int] | None = None,
-        z_bounds: Mapping[int, int] | None = None,
-    ) -> "TruncationSpec":
-        if x_bound < 0:
-            raise ValueError("x_bound must be >= 0")
-        for name, bounds in (("q", q_bounds), ("z", z_bounds)):
-            for idx, bnd in (bounds or {}).items():
-                if idx < 1 or bnd < 0:
-                    raise ValueError(f"bad {name} bound ({idx}: {bnd})")
-        return TruncationSpec(
-            x_bound=x_bound,
-            q_bounds=tuple(sorted((q_bounds or {}).items())),
-            z_bounds=tuple(sorted((z_bounds or {}).items())),
-        )
-
-    def bound(self, var: Variable) -> int:
-        kind, index = var
-        if kind == "x":
-            return self.x_bound
-        table = self.q_bounds if kind == "q" else self.z_bounds
-        for idx, bnd in table:
-            if idx == index:
-                return bnd
-        raise KeyError(f"variable {kind}{index} is not declared in this spec")
-
-    def admits(self, mono: Monomial) -> bool:
-        """True when the monomial lies inside every bound.
-
-        Negative exponents on q/z variables raise: those families are
-        genuine power series and a negative exponent is a logic error.
-        """
-        for (kind, index), exp in mono:
-            if kind == "x":
-                if abs(exp) > self.x_bound:
-                    return False
-            else:
-                if exp < 0:
-                    raise ValueError(f"negative exponent on {kind}{index}")
-                if exp > self.bound((kind, index)):
-                    return False
-        return True
-
-
-class TruncatedSeries:
-    """Immutable sparse series under a fixed :class:`TruncationSpec`."""
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: TruncationSpec, terms: Mapping[Monomial, Coeff]):
-        clean: dict[Monomial, Coeff] = {}
-        for mono, coeff in terms.items():
-            coeff = _norm_coeff(coeff)
-            if coeff == 0:
-                continue
-            if not spec.admits(mono):
-                continue
-            clean[mono] = coeff
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("TruncatedSeries is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(spec: TruncationSpec) -> "TruncatedSeries":
-        return TruncatedSeries(spec, {})
-
-    @staticmethod
-    def one(spec: TruncationSpec) -> "TruncatedSeries":
-        return TruncatedSeries(spec, {(): 1})
-
-    @staticmethod
-    def from_terms(
-        spec: TruncationSpec, entries: Iterable[tuple[Mapping[Variable, int], Coeff]]
-    ) -> "TruncatedSeries":
-        acc: dict[Monomial, Coeff] = {}
-        for exponents, coeff in entries:
-            mono = monomial(exponents)
-            acc[mono] = acc.get(mono, 0) + coeff
-        return TruncatedSeries(spec, acc)
-
-    # -- ring operations ----------------------------------------------
-
-    def _check_spec(self, other: "TruncatedSeries") -> None:
-        if self.spec != other.spec:
-            raise ValueError("series live under different truncation specs")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_spec(other)
-        if len(self.terms) < len(other.terms):
-            small, big = self.terms, other.terms
-        else:
-            small, big = other.terms, self.terms
-        out = dict(big)
-        for mono, coeff in small.items():
-            s = out.get(mono, 0) + coeff
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return TruncatedSeries(self.spec, out)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.spec, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return TruncatedSeries.zero(self.spec)
-            return TruncatedSeries(
-                self.spec, {m: c * other for m, c in self.terms.items()}
-            )
-        self._check_spec(other)
-        admits = self.spec.admits
-        out: dict[Monomial, Coeff] = {}
-        # iterate the smaller operand outside for fewer dict rebuilds
-        if len(self.terms) <= len(other.terms):
-            first, second = self.terms, other.terms
-        else:
-            first, second = other.terms, self.terms
-        for m1, c1 in first.items():
-            for m2, c2 in second.items():
-                mono = mono_mul(m1, m2)
-                if not admits(mono):
-                    continue
-                s = out.get(mono, 0) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return TruncatedSeries(self.spec, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.spec == other.spec
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "TruncatedSeries(0)"
-        bits = []
-        for mono, coeff in sorted(self.terms.items())[:8]:
-            vars_part = "*".join(f"{k}{i}^{e}" for (k, i), e in mono) or "1"
-            bits.append(f"{coeff}*{vars_part}")
-        more = " + ..." if len(self.terms) > 8 else ""
-        return "TruncatedSeries(" + " + ".join(bits) + more + ")"
-
-    # -- extraction ---------------------------------------------------
-
-    def coefficient(self, exponents: Mapping[Variable, int]) -> Coeff:
-        """Exact coefficient of one monomial."""
-        return self.terms.get(monomial(exponents), 0)
-
-    def constant_term(self) -> Coeff:
-        return self.terms.get((), 0)
-
-    def extract(self, var: Variable, exponent: int) -> "TruncatedSeries":
-        """Series-valued coefficient of ``var**exponent``.
-
-        The result no longer involves ``var``; the truncation settings
-        are kept unchanged (the variable is simply absent from all
-        surviving monomials).
-        """
-        out: dict[Monomial, Coeff] = {}
-        for mono, coeff in self.terms.items():
-            rest = []
-            found = 0
-            for v, e in mono:
-                if v == var:
-                    found = e
-                else:
-                    rest.append((v, e))
-            if found == exponent:
-                out[tuple(rest)] = coeff
-        return TruncatedSeries(self.spec, out)
-
-    def filtered(self, keep) -> "TruncatedSeries":
-        """New series keeping only monomials where ``keep(mono)`` is true.
-
-        This is how coefficient-extraction engines discard terms that
-        provably cannot contribute to a requested coefficient; it is not a
-        ring operation.
-        """
-        return TruncatedSeries(
-            self.spec, {m: c for m, c in self.terms.items() if keep(m)}
-        )
-
-    def variables(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
-
-
-def scale_variable(series: TruncatedSeries, var: Variable, factor: Coeff) -> TruncatedSeries:
-    """Substitute ``var -> factor * var`` (coefficient picks up factor**exp)."""
-    out: dict[Monomial, Coeff] = {}
-    for mono, coeff in series.terms.items():
-        exp = 0
-        for v, e in mono:
-            if v == var:
-                exp = e
-                break
-        if exp < 0:
-            # int ** negative would produce a float; stay in Fraction land
-            coeff = coeff * Fraction(factor) ** exp
-        else:
-            coeff = coeff * factor**exp
-        out[mono] = out.get(mono, 0) + coeff
-    return TruncatedSeries(series.spec, out)
-
-
-def invert(series: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a series with invertible constant term.
-
-    Only q/z variables may appear: those have nonnegative exponents, so the
-    non-constant part is nilpotent under truncation and the geometric sum
-    terminates.  (x variables would allow infinitely many monomials of
-    mixed sign at a fixed window, where no well-defined truncated inverse
-    exists.)
-    """
-    c0 = series.constant_term()
-    if c0 == 0:
+def invert(u: Sequence[Coeff], order: int) -> list[Coeff]:
+    """1/u through the coefficient of z^order; u needs a nonzero constant term."""
+    if not u or u[0] == 0:
         raise ValueError("cannot invert a series with zero constant term")
-    for kind, _ in series.variables():
-        if kind == "x":
-            raise ValueError("inversion is only supported for q/z series")
-    spec = series.spec
-    tail = series - TruncatedSeries(spec, {(): c0})  # strictly positive degree
-    inv_c0 = _norm_coeff(Fraction(1, 1) / c0)
-    # 1/(c0 (1 + t/c0)) = (1/c0) * sum (-t/c0)^k ; terminates because every
-    # multiplication by the tail raises total q+z degree by at least one.
-    result = TruncatedSeries.one(spec) * inv_c0
-    power = TruncatedSeries.one(spec)
-    step = tail * (-Fraction(1, 1) / c0 if isinstance(inv_c0, Fraction) else -inv_c0)
-    while True:
-        power = power * step
-        if not power.terms:
-            break
-        result = result + power * inv_c0
-    return result
+    inv0 = Fraction(1) / u[0]
+    out: list[Coeff] = []
+    for i in range(order + 1):
+        acc: Coeff = 1 if i == 0 else 0
+        for j in range(1, min(i, len(u) - 1) + 1):
+            if u[j] != 0:
+                acc = acc - u[j] * out[i - j]
+        out.append(normalize(acc * inv0))
+    return out
 
 
-def s_function_series(
-    spec: TruncationSpec, order: int, var: Variable = ("z", 1)
-) -> TruncatedSeries:
-    """Truncation of S(z) = sinh(z/2)/(z/2) = sum_m z^(2m) / (4^m (2m+1)!).
+@lru_cache(maxsize=None)
+def s_coeff(m: int) -> Coeff:
+    """z^{2m}-coefficient of S(z) = sinh(z/2)/(z/2) = sum_m z^{2m} / (4^m (2m+1)!)."""
+    return 1 if m == 0 else Fraction(1, 4**m * factorial(2 * m + 1))
 
-    Only even powers appear; ``order`` is the maximal retained exponent.
-    """
+
+def s_series(w: int, order: int) -> list[Coeff]:
+    """S(w z) through the coefficient of z^order (only even powers occur)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    terms: dict[Monomial, Coeff] = {}
+    out: list[Coeff] = [0] * (order + 1)
     for m in range(order // 2 + 1):
-        coeff: Coeff = 1 if m == 0 else Fraction(1, 4**m * factorial(2 * m + 1))
-        terms[monomial({var: 2 * m})] = coeff
-    return TruncatedSeries(spec, terms)
+        out[2 * m] = normalize(s_coeff(m) * w ** (2 * m))
+    return out

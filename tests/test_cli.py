@@ -1,11 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import ast
+import io
 import json
+import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trofey
 from trofey import cli
@@ -251,6 +257,22 @@ def test_fock_elliptic_prints_formula_value(capsys):
     assert out == "36\n"
 
 
+@pytest.mark.parametrize(
+    "g, d, message",
+    [
+        ("0", "2", "--g must be >= 1, got 0"),
+        ("-1", "2", "--g must be >= 1, got -1"),
+        ("2", "0", "--d must be >= 1, got 0"),
+        ("2", "-3", "--d must be >= 1, got -3"),
+    ],
+)
+def test_fock_elliptic_rejects_bad_g_or_d(capsys, g, d, message):
+    code, out, err = run(capsys, "fock", "elliptic", f"--g={g}", f"--d={d}")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_fock_check_passes(graphs, capsys):
     code, _, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 0
@@ -362,8 +384,144 @@ def test_bad_threads_env(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_flag_below_one_is_validation_error(capsys, threads):
+    for argv in (
+        ("invariant", "--k", "2,0,0", "--dmax", "1", "--compare"),
+        ("fock", "elliptic", "--g", "2", "--d", "3"),
+    ):
+        code, out, err = run(capsys, f"--threads={threads}", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: --threads must be >= 1, got {threads}"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_env_below_one_is_validation_error(capsys, monkeypatch, threads):
+    monkeypatch.setenv("TROFEY_THREADS", threads)
+    code, out, err = run(capsys, "invariant", "--k", "1,1", "--dmax", "1", "--compare")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [f"error: TROFEY_THREADS must be >= 1, got {threads}"]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     capsys.readouterr()
     assert info.value.code == 2
+
+
+# -- fuzzing the input contract --------------------------------------------
+
+# flag -> (well-formed values, malformed or out-of-range values); the
+# sizes stay small (dmax <= 2, amax <= 1, g <= 2, d <= 3) to keep runs short
+FUZZ_VALUES = {
+    "--format": (["plain", "json", "csv"], ["xml"]),
+    "--threads": (["1", "2"], ["-5", "0", "x"]),
+    "--k": (["2,0,0", "1,1", "1,1,1", "0,0", "2,0", "1"], ["-1,3", "", "x", "1,,1"]),
+    "--dmax": (["1", "2"], ["-1", "0", "", "x", "1.5"]),
+    "--route": (["covers", "integrals"], ["hurwitz"]),
+    "--gf": (["1,0,0", "0,0,0", "0,0"], ["-1,0,0", "x", ""]),
+    "--order": (["id", "all", "2,1,3"], ["1,1,1", "x", ""]),
+    "--a": (["0,0,3", "0,0,1", "1,0,0,1", "0,0"], ["-1,0,0", "x", ""]),
+    "--l": (["0,0,0", "1,-1,0", "1,0,0"], ["x", ""]),
+    "--q-order": (["0", "3"], ["-1", "", "x"]),
+    "--mu": (["2,1", "3", "1,1,1", "2"], ["0", "-1", "x", ""]),
+    "--nu": (["2,1", "3", "1,1,1", "2"], ["0", "-1", "x", ""]),
+    "--n": (["0", "2"], ["-1", "", "x"]),
+    "--g": (["1", "2"], ["-1", "0", "", "x"]),
+    "--d": (["1", "3"], ["-1", "0", "", "x"]),
+    "--amax": (["0", "1"], ["-1", "", "x"]),
+    "--coeffs": (
+        ["1,-24,-72,-96,-168,-144,-288,-192", "1,0,240", "1", "1/2,3"],
+        ["", "x", "1/0"],
+    ),
+    "--max-weight": (["0", "2", "4"], ["-2", "3", "", "x"]),
+    "TROFEY_THREADS": (["2"], ["0", "x"]),
+}
+FUZZ_FLAGS = {
+    ("integral",): ["--graph", "--k", "--gf", "--order", "--a", "--l", "--q-order"],
+    ("invariant",): ["--k", "--dmax", "--route", "--compare"],
+    ("fock", "double"): ["--mu", "--nu", "--n"],
+    ("fock", "elliptic"): ["--g", "--d"],
+    ("fock", "check"): ["--graph", "--amax"],
+    ("fit",): ["--from", "--coeffs", "--max-weight", "--q-order"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    payloads = {
+        "triangle.json": '{"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "genus": [1, 0, 0]}',
+        "right.json": '{"n": 3, "edges": [[1, 1], [1, 2], [2, 3], [1, 3]]}',
+        "unsorted.json": '{"n": 3, "edges": [[1, 2], [1, 1], [2, 3], [1, 3]]}',
+        "theta.json": '{"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]}',
+        "point.json": '{"n": 1, "edges": [[1, 1]]}',
+        "bad_edge.json": '{"n": 2, "edges": [[1, 3]]}',
+        "list.json": "[1, 2]",
+        "broken.json": '{"n": 3,',
+        "empty.json": "",
+        "series.json": json.dumps(
+            {"results": [{"labels": {"d": d}, "value": v} for d, v in enumerate(["1", "-24", "-72"])]}
+        ),
+    }
+    for name, text in payloads.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in payloads] + [str(root / "missing.json")]
+
+
+@st.composite
+def fuzz_argv(draw, files):
+    def value(flag):
+        if flag in ("--graph", "--from"):
+            return draw(st.sampled_from(files))
+        good, bad = FUZZ_VALUES[flag]
+        return draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 0 else good))
+
+    def option(flag):
+        if flag == "--compare":
+            return [flag]
+        text = value(flag)
+        return [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+
+    argv = []
+    for flag in ("--format", "--threads"):
+        if draw(st.booleans()):
+            argv += option(flag)
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv += list(command)
+    for flag in FUZZ_FLAGS[command]:
+        if draw(st.integers(0, 7)):  # each flag present seven times in eight
+            argv += option(flag)
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-1"])))
+    env = value("TROFEY_THREADS") if draw(st.integers(0, 9)) == 0 else None
+    return argv, env
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzz_cli_exit_codes_and_one_line_errors(fuzz_files, data):
+    # Every argv ends in a documented exit code with no traceback (in
+    # process, an uncaught exception leaves main and fails the test); a
+    # validation or fit error is exactly one "error:" line.
+    argv, env = data.draw(fuzz_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("TROFEY_THREADS", None)
+        if env is not None:
+            os.environ["TROFEY_THREADS"] = env
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    stderr = err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (argv, env, code, stderr)
+    assert "Traceback" not in stderr
+    messages = [line for line in stderr.splitlines() if not line.startswith("warning:")]
+    if code in (3, 5):
+        assert len(messages) == 1 and messages[0].startswith("error: "), (argv, env, stderr)
+    if code == 0:
+        assert messages == [] and out.getvalue(), (argv, env, stderr)

@@ -1,7 +1,8 @@
 """Tests for the refined coefficient-extraction engine.
 
 The fast engine works on per-edge q-slices with reachability pruning;
-``refined_coeff_reference`` multiplies full truncated propagator series.
+``refined_coeff_reference`` (in ``series_oracle``) multiplies full
+truncated propagator series.
 Agreement between the two on randomized instances is the core oracle
 here, next to a handful of frozen values.
 """
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from series_oracle import refined_coeff_reference
 from trofey.graphs import (
     FeynmanGraph,
     all_orders,
@@ -27,7 +29,6 @@ from trofey.integrals import (
     mirror_total_series,
     multidegrees,
     refined_coeff,
-    refined_coeff_reference,
     refined_sweep,
 )
 

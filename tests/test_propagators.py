@@ -1,22 +1,19 @@
-"""Tests for edge factors and arithmetic q-series."""
+"""Tests for the series-built edge factors of the oracle and the arithmetic q-series."""
 
 from fractions import Fraction
 
 import pytest
 
-from trofey.graphs import FeynmanGraph
-from trofey.propagators import (
+from series_oracle import (
     EdgeContext,
-    divisors,
-    eisenstein,
-    eisenstein_coefficients,
+    TruncationSpec,
     loop_propagator,
     propagator,
-    sigma,
     vertex_loop_propagator,
     vertex_propagator,
 )
-from trofey.series import TruncationSpec
+from trofey.graphs import FeynmanGraph
+from trofey.propagators import divisors, eisenstein_coefficients, sigma
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -116,9 +113,3 @@ def test_eisenstein_expansions():
     assert eisenstein_coefficients(6, 3) == [1, -504, -16632, -122976]
     with pytest.raises(ValueError):
         eisenstein_coefficients(8, 3)
-
-
-def test_eisenstein_series_wrapper():
-    e2 = eisenstein(2, 3)
-    assert e2.coefficient({("q", 1): 2}) == -72
-    assert e2.constant_term() == 1

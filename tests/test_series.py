@@ -1,12 +1,18 @@
-"""Tests for the exact truncated multivariate series ring."""
+"""Tests for the univariate series kernel and the multivariate test oracle.
+
+The kernel (:mod:`trofey.series`) is checked against the oracle's
+truncated multivariate series (``series_oracle``), which shares no
+arithmetic with it; the oracle's own ring laws are checked first.
+"""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trofey.series import (
+from series_oracle import (
     TruncatedSeries,
     TruncationSpec,
     invert,
@@ -15,6 +21,9 @@ from trofey.series import (
     scale_variable,
     variable,
 )
+from trofey import series as kernel
+from trofey.covers import one_point_mult
+from trofey.integrals import _inv_s_even
 
 X1 = variable("x", 1)
 X2 = variable("x", 2)
@@ -199,3 +208,93 @@ def test_s_function_inverse_coefficients():
     assert inv.coefficient({Z1: 2}) == Fraction(-1, 24)
     assert inv.coefficient({Z1: 4}) == Fraction(7, 5760)
     assert inv.coefficient({Z1: 6}) == Fraction(-31, 967680)
+
+
+# -- the univariate kernel against the oracle ------------------------------
+
+
+def as_oracle(coeffs, order):
+    spec = TruncationSpec.make(q_bounds={1: order})
+    return TruncatedSeries(spec, {monomial({Q1: i}): c for i, c in enumerate(coeffs)})
+
+
+def from_oracle(series, order, var=Q1):
+    return [series.coefficient({var: i}) for i in range(order + 1)]
+
+
+coeff_lists = st.lists(coeffs, min_size=0, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists, st.integers(min_value=0, max_value=6))
+def test_kernel_mul_matches_oracle(u, v, order):
+    want = from_oracle(as_oracle(u, order) * as_oracle(v, order), order)
+    got = kernel.mul(u, v, order)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]  # int where integral
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs.filter(lambda c: c != 0), coeff_lists, st.integers(min_value=0, max_value=6))
+def test_kernel_invert_is_inverse(c0, tail, order):
+    u = [c0] + tail
+    inv = kernel.invert(u, order)
+    assert len(inv) == order + 1
+    assert kernel.mul(u, inv, order) == [1] + [0] * order
+    assert inv == from_oracle(invert(as_oracle(u, order)), order)
+
+
+@pytest.mark.parametrize("u", [[], [0], [0, 1], [Fraction(0), 2, 3]])
+def test_kernel_invert_rejects_zero_constant_term(u):
+    with pytest.raises(ValueError):
+        kernel.invert(u, 3)
+
+
+def test_kernel_normalize():
+    assert kernel.normalize(Fraction(4, 2)) == 2
+    assert isinstance(kernel.normalize(Fraction(4, 2)), int)
+    assert kernel.normalize(Fraction(1, 2)) == Fraction(1, 2)
+    assert kernel.normalize(7) == 7
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5])
+@pytest.mark.parametrize("order", range(9))
+def test_kernel_s_series_matches_oracle(w, order):
+    spec = TruncationSpec.make(z_bounds={1: order})
+    want = scale_variable(s_function_series(spec, order, Z1), Z1, w)
+    assert kernel.s_series(w, order) == from_oracle(want, order, Z1)
+    with pytest.raises(ValueError):
+        kernel.s_series(w, -1)
+
+
+@pytest.mark.parametrize("g", range(7))
+def test_inverse_s_coefficients_match_oracle(g):
+    spec = TruncationSpec.make(z_bounds={1: 2 * g})
+    inv = invert(s_function_series(spec, 2 * g, Z1))
+    assert _inv_s_even(g) == tuple(inv.coefficient({Z1: 2 * m}) for m in range(g + 1))
+
+
+def one_point_by_oracle(ends, k):
+    """Coefficient of z^{2g} in prod S(w z) / S(z), 2g = k + 2 - len(ends)."""
+    two_g = k + 2 - len(ends)
+    if two_g < 0 or two_g % 2 != 0:
+        return 0
+    spec = TruncationSpec.make(z_bounds={1: two_g})
+    product = invert(s_function_series(spec, two_g, Z1))
+    for w in ends:
+        product = product * scale_variable(s_function_series(spec, two_g, Z1), Z1, w)
+    return product.coefficient({Z1: two_g})
+
+
+def test_one_point_mult_matches_oracle():
+    checked = 0
+    for length in range(5):
+        for ends in combinations_with_replacement(range(1, 5), length):
+            split = length // 2
+            for k in range(7):
+                got = one_point_mult(ends[:split], ends[split:], k)
+                want = one_point_by_oracle(ends, k)
+                assert got == want, (ends, k)
+                assert type(got) is type(want), (ends, k)
+                checked += 1
+    assert checked == 70 * 7
