@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -133,12 +132,12 @@ def _thread_count(args: argparse.Namespace) -> int:
 
 
 def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> list[Any]:
-    """Run independent tasks, returning results in task order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+    """Run independent tasks in order on the calling thread.
+
+    ``threads`` is accepted and ignored: the tasks are pure-Python CPU
+    work, which a thread pool only slows down under the GIL.
+    """
+    return [task() for task in tasks]
 
 
 # -- output --------------------------------------------------------------

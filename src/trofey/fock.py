@@ -147,22 +147,23 @@ def apply_alpha(state: State, n: int, label: tuple[int, int] | None = None) -> S
 
 
 def cut_join(state: State) -> State:
-    """One application of M to an unlabeled state vector."""
-    out: State = {}
+    """One application of M to an unlabeled state vector.
 
-    def add(key: Partition, c: Coeff) -> None:
-        if c != 0:
-            out[key] = out.get(key, 0) + c
-
-    half = Fraction(1, 2)
+    M has integer entries in the b_mu basis: each 1/2 pairs the ordered
+    (i, j) term with its mirror (j, i), and a diagonal i = j term carries
+    an even factor of its own.  So the doubled terms are summed exactly
+    (in ``int`` for integer input) and each output key is halved once.
+    """
+    doubled: State = {}
     for key, coeff in state.items():
         # join: alpha_{-i} alpha_{-j} alpha_{i+j}, summed over ordered (i, j)
         for p in set(key):
             pos = key.index(p)
             removed = key[:pos] + key[pos + 1 :]
-            base = coeff * p * key.count(p) * half
+            base = coeff * p * key.count(p)
             for i in range(1, p):
-                add(tuple(sorted(removed + (i, p - i), reverse=True)), base)
+                new = tuple(sorted(removed + (i, p - i), reverse=True))
+                doubled[new] = doubled.get(new, 0) + base
         # cut: alpha_{-(i+j)} alpha_i alpha_j, summed over ordered (i, j)
         for j in set(key):
             posj = key.index(j)
@@ -171,9 +172,13 @@ def cut_join(state: State) -> State:
             for i in set(mid):
                 posi = mid.index(i)
                 rest = mid[:posi] + mid[posi + 1 :]
-                ci = cj * i * mid.count(i) * half
-                add(tuple(sorted(rest + (i + j,), reverse=True)), ci)
-    return {k: c for k, c in out.items() if c != 0}
+                new = tuple(sorted(rest + (i + j,), reverse=True))
+                doubled[new] = doubled.get(new, 0) + cj * i * mid.count(i)
+    return {
+        k: c // 2 if isinstance(c, int) else c / 2
+        for k, c in doubled.items()
+        if c != 0
+    }
 
 
 def matrix_element(mu: Sequence[int], n: int, nu: Sequence[int]) -> Coeff:
@@ -306,6 +311,11 @@ def _cut_counts(a: Sequence[int], windings: Mapping[int, int]) -> dict[int, int]
     return counts
 
 
+def _winding_denominator(a: Sequence[int], windings: Mapping[int, int]) -> int:
+    """prod_k w_k^{a_k/w_k}, the inverse of the winding prefactor."""
+    return prod(windings[k] ** c for k, c in _cut_counts(a, windings).items())
+
+
 def labeled_boundary_states(
     a: Sequence[int], windings: Mapping[int, int]
 ) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
@@ -429,17 +439,24 @@ def _vertex_operator(
     vertex: int,
     energy: int,
 ) -> State:
-    """The balanced three-germ operator of one vertex applied to a state."""
+    """The balanced three-germ operator of one vertex applied to a state.
+
+    The germ moves must sum to zero, so the product runs over all germs
+    but the last, whose move is looked up by the m that balances the sum
+    (within one germ the moves have distinct m).
+    """
     out: State = {}
     plans = _germ_plans(graph, order, a, windings, vertex, energy, None)
     for key, coeff in state.items():
         options = _moves_for_key(plans, a, key)
         if not options:
             continue
-        for combo in itertools.product(*options):
-            if sum(m for m, _ in combo) != 0:
+        closing = {m: (m, t) for m, t in options[-1]}
+        for combo in itertools.product(*options[:-1]):
+            last = closing.get(-sum(m for m, _ in combo))
+            if last is None:
                 continue
-            res = _apply_moves(key, coeff, combo)
+            res = _apply_moves(key, coeff, combo + (last,))
             if res is None:
                 continue
             new_key, c = res
@@ -474,10 +491,7 @@ def labeled_matrix_element(
         if not state:
             break
     value = inner_product({bra: 1}, state)
-    cuts = _cut_counts(a, windings)
-    for k, c in cuts.items():
-        value = value * Fraction(1, windings[k]) ** c
-    return normalize(value)
+    return normalize(Fraction(value, _winding_denominator(a, windings)))
 
 
 def fock_cover_count(
@@ -539,10 +553,13 @@ def _vertex_operator_tracked(
     windings: Mapping[int, int],
     vertex: int,
     caps: Mapping[int, int],
+    x_bound: int,
 ) -> dict:
     """Variable-tracking germ operator: keys are (basis key, exponent vector).
 
     Each germ multiplies by x_vertex^m; there is no balance constraint.
+    This is the only operator that changes x_vertex, so a state whose
+    exponent leaves the window |x_vertex| <= x_bound is dropped here.
     """
     out: dict = {}
     plans = _germ_plans(graph, order, a, windings, vertex, 0, caps)
@@ -552,12 +569,15 @@ def _vertex_operator_tracked(
         if not options:
             continue
         for combo in itertools.product(*options):
+            xv = xvec[vi] + sum(m for m, _ in combo)
+            if abs(xv) > x_bound:
+                continue
             res = _apply_moves(key, coeff, combo)
             if res is None:
                 continue
             new_key, c = res
             new_x = list(xvec)
-            new_x[vi] += sum(m for m, _ in combo)
+            new_x[vi] = xv
             nk = (new_key, tuple(new_x))
             out[nk] = out.get(nk, 0) + c
     return {k: c for k, c in out.items() if c != 0}
@@ -574,6 +594,9 @@ def labeled_series_product(
 
     Returns {exponent vector: coefficient}, restricted to the window
     |exponent| <= x_bound in every slot, including the winding prefactor.
+    The window is applied vertex by vertex: the operator of vertex v is
+    the only one that moves x_v, so it drops every state whose x_v falls
+    outside the window, and no later step can bring it back.
     """
     if graph.num_loops:
         raise ValueError("labeled matrix elements need a loop-free graph")
@@ -584,17 +607,13 @@ def labeled_series_product(
     state: dict = {(ket, (0,) * graph.n): 1}
     for vertex in reversed(order):
         state = _vertex_operator_tracked(
-            state, graph, order, a, windings, vertex, caps
+            state, graph, order, a, windings, vertex, caps, x_bound
         )
-    prefactor: Coeff = 1
-    for k, c in _cut_counts(a, windings).items():
-        prefactor = prefactor * Fraction(1, windings[k]) ** c
+    prefactor = Fraction(1, _winding_denominator(a, windings))
     norm = _basis_norm(bra)
     out: dict[tuple[int, ...], Coeff] = {}
     for (key, xvec), coeff in state.items():
         if key != bra:
-            continue
-        if any(abs(e) > x_bound for e in xvec):
             continue
         value = normalize(coeff * norm * prefactor)
         if value != 0:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import trofey
 from trofey import cli
 from trofey.cli import main
-from trofey.covers import descendant_contribution
+from trofey.covers import cover_count, descendant_contribution
 from trofey.graphs import FeynmanGraph, orientation_classes
 from trofey.quasimodular import fit as quasimodular_fit
 
@@ -277,6 +278,43 @@ def test_fock_check_passes(graphs, capsys):
     code, _, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 0
     assert err == ""
+
+
+def test_fock_check_mismatch_prints_one_witness(graphs, capsys, monkeypatch):
+    true_count = cli.fock_cover_count
+
+    def off_by_one(graph, order, a):
+        value = true_count(graph, order, a)
+        return value + 1 if a == (2, 0, 0) else value
+
+    monkeypatch.setattr(cli, "fock_cover_count", off_by_one)
+    code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
+    assert code == 4
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"operator/cover mismatch: order=(.*) a=(.*) fock=(\S+) covers=(\S+)", lines[0]
+    )
+    assert match, lines[0]
+    order, a = ast.literal_eval(match.group(1)), ast.literal_eval(match.group(2))
+    assert a == (2, 0, 0)
+    theta = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
+    covers = cover_count(theta, order, a)
+    assert Fraction(match.group(4)) == covers
+    assert Fraction(match.group(3)) == covers + 1
+
+
+def test_run_tasks_is_serial_in_task_order():
+    calls = []
+
+    def task(i):
+        calls.append((i, threading.get_ident()))
+        return i * i
+
+    tasks = [lambda i=i: task(i) for i in range(5)]
+    assert cli._run_tasks(tasks, 2) == [0, 1, 4, 9, 16]
+    assert calls == [(i, threading.get_ident()) for i in range(5)]
 
 
 def test_fock_check_rejects_negative_amax(graphs, capsys):

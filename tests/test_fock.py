@@ -12,6 +12,7 @@ from math import factorial, prod
 
 import pytest
 
+from trofey import fock
 from trofey.covers import cover_count, cover_count_by_windings, invariant
 from trofey.fock import (
     apply_alpha,
@@ -27,6 +28,7 @@ from trofey.fock import (
     labeled_series_product_check,
     matrix_element,
     partition_counts,
+    partitions,
     state_from_partition,
     vacuum,
     winding_choices,
@@ -82,6 +84,44 @@ def test_cut_join_actions():
     assert cut_join(state_from_partition((3,))) == {(2, 1): 3}
     assert cut_join(state_from_partition((2, 1))) == {(1, 1, 1): 1, (3,): 2}
     assert cut_join(state_from_partition((1, 1, 1))) == {(2, 1): 3}
+
+
+def _cut_join_oracle(state):
+    """M applied term by term with Fraction(1, 2) on every term."""
+    out = {}
+    half = Fraction(1, 2)
+    for key, coeff in state.items():
+        for p in set(key):
+            pos = key.index(p)
+            removed = key[:pos] + key[pos + 1 :]
+            for i in range(1, p):
+                new = tuple(sorted(removed + (i, p - i), reverse=True))
+                out[new] = out.get(new, 0) + coeff * p * key.count(p) * half
+        for j in set(key):
+            posj = key.index(j)
+            mid = key[:posj] + key[posj + 1 :]
+            for i in set(mid):
+                posi = mid.index(i)
+                rest = mid[:posi] + mid[posi + 1 :]
+                new = tuple(sorted(rest + (i + j,), reverse=True))
+                term = coeff * j * key.count(j) * i * mid.count(i) * half
+                out[new] = out.get(new, 0) + term
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def test_cut_join_integer_accumulation_matches_half_oracle():
+    for d in range(1, 7):
+        states = [state_from_partition(mu) for mu in partitions(d)]
+        # one state mixing every partition of d, so that terms from
+        # different keys meet in one output key before the halving
+        states.append({mu: i + 1 for i, mu in enumerate(partitions(d))})
+        for state in states:
+            got = cut_join(state)
+            assert got == _cut_join_oracle(state), state
+            assert all(type(c) is int for c in got.values()), state
+    # rational input keeps exact rational output
+    state = {(3, 1): Fraction(1, 3), (2, 2): Fraction(-5, 7)}
+    assert cut_join(state) == _cut_join_oracle(state)
 
 
 def test_degree_three_diagonal_matrix_elements():
@@ -321,3 +361,64 @@ def test_series_product_check_theta_and_k4():
     id4 = identity_order(4)
     assert labeled_series_product_check(K4, id4, (0, 0, 0, 0, 0, 0), 3)
     assert labeled_series_product_check(DBL_DBL, id4, (1, 0, 0, 0, 0, 1), 3)
+
+
+def _vertex_operator_oracle(state, graph, order, a, windings, vertex, energy):
+    """The balanced operator as the full germ product filtered on sum 0."""
+    out = {}
+    plans = fock._germ_plans(graph, order, a, windings, vertex, energy, None)
+    for key, coeff in state.items():
+        options = fock._moves_for_key(plans, a, key)
+        if not options:
+            continue
+        for combo in itertools.product(*options):
+            if sum(m for m, _ in combo) != 0:
+                continue
+            res = fock._apply_moves(key, coeff, combo)
+            if res is None:
+                continue
+            new_key, c = res
+            out[new_key] = out.get(new_key, 0) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def test_balanced_operator_matches_product_filter_oracle():
+    nonzero = 0
+    for graph in (THETA, K4, DBL_DBL):
+        for order in all_orders(graph.n):
+            for a in multidegrees(graph, [2] * graph.num_edges, 2):
+                energy = sum(a)
+                for windings in winding_choices(a):
+                    _, ket = labeled_boundary_states(a, windings)
+                    state = {ket: 1}
+                    for vertex in reversed(order):
+                        want = _vertex_operator_oracle(
+                            state, graph, order, a, windings, vertex, energy
+                        )
+                        got = fock._vertex_operator(
+                            state, graph, order, a, windings, vertex, energy
+                        )
+                        assert got == want, (graph.edges, order, a, windings, vertex)
+                        state = want
+                    nonzero += bool(state)
+    assert nonzero > 0
+
+
+def test_series_product_check_every_order_dbl_dbl():
+    for order in all_orders(4):
+        assert labeled_series_product_check(DBL_DBL, order, (0,) * 6, 6), order
+
+
+@pytest.mark.parametrize("x_bound", [1, 2])
+def test_series_product_equals_edge_factors_in_small_window(x_bound):
+    # a small window is where the per-vertex pruning drops the most states
+    for graph in (THETA, K4, DBL_DBL):
+        for order in all_orders(graph.n):
+            for a in multidegrees(graph, [1] * graph.num_edges, 2):
+                caps = fock._direct_edge_caps(graph, order, a, x_bound)
+                for windings in winding_choices(a):
+                    lhs = labeled_series_product(graph, order, a, windings, x_bound)
+                    rhs = fock._edge_factor_product(
+                        graph, order, a, windings, x_bound, caps
+                    )
+                    assert lhs == rhs, (graph.edges, order, a, windings)

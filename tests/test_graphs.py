@@ -1,14 +1,11 @@
 """Tests for multigraphs, vertex orders, automorphisms, and enumeration."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trofey.graphs import (
     FeynmanGraph,
-    GraphAssignment,
     all_orders,
     automorphism_count,
     canonical_code,

@@ -1,7 +1,5 @@
 """Tests for the exact fit into the quasimodular polynomial ring."""
 
-from fractions import Fraction
-
 import pytest
 
 from trofey.graphs import FeynmanGraph, identity_order
