@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
 from .covers import _contribution, cover_count, invariant_series
@@ -131,13 +131,15 @@ def _thread_count(args: argparse.Namespace) -> int:
     return threads
 
 
-def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> list[Any]:
-    """Run independent tasks in order on the calling thread.
+def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> Iterator[Any]:
+    """Run independent tasks in order on the calling thread, lazily.
 
-    ``threads`` is accepted and ignored: the tasks are pure-Python CPU
-    work, which a thread pool only slows down under the GIL.
+    Each task runs when its result is taken, so a caller that stops at
+    the first mismatch runs no task after it.  ``threads`` is accepted and
+    ignored: the tasks are pure-Python CPU work, which a thread pool only
+    slows down under the GIL.
     """
-    return [task() for task in tasks]
+    return (task() for task in tasks)
 
 
 # -- output --------------------------------------------------------------

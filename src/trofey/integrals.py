@@ -10,30 +10,31 @@ with the dressed factors of :mod:`trofey.propagators`; the plain variant
 drops all z-machinery (and requires an all-zero genus function).  Since
 q_k occurs in exactly one factor, the q-extraction happens per edge: a
 query at multidegree a multiplies the per-edge q^{a_k} slices and only
-then extracts x- and z-coefficients.  The q-series with q_1 = ... = q_r
-= q instead carries the total degree d = sum(a) as one more coordinate
-of the partial product, so one pass covers every multidegree.
+then extracts x- and z-coefficients.
+
+One DP does every extraction.  Edge k multiplies in its q^a slices for
+the a in a degree set: the single a_k for one multidegree
+(:func:`refined_sweep`, :func:`refined_coeff`), 0..bound for a series
+(:func:`integral_series_q`, :func:`integral_series_refined`), always with
+sum(a) <= a total cap.  The state maps a grade (the total q-degree d, or
+the degrees of the edges done so far) to the monomials in (x-exponents,
+z-exponents), so one pass covers every multidegree, and it extracts
+several leak targets at once.  The 1/S(z_i) prefactors are applied once,
+at extraction: a surviving monomial of z-degree zs_i at vertex i takes
+the z^{2 g_i - zs_i} coefficient of 1/S.
 
 Winding bounds.  A slice term of a curled edge (a_k > 0) moves w | a_k
 units between its endpoints; an uncurled edge (a_k = 0) carries w >= 1 in
 its orientation direction.  In any monomial contributing to x^l, the
 uncurled weights form a flow on the acyclic orientation whose sources are
 curled contributions and leaks, so each uncurled w is at most
-B = sum(a) + sum|l|.  Terms beyond these bounds are provably irrelevant
-and never built; partial products are additionally pruned by discarding
-monomials whose exponent at some vertex can no longer reach l_v with the
-remaining edges' capacity.  Nothing is silently truncated: the bounds are
-sufficient, and an explicit smaller ``x_bound`` raises instead.
-
-The graded pass of :func:`integral_series_q` extracts x^0 (sum|l| = 0)
-and keeps only partial products with d <= q_order, so the single cap
-B = q_order bounds every uncurled winding of every multidegree it sums;
-each edge multiplies in its q^a slices for a <= q_order - d.  The 1/S(z_i)
-prefactors are applied once, at extraction: a surviving monomial of
-z-degree zs_i at vertex i takes the z^{2 g_i - zs_i} coefficient of 1/S.
-:func:`integral_series_refined` runs the same pass with the degrees of the
-edges done so far in place of d, so one pass yields the coefficient at
-every multidegree within the bounds (single cap B = total cap + sum|l|).
+B = total cap + max over the targets of sum|l|.  Terms beyond these
+bounds are provably irrelevant and never built.  Partial products are
+pruned per vertex: an exponent x_v must stay within [min_t t_v - R_v,
+max_t t_v + R_v], where R_v sums the pruning caps of v's remaining edges.
+An edge's pruning cap is B if it may stay uncurled (0 in its degree set)
+and its largest degree otherwise.  Nothing is silently truncated: the
+bounds are sufficient, and an explicit smaller ``x_bound`` raises instead.
 """
 
 from __future__ import annotations
@@ -137,126 +138,139 @@ def _edge_processing_order(graph: FeynmanGraph, order: VertexOrder) -> list[int]
     return sorted(range(graph.num_edges), key=key)
 
 
-def _slice_products(
+def _winding_caps(
     graph: FeynmanGraph,
-    order: VertexOrder,
-    a: Multidegree,
-    leak_targets: Sequence[LeakVector],
-    gf: tuple[int, ...],
-    direct_cap: int,
-    x_bound: int | None = None,
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Coeff]:
-    """Product of the per-edge q^{a_k} slices and the 1/S(z_i) factors.
+    degrees: Sequence[Sequence[int]],
+    total_cap: int,
+    targets: Sequence[LeakVector],
+) -> tuple[int, list[int]]:
+    """The uncurled winding cap B = total_cap + max_t sum|t|, and per edge
+    the pruning cap on |winding|: 0 for a loop, the largest allowed degree
+    for an edge that must curl, B for one that may stay uncurled."""
+    winding_cap = total_cap + max(sum(abs(x) for x in t) for t in targets)
+    return winding_cap, [
+        0 if u == v else winding_cap if 0 in degs else max(degs, default=0)
+        for (u, v), degs in zip(graph.edges, degrees)
+    ]
 
-    Keys are (x-exponents, z-exponents) by vertex; only monomials that can
-    still reach one of ``leak_targets`` survive each multiplication step.
+
+def _graded_pass(
+    graph: FeynmanGraph,
+    gf_t: tuple[int, ...],
+    order: VertexOrder,
+    degrees: Sequence[Sequence[int]],
+    total_cap: int,
+    targets: Sequence[LeakVector],
+    by_multidegree: bool,
+) -> dict[LeakVector, dict]:
+    """Coefficients of x^t z^{2g}, for each leak target t, at every
+    multidegree with a_k in degrees[k] and sum(a) <= total_cap: one table
+    per target, in one DP over the edges.
+
+    The state maps a grade to its monomials (x-exponents, z-exponents).
+    The grade is the total q-degree d, or with ``by_multidegree`` the
+    degrees of the edges done so far; each table is keyed by the grade,
+    or by the multidegree in edge-index order.  Every uncurled winding is
+    capped once, at total_cap + max_t sum|t|; a vertex exponent is pruned
+    once it leaves [min_t t_v - remaining, max_t t_v + remaining], with
+    the remaining edges at their pruning caps (:func:`_winding_caps`).
     """
     n = graph.n
     edge_order = _edge_processing_order(graph, order)
-
-    caps = []
-    for idx in range(graph.num_edges):
-        u, v = graph.edges[idx]
-        if u == v:
-            caps.append(0)
-        elif a[idx] > 0:
-            caps.append(a[idx])
-        else:
-            caps.append(direct_cap)
-    if x_bound is not None and caps and x_bound < max(caps):
-        raise ValueError(
-            f"x_bound {x_bound} is smaller than the provably sufficient "
-            f"winding bound {max(caps)}; refusing to truncate silently"
-        )
-
-    target_lo = [min(t[v] for t in leak_targets) for v in range(n)]
-    target_hi = [max(t[v] for t in leak_targets) for v in range(n)]
-
-    remaining_cap = [0] * n
-    for idx in range(graph.num_edges):
-        u, v = graph.edges[idx]
-        if u != v:
-            remaining_cap[u - 1] += caps[idx]
-            remaining_cap[v - 1] += caps[idx]
-
+    winding_cap, caps = _winding_caps(graph, degrees, total_cap, targets)
+    remaining_cap = [0] * n  # loops have cap 0
+    for (u, v), cap in zip(graph.edges, caps):
+        remaining_cap[u - 1] += cap
+        remaining_cap[v - 1] += cap
+    target_lo = [min(t[v] for t in targets) for v in range(n)]
+    target_hi = [max(t[v] for t in targets) for v in range(n)]
     zero = (0,) * n
-    state: dict[tuple[tuple[int, ...], tuple[int, ...]], Coeff] = {(zero, zero): 1}
+    # grade -> {(x-exponents, z-exponents): coefficient}
+    state: dict[object, dict[tuple[tuple[int, ...], tuple[int, ...]], Coeff]] = {
+        () if by_multidegree else 0: {(zero, zero): 1}
+    }
     for idx in edge_order:
         u, v = graph.edges[idx]
-        if u != v:
-            tail, head = edge_orientation(graph, idx, order)
-        else:
-            tail = head = u
+        tail, head = edge_orientation(graph, idx, order) if u != v else (u, v)
         t_idx, h_idx = tail - 1, head - 1
-        terms = _slice_terms(
-            u == v, a[idx], direct_cap, gf[t_idx], gf[h_idx]
-        )
-        if not terms:
-            return {}
-        if u != v:
-            remaining_cap[t_idx] -= caps[idx]
-            remaining_cap[h_idx] -= caps[idx]
-        new: dict[tuple[tuple[int, ...], tuple[int, ...]], Coeff] = {}
-        for (xs, zs), c in state.items():
-            for xt, zt, xh, zh, ec in terms:
-                zt_new = zs[t_idx] + zt
-                if zt_new > 2 * gf[t_idx]:
+        remaining_cap[t_idx] -= caps[idx]
+        remaining_cap[h_idx] -= caps[idx]
+        zt_max, zh_max = 2 * gf_t[t_idx], 2 * gf_t[h_idx]
+        t_lo = target_lo[t_idx] - remaining_cap[t_idx]
+        t_hi = target_hi[t_idx] + remaining_cap[t_idx]
+        h_lo = target_lo[h_idx] - remaining_cap[h_idx]
+        h_hi = target_hi[h_idx] + remaining_cap[h_idx]
+        # (degree, grade increment, slice terms); the grade grows by addition
+        slices = [
+            (a, (a,) if by_multidegree else a, terms)
+            for a in degrees[idx]
+            if (terms := _slice_terms(u == v, a, winding_cap, gf_t[t_idx], gf_t[h_idx]))
+        ]
+        new: dict[object, dict[tuple[tuple[int, ...], tuple[int, ...]], Coeff]] = {}
+        for grade, monomials in state.items():
+            budget = total_cap - (sum(grade) if by_multidegree else grade)
+            for a, step, terms in slices:
+                if a > budget:
                     continue
-                zh_new = zs[h_idx] + zh
-                if t_idx != h_idx and zh_new > 2 * gf[h_idx]:
-                    continue
-                xt_new = xs[t_idx] + xt
-                if not (
-                    target_lo[t_idx] - remaining_cap[t_idx]
-                    <= xt_new
-                    <= target_hi[t_idx] + remaining_cap[t_idx]
-                ):
-                    continue
-                xh_new = xs[h_idx] + xh
-                if t_idx != h_idx and not (
-                    target_lo[h_idx] - remaining_cap[h_idx]
-                    <= xh_new
-                    <= target_hi[h_idx] + remaining_cap[h_idx]
-                ):
-                    continue
-                xs2 = list(xs)
-                zs2 = list(zs)
-                xs2[t_idx] = xt_new
-                zs2[t_idx] = zt_new
-                if t_idx != h_idx:
-                    xs2[h_idx] = xh_new
-                    zs2[h_idx] = zh_new
-                key = (tuple(xs2), tuple(zs2))
-                s = new.get(key, 0) + c * ec
-                if s == 0:
-                    new.pop(key, None)
-                else:
-                    new[key] = s
-        state = new
+                out = new.setdefault(grade + step, {})
+                for (xs, zs), c in monomials.items():
+                    for xt, zt, xh, zh, ec in terms:
+                        zt_new = zs[t_idx] + zt
+                        if zt_new > zt_max:
+                            continue
+                        xt_new = xs[t_idx] + xt
+                        if not t_lo <= xt_new <= t_hi:
+                            continue
+                        if t_idx == h_idx:
+                            xs2, zs2 = list(xs), list(zs)
+                        else:
+                            zh_new = zs[h_idx] + zh
+                            if zh_new > zh_max:
+                                continue
+                            xh_new = xs[h_idx] + xh
+                            if not h_lo <= xh_new <= h_hi:
+                                continue
+                            xs2, zs2 = list(xs), list(zs)
+                            xs2[h_idx] = xh_new
+                            zs2[h_idx] = zh_new
+                        xs2[t_idx] = xt_new
+                        zs2[t_idx] = zt_new
+                        key = (tuple(xs2), tuple(zs2))
+                        s = out.get(key, 0) + c * ec
+                        if s == 0:
+                            out.pop(key, None)
+                        else:
+                            out[key] = s
+        state = {grade: monomials for grade, monomials in new.items() if monomials}
         if not state:
-            return {}
-    # vertex prefactors 1/S(z_i); z-degree only grows, so bound pruning stays valid
-    for vi in range(n):
-        g = gf[vi]
-        if g == 0:
-            continue
-        inv = _inv_s_even(g)
-        new = {}
-        for (xs, zs), c in state.items():
-            for m, im in enumerate(inv):
-                z_new = zs[vi] + 2 * m
-                if z_new > 2 * g:
-                    continue
-                zs2 = list(zs)
-                zs2[vi] = z_new
-                key = (xs, tuple(zs2))
-                s = new.get(key, 0) + c * im
-                if s == 0:
-                    new.pop(key, None)
-                else:
-                    new[key] = s
-        state = new
-    return state
+            break
+
+    # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
+    dressed = [(vi, g, _inv_s_even(g)) for vi, g in enumerate(gf_t) if g]
+    tables: dict[LeakVector, dict] = {t: {} for t in targets}
+    for grade, monomials in state.items():
+        for (xs, zs), c in monomials.items():
+            out = tables.get(xs)
+            if out is None:
+                continue
+            for vi, g, inv in dressed:
+                c *= inv[g - zs[vi] // 2]
+            s = out.get(grade, 0) + c
+            if s == 0:
+                out.pop(grade, None)
+            else:
+                out[grade] = s
+    if not by_multidegree:
+        return tables
+    for t, out in tables.items():
+        table: dict[Multidegree, Coeff] = {}
+        for prefix, c in out.items():
+            a = [0] * graph.num_edges
+            for idx, a_k in zip(edge_order, prefix):
+                a[idx] = a_k
+            table[tuple(a)] = c
+        tables[t] = table
+    return tables
 
 
 def refined_sweep(
@@ -270,26 +284,29 @@ def refined_sweep(
 ) -> dict[LeakVector, Coeff]:
     """Coefficients at one multidegree for several leak vectors at once.
 
-    The edge-factor product is independent of the leak target, so a whole
-    family of leak extractions shares one product; this is the workhorse
-    behind the route-equivalence sweeps.
+    One :func:`_graded_pass` with the single degree a_k on edge k: the
+    edge-factor product is independent of the leak target, so a whole
+    family of leak extractions shares one product.  An explicit
+    ``x_bound`` below the largest pruning cap (loops count 0) raises
+    instead of truncating.
     """
     targets = [tuple(t) for t in leak_targets]
-    a_t, _, gf_t, vc = _normalize_query(graph, a, targets[0], gf, vertex_contributions)
+    a_t, _, gf_t, _ = _normalize_query(graph, a, targets[0], gf, vertex_contributions)
     for t in targets:
         if len(t) != graph.n:
             raise ValueError("bad leak vector length")
     assert a_t is not None
-    direct_cap = sum(a_t) + max(sum(abs(x) for x in t) for t in targets)
-    products = _slice_products(
-        graph, order, a_t, targets, gf_t, direct_cap, x_bound=x_bound
-    )
-    z_goal = tuple(2 * g for g in gf_t) if vc else (0,) * graph.n
-    out: dict[LeakVector, Coeff] = {t: 0 for t in targets}
-    for (xs, zs), c in products.items():
-        if zs == z_goal and xs in out:
-            out[xs] = out[xs] + c
-    return out
+    degrees = [(a_k,) for a_k in a_t]
+    d = sum(a_t)
+    if x_bound is not None:
+        _, caps = _winding_caps(graph, degrees, d, targets)
+        if caps and x_bound < max(caps):
+            raise ValueError(
+                f"x_bound {x_bound} is smaller than the provably sufficient "
+                f"winding bound {max(caps)}; refusing to truncate silently"
+            )
+    tables = _graded_pass(graph, gf_t, order, degrees, d, targets, False)
+    return {t: tables[t].get(d, 0) for t in targets}
 
 
 def refined_coeff(
@@ -346,122 +363,6 @@ def multidegrees(
     yield from rec(0, total_cap, [])
 
 
-def _graded_pass(
-    graph: FeynmanGraph,
-    gf_t: tuple[int, ...],
-    order: VertexOrder,
-    bounds: Sequence[int],
-    total_cap: int,
-    target: LeakVector,
-    by_multidegree: bool,
-) -> dict:
-    """Coefficients of x^target z^{2g} for every multidegree with a_k <= bounds[k]
-    and sum(a) <= total_cap, in one DP over the edges.
-
-    The state is (x-exponents, z-exponents, grade).  The grade is the total
-    q-degree d, or with ``by_multidegree`` the degrees of the edges done so
-    far (keys of the result are then multidegrees in edge-index order).
-    Every uncurled winding is capped once, at total_cap + sum|target|.
-    """
-    n = graph.n
-    edge_order = _edge_processing_order(graph, order)
-    winding_cap = total_cap + sum(abs(x) for x in target)
-    remaining_cap = [0] * n
-    for u, v in graph.edges:
-        if u != v:
-            remaining_cap[u - 1] += winding_cap
-            remaining_cap[v - 1] += winding_cap
-    if by_multidegree:
-        start, advance, spent = (), (lambda p, a: p + (a,)), sum
-    else:
-        start, advance, spent = 0, (lambda d, a: d + a), (lambda d: d)
-
-    zero = (0,) * n
-    state: dict[tuple[tuple[int, ...], tuple[int, ...], object], Coeff] = {
-        (zero, zero, start): 1
-    }
-    for idx in edge_order:
-        u, v = graph.edges[idx]
-        if u != v:
-            tail, head = edge_orientation(graph, idx, order)
-            remaining_cap[tail - 1] -= winding_cap
-            remaining_cap[head - 1] -= winding_cap
-        else:
-            tail = head = u
-        t_idx, h_idx = tail - 1, head - 1
-        zt_max, zh_max = 2 * gf_t[t_idx], 2 * gf_t[h_idx]
-        t_lo = target[t_idx] - remaining_cap[t_idx]
-        t_hi = target[t_idx] + remaining_cap[t_idx]
-        h_lo = target[h_idx] - remaining_cap[h_idx]
-        h_hi = target[h_idx] + remaining_cap[h_idx]
-        slices = [
-            _slice_terms(u == v, a, winding_cap, gf_t[t_idx], gf_t[h_idx])
-            for a in range(min(bounds[idx], total_cap) + 1)
-        ]
-        moves: dict[object, list] = {}  # grade -> [(next grade, slice terms)]
-        new: dict[tuple[tuple[int, ...], tuple[int, ...], object], Coeff] = {}
-        for (xs, zs, grade), c in state.items():
-            step = moves.get(grade)
-            if step is None:
-                budget = min(len(slices) - 1, total_cap - spent(grade))
-                step = moves[grade] = [
-                    (advance(grade, a), slices[a])
-                    for a in range(budget + 1)
-                    if slices[a]
-                ]
-            for grade2, terms in step:
-                for xt, zt, xh, zh, ec in terms:
-                    zt_new = zs[t_idx] + zt
-                    if zt_new > zt_max:
-                        continue
-                    xt_new = xs[t_idx] + xt
-                    if not t_lo <= xt_new <= t_hi:
-                        continue
-                    xs2 = list(xs)
-                    zs2 = list(zs)
-                    xs2[t_idx] = xt_new
-                    zs2[t_idx] = zt_new
-                    if t_idx != h_idx:
-                        zh_new = zs[h_idx] + zh
-                        if zh_new > zh_max:
-                            continue
-                        xh_new = xs[h_idx] + xh
-                        if not h_lo <= xh_new <= h_hi:
-                            continue
-                        xs2[h_idx] = xh_new
-                        zs2[h_idx] = zh_new
-                    key = (tuple(xs2), tuple(zs2), grade2)
-                    s = new.get(key, 0) + c * ec
-                    if s == 0:
-                        new.pop(key, None)
-                    else:
-                        new[key] = s
-        state = new
-
-    # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
-    dressed = [(vi, g, _inv_s_even(g)) for vi, g in enumerate(gf_t) if g]
-    out: dict = {}
-    for (xs, zs, grade), c in state.items():
-        if xs != target:
-            continue
-        for vi, g, inv in dressed:
-            c *= inv[g - zs[vi] // 2]
-        s = out.get(grade, 0) + c
-        if s == 0:
-            out.pop(grade, None)
-        else:
-            out[grade] = s
-    if not by_multidegree:
-        return out
-    table: dict[Multidegree, Coeff] = {}
-    for prefix, c in out.items():
-        a = [0] * graph.num_edges
-        for idx, a_k in zip(edge_order, prefix):
-            a[idx] = a_k
-        table[tuple(a)] = c
-    return table
-
-
 def integral_series_refined(
     graph: FeynmanGraph,
     order: VertexOrder,
@@ -473,9 +374,9 @@ def integral_series_refined(
 ) -> dict[Multidegree, Coeff]:
     """All refined coefficients with a_k <= q_bounds[k] (zero entries dropped).
 
-    One pass of :func:`integral_series_q`'s DP, with the degrees of the
-    edges done so far in place of the total degree, gives every
-    multidegree at once; each value equals :func:`refined_coeff` at it.
+    One :func:`_graded_pass` with degree sets 0..q_bounds[k], graded by
+    the degrees of the edges done so far, gives every multidegree at once;
+    each value equals :func:`refined_coeff` at it.
     """
     if isinstance(q_bounds, int):
         q_bounds = [q_bounds] * graph.num_edges
@@ -486,7 +387,8 @@ def integral_series_refined(
         return {}
     if total_q_cap is None:
         total_q_cap = sum(q_bounds)
-    return _graded_pass(graph, gf_t, order, q_bounds, total_q_cap, leaks, True)
+    degrees = [range(min(b, total_q_cap) + 1) for b in q_bounds]
+    return _graded_pass(graph, gf_t, order, degrees, total_q_cap, [leaks], True)[leaks]
 
 
 def integral_series_q(
@@ -504,8 +406,9 @@ def integral_series_q(
     _, _, gf_t, _ = _normalize_query(graph, None, None, gf, vertex_contributions)
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
-    bounds = [q_order] * graph.num_edges
-    return _graded_pass(graph, gf_t, order, bounds, q_order, (0,) * graph.n, False)
+    degrees = [range(q_order + 1)] * graph.num_edges
+    zero = (0,) * graph.n
+    return _graded_pass(graph, gf_t, order, degrees, q_order, [zero], False)[zero]
 
 
 def integral_series_all_orders(

@@ -8,6 +8,7 @@ import re
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -313,8 +314,52 @@ def test_run_tasks_is_serial_in_task_order():
         return i * i
 
     tasks = [lambda i=i: task(i) for i in range(5)]
-    assert cli._run_tasks(tasks, 2) == [0, 1, 4, 9, 16]
+    results = cli._run_tasks(tasks, 2)
+    assert calls == []
+    # taking one result runs exactly one task
+    assert next(results) == 0
+    assert calls == [(0, threading.get_ident())]
+    assert list(results) == [1, 4, 9, 16]
     assert calls == [(i, threading.get_ident()) for i in range(5)]
+
+
+def test_fock_check_stops_at_the_first_mismatch(graphs, capsys, monkeypatch):
+    # every order mismatches at a = (2, 0, 0); only the first order may run
+    true_count = cli.fock_cover_count
+    orders_seen = []
+
+    def off_by_one(graph, order, a):
+        orders_seen.append(order)
+        value = true_count(graph, order, a)
+        return value + 1 if a == (2, 0, 0) else value
+
+    monkeypatch.setattr(cli, "fock_cover_count", off_by_one)
+    code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("operator/cover mismatch: order=(1, 2) a=(2, 0, 0) ")
+    assert set(orders_seen) == {(1, 2)}
+
+
+def test_invariant_compare_stops_at_the_first_mismatch(capsys, monkeypatch):
+    # the last task run is the one whose witness is printed
+    true_table = cli.integral_series_refined
+    calls = []
+
+    def doubled(graph, order, *args, **kwargs):
+        calls.append((graph.edges, order))
+        table = true_table(graph, order, *args, **kwargs)
+        return {a: 2 * c for a, c in table.items()}
+
+    monkeypatch.setattr(cli, "integral_series_refined", doubled)
+    code, out, err = run(capsys, "invariant", "--k", "2,0,0", "--dmax", "2", "--compare")
+    assert code == 4
+    assert out == ""
+    match = re.fullmatch(r"route mismatch: edges=(.*) gf=.* order=(.*) a=.*\n", err)
+    assert match, err
+    edges, order = (ast.literal_eval(match.group(i)) for i in (1, 2))
+    assert calls[-1] == (edges, order)
+    assert len(calls) < len(cli._compare_tasks((2, 0, 0), 2))
 
 
 def test_fock_check_rejects_negative_amax(graphs, capsys):
@@ -563,3 +608,44 @@ def test_fuzz_cli_exit_codes_and_one_line_errors(fuzz_files, data):
         assert len(messages) == 1 and messages[0].startswith("error: "), (argv, env, stderr)
     if code == 0:
         assert messages == [] and out.getvalue(), (argv, env, stderr)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """Every ``$ trofey ...`` line of the README followed by its shown output."""
+    examples, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ trofey "):
+            current = (line[len("$ trofey "):], [])
+            examples.append(current)
+        elif current is not None and line and not line.startswith(("#", "```")):
+            current[1].append(line)
+        else:
+            current = None
+    return [(command, output) for command, output in examples if output]
+
+
+def test_readme_cli_examples(tmp_path, capsys, monkeypatch):
+    (tmp_path / "triangle.json").write_text(
+        '{"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "genus": [1, 0, 0]}'
+    )
+    (tmp_path / "theta.json").write_text('{"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]}')
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert [command for command, _ in examples] == [
+        "integral --graph triangle.json --order id --a 0,0,3",
+        "invariant --k 2,0,0 --dmax 3 --compare",
+        "invariant --k=-1,3 --dmax 2",
+        "fock double --mu 2,1 --nu 2,1 --n 2",
+        "fock check --graph theta.json --amax 2",
+        "fit --coeffs 1,-24,-72,-96,-168,-144,-288,-192 --max-weight 2",
+    ]
+    failing = {"invariant --k=-1,3 --dmax 2": 3}
+    for command, output in examples:
+        code, out, err = run(capsys, *command.split())
+        expected_code = failing.get(command, 0)
+        assert code == expected_code, command
+        assert (err if expected_code else out).splitlines() == output, command
+        assert (out if expected_code else err) == "", command

@@ -7,6 +7,7 @@ Agreement between the two on randomized instances is the core oracle
 here, next to a handful of frozen values.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -41,7 +42,13 @@ ID3 = identity_order(3)
 
 
 def refined_table_by_coeff(graph, order, q_bounds, l=None, gf=None, total_q_cap=None):
-    """Oracle for integral_series_refined: one refined_coeff per multidegree."""
+    """One refined_coeff per multidegree, to compare with integral_series_refined.
+
+    Both run on the same DP, so this checks the grade bookkeeping (degree
+    sets, total cap, multidegree keys), not the DP itself.  The code-disjoint
+    checks are criteria 07/08 (the cover route) and refined_coeff_reference
+    (the full-series oracle).
+    """
     if isinstance(q_bounds, int):
         q_bounds = [q_bounds] * graph.num_edges
     table = {}
@@ -92,6 +99,22 @@ def test_explicit_small_x_bound_refuses():
         refined_coeff(TRIANGLE, ID3, (0, 0, 3), gf=(1, 0, 0), x_bound=1)
 
 
+@pytest.mark.parametrize(
+    "graph, a, l, bound",
+    [
+        (TRIANGLE, (1, 2, 3), None, 3),  # every edge curled: max a_k
+        (TRIANGLE, (0, 1, 1), (1, -1, 0), 4),  # an uncurled edge: sum(a) + sum|l|
+        (RIGHT, (3, 1, 1, 1), None, 1),  # the loop counts 0, not its a_k = 3
+    ],
+)
+def test_x_bound_boundary(graph, a, l, bound):
+    value = refined_coeff(graph, ID3, a, l=l)
+    assert value != 0
+    assert refined_coeff(graph, ID3, a, l=l, x_bound=bound) == value
+    with pytest.raises(ValueError, match=f"x_bound {bound - 1} is smaller"):
+        refined_coeff(graph, ID3, a, l=l, x_bound=bound - 1)
+
+
 def test_multidegrees_force_loops_positive():
     assert set(multidegrees(RIGHT, [1, 1, 1, 1], 1)) == {(1, 0, 0, 0)}
     assert all(a[0] >= 1 for a in multidegrees(RIGHT, [2] * 4, 2))
@@ -108,6 +131,33 @@ def test_refined_sweep_matches_single_calls():
     table = refined_sweep(TRIANGLE, ID3, (1, 0, 1), targets)
     for l in targets:
         assert table.get(l, 0) == refined_coeff(TRIANGLE, ID3, (1, 0, 1), l=l)
+
+
+def test_dressed_leak_sweeps_match_reference():
+    # refined_sweep, refined_coeff and integral_series_refined share one DP;
+    # the full-series oracle shares no code with it.  Every order, two genus
+    # functions (entries <= 1) per order, Σa <= 2, and all balanced ±1 leaks
+    # in one sweep, so the leak window spans several targets and uncurled
+    # edges wind beyond Σa.
+    cases = [
+        (TRIANGLE, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (THETA, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+    ]
+    nonzero = 0
+    for graph, gfs in cases:
+        n = graph.n
+        targets = [(0,) * n] + sorted(set(itertools.permutations((1, -1) + (0,) * (n - 2))))
+        degrees = list(multidegrees(graph, [2] * graph.num_edges, 2))
+        for i, order in enumerate(all_orders(n)):
+            for j, gf in enumerate(gfs[i % 2 :: 2]):
+                a = degrees[(3 * i + 5 * j + 1) % len(degrees)]
+                table = refined_sweep(graph, order, a, targets, gf=gf)
+                assert list(table) == targets
+                for l in targets:
+                    expected = refined_coeff_reference(graph, order, a, l=l, gf=gf)
+                    assert table[l] == expected, (graph.edges, order, a, gf, l)
+                    nonzero += expected != 0 and l != targets[0]
+    assert nonzero >= 10
 
 
 def test_series_q_sums_multidegrees():
