@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
-from .covers import _contribution, cover_count, invariant_series
+from .covers import _cover_table, invariant_series
 from .fock import (
     double_hurwitz,
     elliptic_hurwitz_disconnected,
@@ -259,8 +259,9 @@ def _compare_tasks(
 ) -> list[Callable[[], tuple[dict[int, Fraction], tuple | None]]]:
     """One task per (labeled graph, orientation class), weighted count/|Aut|.
 
-    A task reads the integral side at every multidegree from one DP pass
-    and compares it with the cover side, multidegree by multidegree.
+    A task reads each side at every multidegree from one pass (the
+    integral DP and the cover pass) and compares the two tables,
+    multidegree by multidegree.
     """
     tasks = []
     for assignment in enumerate_labeled_graphs(k):
@@ -273,9 +274,10 @@ def _compare_tasks(
 
             def task(graph=graph, gf=gf, order=order, weight=Fraction(count, aut)):
                 integral = integral_series_refined(graph, order, dmax, gf=gf, total_q_cap=dmax)
+                covers = _cover_table(graph, order, dmax, k)
                 part: dict[int, Fraction] = {}
                 for a in multidegrees(graph, [dmax] * graph.num_edges, dmax):
-                    covers_value = _contribution(graph, order, a, k)
+                    covers_value = covers.get(a, 0)
                     integral_value = integral.get(a, 0)
                     if covers_value != integral_value:
                         witness = (graph.edges, gf, order, a, covers_value, integral_value)
@@ -377,10 +379,11 @@ def cmd_fock(args: argparse.Namespace) -> int:
         amax = args.amax
 
         def task(order):
+            covers = _cover_table(graph, order, amax)
             checked = 0
             for a in multidegrees(graph, [amax] * graph.num_edges, amax):
                 lhs = fock_cover_count(graph, order, a)
-                rhs = cover_count(graph, order, a)
+                rhs = covers.get(a, 0)
                 if lhs != rhs:
                     return checked, (order, a, lhs, rhs)
                 checked += 1

@@ -19,11 +19,27 @@ The weighted count of tuples is N = sum prod_k w_k.  The descendant
 contribution further multiplies, per vertex, a one-point multiplicity
 read off the winding profile at that vertex; loop windings appear on both
 sides of their vertex's profile.
+
+One enumeration body, :func:`_cover_pass`, finds every cover.  It is a
+depth-first pass over the vertex order that takes a degree set per edge
+and a total cap on sum(a), so one pass covers every multidegree at once.
+Vertex v owns its loops and the non-loop edges whose order-earlier
+endpoint it is.  The pass picks a degree, winding and direction for each
+owned edge, cuts a branch as soon as v can no longer balance, and closes
+v by splitting its residual over its direct out-edges.  Loops move no
+winding, so they are chosen last.
+
+The per-multidegree functions (:func:`enumerate_tuples`,
+:func:`cover_count`, :func:`descendant_contribution` and their
+``_by_windings`` variants) read the pass with the single degree a_k on
+edge k.  Callers that want many multidegrees (the invariant assemblies,
+``invariant --compare`` and ``fock check``) read one pass per (graph,
+vertex order) over every multidegree as a table, :func:`_cover_table`.
+The route shares no code with :mod:`trofey.integrals`, which it checks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,20 +48,22 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     FeynmanGraph,
+    Multidegree,
     VertexOrder,
     automorphism_count,
-    edge_orientation,
     enumerate_labeled_graphs,
     orientation_classes,
     validate_assignment,
 )
-from .integrals import multidegrees
 from .propagators import divisors
 from .series import Coeff, invert, mul, s_series
 
 LOOP = "loop"
 CURLED = "curled"
 DIRECT = "direct"
+
+# one cover as the pass yields it: (multidegree, windings, arrows)
+Cover = tuple[Multidegree, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -81,103 +99,153 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _cover_pass(
+    graph: FeynmanGraph,
+    order: VertexOrder,
+    degrees: Sequence[Sequence[int]],
+    total_cap: int,
+    leaks: Sequence[int],
+) -> Iterator[Cover]:
+    """Every cover at every multidegree with a_k in degrees[k] (ascending)
+    and sum(a) <= total_cap, as (a, windings, arrows).
+
+    One depth-first pass over the vertex order.  Vertex v owns its loops
+    and the non-loop edges whose order-earlier endpoint it is ("out-edges").
+    For each out-edge it picks a_k within the remaining budget, then
+    w | a_k and a direction if the edge curls (a_k > 0); the branch is cut
+    as soon as v can no longer balance.  Edges into v from earlier
+    vertices are fixed by then, so v closes: its direct out-edges (a_k = 0)
+    carry the compositions of its residual l_v - (net outgoing winding so
+    far), and with none the residual must be 0.  Loops move no winding, so
+    they are chosen after the last close, and until then the budget keeps
+    back each loop's least degree.
+    """
+    n, r = graph.n, graph.num_edges
+    if sum(leaks) != 0:
+        return  # every edge moves winding between vertices, net zero
+    pos = {v: i for i, v in enumerate(order)}
+    outs: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
+    loops: list[tuple[int, int, int]] = []  # (edge, vertex, least degree)
+    for idx, (x, y) in enumerate(graph.edges):
+        if x == y:
+            least = min((a_k for a_k in degrees[idx] if a_k > 0), default=None)
+            if least is None:
+                return  # a loop must wrap at least once
+            loops.append((idx, x, least))
+        elif pos[x] < pos[y]:
+            outs[x].append((idx, y))
+        else:
+            outs[y].append((idx, x))
+    free = total_cap - sum(least for _, _, least in loops)
+    if free < 0:
+        return
+    a, windings = [0] * r, [0] * r
+    arrows: list[tuple[int, int]] = [(0, 0)] * r
+    net = [0] * (n + 1)  # outgoing minus incoming winding per vertex
+    ndirect = [0] * (n + 1)  # direct out-edges chosen so far per vertex
+
+    def can_balance(v: int, last: bool, budget: int) -> bool:
+        """Each direct out-edge of v needs >= 1 of its residual, and the
+        out-edges still to choose can bring back at most ``budget``."""
+        spare = leaks[v - 1] - net[v] - ndirect[v]
+        if last:
+            return spare >= 0 and (spare == 0 or ndirect[v] > 0)
+        return spare + budget >= 0
+
+    def out_edge(p: int, j: int, budget: int) -> Iterator:
+        v = order[p]
+        if j == len(outs[v]):  # close v
+            direct = [(e, head) for e, head in outs[v] if a[e] == 0]
+            for combo in _compositions(leaks[v - 1] - net[v], len(direct)):
+                for (e, head), w in zip(direct, combo):
+                    windings[e] = w
+                    net[head] -= w
+                yield from out_edge(p + 1, 0, budget) if p + 1 < n else loop(0, budget)
+                for (e, head), w in zip(direct, combo):
+                    net[head] += w
+            return
+        idx, head = outs[v][j]
+        last = j == len(outs[v]) - 1
+        for a_k in degrees[idx]:
+            if a_k > budget:
+                break
+            a[idx] = a_k
+            if a_k == 0:  # direct: its winding is set at the close
+                arrows[idx] = (v, head)
+                ndirect[v] += 1
+                if can_balance(v, last, budget):
+                    yield from out_edge(p, j + 1, budget)
+                ndirect[v] -= 1
+                continue
+            for w in divisors(a_k):
+                windings[idx] = w
+                for src, dst in ((v, head), (head, v)):
+                    arrows[idx] = (src, dst)
+                    net[src] += w
+                    net[dst] -= w
+                    if can_balance(v, last, budget - a_k):
+                        yield from out_edge(p, j + 1, budget - a_k)
+                    net[src] -= w
+                    net[dst] += w
+
+    def loop(j: int, budget: int) -> Iterator:
+        if j == len(loops):
+            yield tuple(a), tuple(windings), tuple(arrows)
+            return
+        idx, v, least = loops[j]
+        budget += least  # release the degree kept back for this loop
+        arrows[idx] = (v, v)
+        for a_k in degrees[idx]:
+            if a_k > budget:
+                break
+            if a_k > 0:
+                a[idx] = a_k
+                for w in divisors(a_k):
+                    windings[idx] = w
+                    yield from loop(j + 1, budget - a_k)
+
+    yield from out_edge(0, 0, free)
+
+
+def _single(
+    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int], l: Sequence[int] | None
+) -> Iterator[Cover]:
+    """The pass at one multidegree (the degree set (a_k,) on edge k), its
+    inputs checked."""
+    a = tuple(a)
+    if len(a) != graph.num_edges or any(x < 0 for x in a):
+        raise ValueError(f"multidegree must be {graph.num_edges} nonnegative integers")
+    leaks = tuple(l) if l is not None else (0,) * graph.n
+    if len(leaks) != graph.n:
+        raise ValueError(f"leak vector must have length {graph.n}")
+    return _cover_pass(graph, order, [(a_k,) for a_k in a], sum(a), leaks)
+
+
 def enumerate_tuples(
     graph: FeynmanGraph,
     order: VertexOrder,
     a: Sequence[int],
     l: Sequence[int] | None = None,
 ) -> list[CoverTuple]:
-    """The complete, duplicate-free list of covers for the given data."""
-    r = graph.num_edges
-    n = graph.n
-    a = tuple(a)
-    if len(a) != r or any(x < 0 for x in a):
-        raise ValueError(f"multidegree must be {r} nonnegative integers")
-    leaks = tuple(l) if l is not None else (0,) * n
-    if len(leaks) != n:
-        raise ValueError(f"leak vector must have length {n}")
+    """The complete, duplicate-free list of covers for the given data.
 
-    loop_idx: list[int] = []
-    curled_idx: list[int] = []
-    direct_idx: list[int] = []
-    orient: list[tuple[int, int]] = []
-    for idx, (u, v) in enumerate(graph.edges):
-        if u == v:
-            if a[idx] == 0:
-                return []  # loops must wrap at least once
-            loop_idx.append(idx)
-            orient.append((u, u))
-        else:
-            tail, head = edge_orientation(graph, idx, order)
-            orient.append((tail, head))
-            (curled_idx if a[idx] > 0 else direct_idx).append(idx)
-
-    out_direct: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for idx in direct_idx:
-        out_direct[orient[idx][0]].append(idx)
-
-    loop_choices = [divisors(a[idx]) for idx in loop_idx]
-    curled_choices = [
-        [(w, s) for w in divisors(a[idx]) for s in (1, -1)] for idx in curled_idx
+    A view of :func:`_cover_pass` at the single multidegree a: the
+    vertices are visited in order, each one choosing the windings and
+    directions of its loops and of its edges to later vertices, and a
+    branch is cut as soon as a vertex cannot balance.  The order of the
+    list is not specified; compare lists as multisets.
+    """
+    return [
+        CoverTuple(
+            windings,
+            arrows,
+            tuple(
+                LOOP if u == v else CURLED if a_k > 0 else DIRECT
+                for (u, v), a_k in zip(graph.edges, a_t)
+            ),
+        )
+        for a_t, windings, arrows in _single(graph, order, a, l)
     ]
-
-    tuples: list[CoverTuple] = []
-    for loop_ws in itertools.product(*loop_choices):
-        for curled_ws in itertools.product(*curled_choices):
-            # known exponent contributions at each vertex (curled only)
-            contrib = [0] * (n + 1)
-            arrow: dict[int, tuple[int, int]] = {}
-            for idx, (w, s) in zip(curled_idx, curled_ws):
-                tail, head = orient[idx]
-                src, dst = (tail, head) if s == 1 else (head, tail)
-                arrow[idx] = (src, dst)
-                contrib[src] += w
-                contrib[dst] -= w
-
-            # solve direct windings vertex by vertex in order
-            partial: list[dict[int, int]] = [{}]
-            ok = True
-            for v in order:
-                outs = out_direct[v]
-                new_partial: list[dict[int, int]] = []
-                for assignment in partial:
-                    known = contrib[v]
-                    for idx in direct_idx:
-                        tail, head = orient[idx]
-                        if head == v and idx in assignment:
-                            known -= assignment[idx]
-                    residual = leaks[v - 1] - known
-                    for combo in _compositions(residual, len(outs)):
-                        nxt = dict(assignment)
-                        for idx, w in zip(outs, combo):
-                            nxt[idx] = w
-                        new_partial.append(nxt)
-                partial = new_partial
-                if not partial:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for assignment in partial:
-                windings = [0] * r
-                arrows: list[tuple[int, int]] = [(0, 0)] * r
-                kinds = [""] * r
-                for idx, w in zip(loop_idx, loop_ws):
-                    windings[idx] = w
-                    arrows[idx] = orient[idx]
-                    kinds[idx] = LOOP
-                for idx, (w, _) in zip(curled_idx, curled_ws):
-                    windings[idx] = w
-                    arrows[idx] = arrow[idx]
-                    kinds[idx] = CURLED
-                for idx in direct_idx:
-                    windings[idx] = assignment[idx]
-                    arrows[idx] = orient[idx]
-                    kinds[idx] = DIRECT
-                tuples.append(
-                    CoverTuple(tuple(windings), tuple(arrows), tuple(kinds))
-                )
-    return tuples
 
 
 def cover_count(
@@ -187,7 +255,7 @@ def cover_count(
     l: Sequence[int] | None = None,
 ) -> int:
     """Weighted count N = sum over tuples of prod w_k."""
-    return sum(t.weight() for t in enumerate_tuples(graph, order, a, l))
+    return sum(prod(windings) for _, windings, _ in _single(graph, order, a, l))
 
 
 def cover_count_by_windings(
@@ -203,9 +271,9 @@ def cover_count_by_windings(
     """
     marked = [idx for idx in range(graph.num_edges) if a[idx] > 0]
     out: dict[tuple[int, ...], int] = {}
-    for t in enumerate_tuples(graph, order, a, l):
-        key = tuple(t.windings[idx] for idx in marked)
-        out[key] = out.get(key, 0) + t.weight()
+    for _, windings, _ in _single(graph, order, a, l):
+        key = tuple(windings[idx] for idx in marked)
+        out[key] = out.get(key, 0) + prod(windings)
     return out
 
 
@@ -234,21 +302,26 @@ def one_point_mult(mu: Sequence[int], nu: Sequence[int], k: int) -> Coeff:
     return _one_point_cached(tuple(sorted(tuple(mu) + tuple(nu))), k)
 
 
-def _vertex_profiles(
-    graph: FeynmanGraph, t: CoverTuple
-) -> list[tuple[list[int], list[int]]]:
-    """(incoming, outgoing) winding profiles per vertex; loops join both."""
-    profiles: list[tuple[list[int], list[int]]] = [([], []) for _ in range(graph.n)]
-    for idx in range(graph.num_edges):
-        w = t.windings[idx]
-        src, dst = t.arrows[idx]
-        if t.kinds[idx] == LOOP:
-            profiles[src - 1][0].append(w)
-            profiles[src - 1][1].append(w)
-        else:
-            profiles[src - 1][1].append(w)
-            profiles[dst - 1][0].append(w)
-    return profiles
+def _descendant_weight(
+    n: int,
+    windings: Sequence[int],
+    arrows: Sequence[tuple[int, int]],
+    k: Sequence[int],
+) -> Coeff:
+    """prod w_k times the one-point multiplicity of every vertex's
+    (incoming, outgoing) winding profile; a loop (src == dst) joins both."""
+    ins: list[list[int]] = [[] for _ in range(n)]
+    outs: list[list[int]] = [[] for _ in range(n)]
+    for w, (src, dst) in zip(windings, arrows):
+        outs[src - 1].append(w)
+        ins[dst - 1].append(w)
+    term: Coeff = prod(windings)
+    for v in range(n):
+        m = one_point_mult(ins[v], outs[v], k[v])
+        if m == 0:
+            return 0
+        term = term * m
+    return term
 
 
 def _contribution(
@@ -257,16 +330,30 @@ def _contribution(
     """Body of :func:`descendant_contribution`, for callers that validated
     (graph, gf, k) once."""
     total: Coeff = 0
-    for t in enumerate_tuples(graph, order, a):
-        term: Coeff = t.weight()
-        for v, (mu, nu) in enumerate(_vertex_profiles(graph, t)):
-            m = one_point_mult(mu, nu, k[v])
-            if m == 0:
-                term = 0
-                break
-            term = term * m
-        total = total + term
+    for _, windings, arrows in _single(graph, order, a, None):
+        total = total + _descendant_weight(graph.n, windings, arrows, k)
     return total
+
+
+def _cover_table(
+    graph: FeynmanGraph, order: VertexOrder, q_cap: int, k: Sequence[int] | None = None
+) -> dict[Multidegree, Coeff]:
+    """Zero-leak values at every multidegree with sum(a) <= q_cap, from one
+    pass (zero entries dropped): :func:`cover_count`, or with ``k`` the
+    descendant contribution :func:`_contribution`."""
+    table: dict[Multidegree, Coeff] = {}
+    degrees = [range(q_cap + 1)] * graph.num_edges
+    for a, windings, arrows in _cover_pass(graph, order, degrees, q_cap, (0,) * graph.n):
+        if k is None:
+            value: Coeff = prod(windings)
+        else:
+            value = _descendant_weight(graph.n, windings, arrows, k)
+        s = table.get(a, 0) + value
+        if s == 0:
+            table.pop(a, None)
+        else:
+            table[a] = s
+    return table
 
 
 def _check_assignment(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> None:
@@ -299,13 +386,11 @@ def descendant_contribution_by_windings(
     _check_assignment(graph, gf, k)
     marked = [idx for idx in range(graph.num_edges) if a[idx] > 0]
     out: dict[tuple[int, ...], Coeff] = {}
-    for t in enumerate_tuples(graph, order, a):
-        term: Coeff = t.weight()
-        for v, (mu, nu) in enumerate(_vertex_profiles(graph, t)):
-            term = term * one_point_mult(mu, nu, k[v])
+    for _, windings, arrows in _single(graph, order, a, None):
+        term = _descendant_weight(graph.n, windings, arrows, k)
         if term == 0:
             continue
-        key = tuple(t.windings[idx] for idx in marked)
+        key = tuple(windings[idx] for idx in marked)
         out[key] = out.get(key, 0) + term
     return out
 
@@ -323,19 +408,13 @@ def fixed_order_series(
     labels of covers divides the labeled count by the vertex-labeled
     automorphism count of the graph.
     """
+    _check_assignment(graph, gf, k)
     aut = automorphism_count(graph, gf, "vertex_labeled")
     out: dict[int, Coeff] = {}
-    for a in multidegrees(graph, [q_order] * graph.num_edges, q_order):
-        value = descendant_contribution(graph, gf, order, a, k)
-        if value == 0:
-            continue
+    for a, value in _cover_table(graph, order, q_order, k).items():
         d = sum(a)
-        s = out.get(d, 0) + value * Fraction(1, aut)
-        if s == 0:
-            out.pop(d, None)
-        else:
-            out[d] = s
-    return out
+        out[d] = out.get(d, 0) + value * Fraction(1, aut)
+    return {d: out[d] for d in sorted(out) if out[d] != 0}
 
 
 def invariant_fixed_order(
@@ -346,19 +425,17 @@ def invariant_fixed_order(
     total: Coeff = 0
     for assignment in enumerate_labeled_graphs(k):
         graph, gf = assignment.graph, assignment.gf
+        _check_assignment(graph, gf, k)
         aut = automorphism_count(graph, gf, "vertex_labeled")
-        for a in multidegrees(graph, [d] * graph.num_edges, d):
-            if sum(a) != d:
-                continue
-            value = descendant_contribution(graph, gf, order, a, k)
-            if value != 0:
+        for a, value in _cover_table(graph, order, d, k).items():
+            if sum(a) == d:
                 total = total + value * Fraction(1, aut)
     return total
 
 
 def _invariant_totals(k: Sequence[int], degrees: range) -> dict[int, Coeff]:
-    """Nonzero invariant values at the given degrees >= 1, in one pass:
-    labeled graphs -> orientation classes -> multidegrees, bucketed by d."""
+    """Nonzero invariant values at the given degrees >= 1: one cover pass
+    per (labeled graph, orientation class), its table bucketed by d."""
     totals: dict[int, Coeff] = {}
     if not degrees:
         return totals
@@ -367,14 +444,11 @@ def _invariant_totals(k: Sequence[int], degrees: range) -> dict[int, Coeff]:
         graph, gf = assignment.graph, assignment.gf
         _check_assignment(graph, gf, k)
         aut = automorphism_count(graph, gf, "vertex_labeled")
-        weighted = [(order, Fraction(count, aut)) for order, count in orientation_classes(graph)]
-        for a in multidegrees(graph, [cap] * graph.num_edges, cap):
-            d = sum(a)
-            if d not in degrees:
-                continue
-            for order, weight in weighted:
-                value = _contribution(graph, order, a, k)
-                if value != 0:
+        for order, count in orientation_classes(graph):
+            weight = Fraction(count, aut)
+            for a, value in _cover_table(graph, order, cap, k).items():
+                d = sum(a)
+                if d in degrees:
                     totals[d] = totals.get(d, 0) + value * weight
     return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
 

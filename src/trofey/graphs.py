@@ -26,6 +26,7 @@ from typing import Iterator, Sequence
 Edge = tuple[int, int]
 GenusFunction = tuple[int, ...]
 VertexOrder = tuple[int, ...]  # the vertex sequence, smallest first
+Multidegree = tuple[int, ...]  # a_k per edge, in edge-index order
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     FeynmanGraph,
+    Multidegree,
     VertexOrder,
     automorphism_count,
     edge_orientation,
@@ -55,7 +56,6 @@ from .propagators import divisors
 from .series import Coeff, invert, s_coeff, s_series
 
 LeakVector = tuple[int, ...]
-Multidegree = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +291,8 @@ def refined_sweep(
     instead of truncating.
     """
     targets = [tuple(t) for t in leak_targets]
+    if not targets:
+        raise ValueError("refined_sweep needs at least one leak target")
     a_t, _, gf_t, _ = _normalize_query(graph, a, targets[0], gf, vertex_contributions)
     for t in targets:
         if len(t) != graph.n:

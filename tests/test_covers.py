@@ -1,13 +1,20 @@
 """Tests for cover enumeration and the cover-route invariants."""
 
+import ast
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covers_oracle import enumerate_tuples_reference
 from trofey.covers import (
     CURLED,
     DIRECT,
     LOOP,
+    _cover_table,
     cover_count,
     cover_count_by_windings,
     descendant_contribution,
@@ -19,7 +26,15 @@ from trofey.covers import (
     invariant_series,
     one_point_mult,
 )
-from trofey.graphs import FeynmanGraph, all_orders, identity_order
+from trofey.graphs import (
+    FeynmanGraph,
+    all_orders,
+    enumerate_graphs,
+    enumerate_labeled_graphs,
+    identity_order,
+    orientation_classes,
+)
+from trofey.integrals import integral_series_refined, multidegrees
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -85,6 +100,102 @@ def test_cover_count_by_windings_keys_marked_edges():
     table = cover_count_by_windings(RIGHT, ID3, (2, 0, 0, 1))
     assert table == {(1, 1): 1, (2, 1): 2}
     assert sum(table.values()) == cover_count(RIGHT, ID3, (2, 0, 0, 1))
+
+
+ORACLE_GRAPHS = [
+    assignment.graph
+    for k in ((2, 0, 0), (1, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    for assignment in enumerate_labeled_graphs(k)
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=st.sampled_from(ORACLE_GRAPHS), data=st.data())
+def test_enumerate_tuples_matches_product_then_solve_oracle(graph, data):
+    # the vertex-order pass against the old product-then-solve enumeration:
+    # the same covers, as a multiset (the list order is not specified)
+    n, r = graph.n, graph.num_edges
+    order = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
+    a = [0] * r
+    for idx, step in data.draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(1, 4)))):
+        if sum(a) + step <= 4:
+            a[idx] += step
+    l = list(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    kind = data.draw(st.sampled_from(["zero", "balanced", "unbalanced"]))
+    if kind == "zero":
+        l = None
+    elif kind == "balanced":
+        l[-1] -= sum(l)
+    elif sum(l) == 0:
+        l[0] += 1
+    covers = Counter(enumerate_tuples(graph, order, a, l))
+    assert covers == Counter(enumerate_tuples_reference(graph, order, a, l))
+    assert all(count == 1 for count in covers.values())
+
+
+def test_enumerate_tuples_matches_oracle_on_every_small_case():
+    # every graph of k = (1,1) and (2,0,0) (loops included), every order,
+    # every a with sum(a) <= 4, zero leaks and every (+w, -w) pair, w <= 2
+    for k in ((1, 1), (2, 0, 0)):
+        for assignment in enumerate_graphs(k):
+            graph, n = assignment.graph, assignment.graph.n
+            leaks = [None] + [
+                tuple(w if v == i else -w if v == j else 0 for v in range(n))
+                for i in range(n) for j in range(n) if i != j for w in (1, 2)
+            ]
+            for order in all_orders(n):
+                for a in multidegrees(graph, [4] * graph.num_edges, 4):
+                    for l in leaks:
+                        assert Counter(enumerate_tuples(graph, order, a, l)) == Counter(
+                            enumerate_tuples_reference(graph, order, a, l)
+                        ), (graph.edges, order, a, l)
+
+
+@pytest.mark.parametrize("k", [(2, 0, 0), (1, 1), (2, 1, 1), (1, 1, 1, 1)])
+def test_cover_table_equals_integral_table(k):
+    # one cover pass per (labeled graph, orientation class) against the
+    # code-disjoint integral DP, entry by entry, absent entries read as 0
+    for assignment in enumerate_labeled_graphs(k):
+        graph, gf = assignment.graph, assignment.gf
+        for order, _ in orientation_classes(graph):
+            covers = _cover_table(graph, order, 3, k)
+            integral = integral_series_refined(graph, order, 3, gf=gf, total_q_cap=3)
+            assert 0 not in covers.values() and 0 not in integral.values()
+            for a in set(covers) | set(integral):
+                assert covers.get(a, 0) == integral.get(a, 0), (graph.edges, order, a)
+
+
+@pytest.mark.parametrize("graph", [THETA, RIGHT, DUMBBELL, TRIANGLE])
+def test_cover_table_reads_cover_count(graph):
+    for order in all_orders(graph.n):
+        table = _cover_table(graph, order, 4)
+        assert all(sum(a) <= 4 for a in table)
+        for a in set(table) | {tuple(0 for _ in graph.edges)}:
+            assert table.get(a, 0) == cover_count(graph, order, a), (order, a)
+
+
+def test_cover_route_imports_nothing_from_integrals():
+    # the cover route is the code-disjoint check of the integral route
+    src = Path(__file__).resolve().parents[1] / "src" / "trofey"
+
+    def imports(module, other):
+        """Does trofey/<module>.py import trofey.<other> or a name from it?"""
+        target = f"trofey.{other}"
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = (("trofey." if node.level else "") + (node.module or "")).rstrip(".")
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name == target or name.startswith(target + ".") for name in names):
+                return True
+        return False
+
+    assert not imports("covers", "integrals")
+    assert not imports("integrals", "covers")
+    assert imports("cli", "integrals") and imports("fock", "covers")  # the check can see
 
 
 # -- one-point multiplicities ----------------------------------------------
@@ -174,6 +285,10 @@ def test_invariant_series_equals_sum_of_order_slices(k, q_order):
         if value != 0:
             expected[d] = value
     assert invariant_series(k, q_order) == expected
+
+
+def test_invariant_series_1111_through_d4():
+    assert invariant_series((1, 1, 1, 1), 4) == {2: 48, 3: 3840, 4: 58752}
 
 
 def test_invariant_values_k11():

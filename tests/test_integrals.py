@@ -115,6 +115,11 @@ def test_x_bound_boundary(graph, a, l, bound):
         refined_coeff(graph, ID3, a, l=l, x_bound=bound - 1)
 
 
+def test_refined_sweep_needs_a_leak_target():
+    with pytest.raises(ValueError, match="at least one leak target"):
+        refined_sweep(TRIANGLE, ID3, (0, 0, 1), [])
+
+
 def test_multidegrees_force_loops_positive():
     assert set(multidegrees(RIGHT, [1, 1, 1, 1], 1)) == {(1, 0, 0, 0)}
     assert all(a[0] >= 1 for a in multidegrees(RIGHT, [2] * 4, 2))
