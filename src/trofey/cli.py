@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterator, Sequence
 from . import __version__
 from .covers import _cover_table, invariant_series
 from .fock import (
+    _check_operator_graph,
     double_hurwitz,
     elliptic_hurwitz_disconnected,
     fock_cover_count,
@@ -375,6 +376,7 @@ def cmd_fock(args: argparse.Namespace) -> int:
         if args.amax < 0:
             raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
         graph, _, relabeling = _load_graph(args.graph)
+        _check_operator_graph(graph)  # before any order: no vacuous "0" for a bad graph
         orders = list(all_orders(graph.n))
         amax = args.amax
 

@@ -19,9 +19,16 @@ pairing, so every intermediate state is inspectable.
 Labeled mode: one Heisenberg generator alpha^{(k,j)}_n per (edge k,
 germ label j); generators with different (k, j) commute.  A trivalent
 loop-free graph with a vertex order and a multidegree a gives one
-three-germ operator per vertex, and the sandwiched matrix element
-between explicit bra/ket states reproduces the weighted cover count
-winding by winding.
+three-germ operator per vertex, and each germ move m at vertex v also
+multiplies by x_v^m.  There is one operator body: states are (basis key,
+exponent vector) pairs, and each vertex keeps only the moves that land
+x_v in a window |x_v| <= x_bound.  The operator product, sandwiched
+between explicit bra/ket states, is the product of the edge factors; its
+exponent-zero coefficient at x_bound = 0, where every vertex balances, is
+the labeled matrix element, and it reproduces the weighted cover count
+winding by winding.  The set-up that a (graph, order, multidegree) fixes
+-- guards, edge directions, weight caps and germ plans -- is built once
+and shared by all winding choices.
 """
 
 from __future__ import annotations
@@ -37,9 +44,7 @@ from .propagators import divisors
 from .series import Coeff, invert, mul, normalize
 
 Partition = tuple[int, ...]
-# unlabeled states: partition -> coefficient
-# labeled states: sorted tuple of (edge, label, weight) triples -> coefficient
-State = dict
+State = dict  # partition -> coefficient
 
 
 # -- partitions ---------------------------------------------------------
@@ -91,58 +96,32 @@ def state_from_partition(mu: Sequence[int]) -> State:
     return {partition_tuple(mu): 1}
 
 
-def _basis_norm(key: tuple) -> int:
-    """<b, b> for a basis key of either species."""
-    if key and isinstance(key[0], tuple):  # labeled: triples (edge, label, w)
-        norm = prod(t[2] for t in key)
-        for t in set(key):
-            norm *= factorial(key.count(t))
-        return norm
-    return partition_aut(key) * prod(key)
-
-
 def inner_product(u: State, v: State) -> Coeff:
-    """Pairing of two states; basis keys are orthogonal across species too."""
+    """Pairing of two states: <b_mu, b_mu> = |Aut(mu)| * prod(mu)."""
     total: Coeff = 0
     small, big = (u, v) if len(u) <= len(v) else (v, u)
     for key, cu in small.items():
         cv = big.get(key)
         if cv is not None:
-            total = total + cu * cv * _basis_norm(key)
+            total = total + cu * cv * partition_aut(key) * prod(key)
     return total
 
 
-def apply_alpha(state: State, n: int, label: tuple[int, int] | None = None) -> State:
-    """alpha_n (creation for n < 0) applied to a state vector.
-
-    With ``label=(edge, j)`` this is the labeled generator; the state keys
-    must then be triple tuples.
-    """
+def apply_alpha(state: State, n: int) -> State:
+    """alpha_n (creation for n < 0) applied to a state vector."""
     if n == 0:
         raise ValueError("alpha_0 is not a generator here")
     out: State = {}
     for key, coeff in state.items():
-        if label is None:
-            if n < 0:
-                new = tuple(sorted(key + (-n,), reverse=True))
-                out[new] = out.get(new, 0) + coeff
-            else:
-                count = key.count(n)
-                if count:
-                    pos = key.index(n)
-                    new = key[:pos] + key[pos + 1 :]
-                    out[new] = out.get(new, 0) + coeff * n * count
+        if n < 0:
+            new = tuple(sorted(key + (-n,), reverse=True))
+            out[new] = out.get(new, 0) + coeff
         else:
-            triple = (label[0], label[1], abs(n))
-            if n < 0:
-                new = tuple(sorted(key + (triple,)))
-                out[new] = out.get(new, 0) + coeff
-            else:
-                count = key.count(triple)
-                if count:
-                    pos = key.index(triple)
-                    new = key[:pos] + key[pos + 1 :]
-                    out[new] = out.get(new, 0) + coeff * n * count
+            count = key.count(n)
+            if count:
+                pos = key.index(n)
+                new = key[:pos] + key[pos + 1 :]
+                out[new] = out.get(new, 0) + coeff * n * count
     return {k: c for k, c in out.items() if c != 0}
 
 
@@ -295,25 +274,7 @@ def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
 # -- labeled mode --------------------------------------------------------
 
 Triple = tuple[int, int, int]  # (edge index, germ label, weight)
-
-
-def _cut_counts(a: Sequence[int], windings: Mapping[int, int]) -> dict[int, int]:
-    """Edge -> number of base-point crossings a_k / w_k (positive edges only)."""
-    counts: dict[int, int] = {}
-    for idx, ak in enumerate(a):
-        k = idx + 1
-        if ak == 0:
-            continue
-        w = windings.get(k)
-        if w is None or w < 1 or ak % w != 0:
-            raise ValueError(f"edge {k}: winding must divide a_k = {ak}")
-        counts[k] = ak // w
-    return counts
-
-
-def _winding_denominator(a: Sequence[int], windings: Mapping[int, int]) -> int:
-    """prod_k w_k^{a_k/w_k}, the inverse of the winding prefactor."""
-    return prod(windings[k] ** c for k, c in _cut_counts(a, windings).items())
+Plan = tuple[str, int, int]  # (kind, edge index, parameter); see _germ_plans
 
 
 def labeled_boundary_states(
@@ -322,15 +283,20 @@ def labeled_boundary_states(
     """(bra key, ket key) for a multidegree and a choice of windings.
 
     Edge k with a_k > 0 and winding w contributes c = a_k / w triples of
-    weight w: labels 1..c on the bra side and 2..c+1 on the ket side, so
-    labels 2..c interleave and the two end labels are consumed/produced by
-    the vertex operators.
+    weight w (c base-point crossings): labels 1..c on the bra side and
+    2..c+1 on the ket side, so labels 2..c interleave and the two end
+    labels are consumed/produced by the vertex operators.
     """
-    cuts = _cut_counts(a, windings)
     bra: list[Triple] = []
     ket: list[Triple] = []
-    for k, c in sorted(cuts.items()):
-        w = windings[k]
+    for idx, ak in enumerate(a):
+        if ak == 0:
+            continue
+        k = idx + 1
+        w = windings.get(k)
+        if w is None or w < 1 or ak % w != 0:
+            raise ValueError(f"edge {k}: winding must divide a_k = {ak}")
+        c = ak // w
         bra.extend((k, j, w) for j in range(1, c + 1))
         ket.extend((k, j, w) for j in range(2, c + 2))
     return tuple(sorted(bra)), tuple(sorted(ket))
@@ -344,59 +310,116 @@ def winding_choices(a: Sequence[int]) -> Iterator[dict[int, int]]:
         yield dict(zip(marked, combo))
 
 
-def _germ_plans(
+def _check_operator_graph(graph: FeynmanGraph) -> None:
+    """The labeled operators have one three-germ factor per vertex."""
+    if graph.num_loops:
+        raise ValueError("labeled matrix elements need a loop-free graph")
+    if any(d != 3 for d in graph.degrees()):
+        raise ValueError("labeled matrix elements need a trivalent graph")
+
+
+def _operator_setup(
+    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int], x_bound: int
+) -> tuple[list[int], dict[int, int], list[tuple[int, list[Plan]]]]:
+    """Everything one (graph, order, multidegree, window) fixes for every
+    winding choice: the edge tails, the weight caps of the a_k = 0 edges
+    (:func:`_direct_edge_caps`) and, in acting order (the order-last
+    vertex acts on the ket first), each vertex with its germ plans.
+    """
+    _check_operator_graph(graph)
+    if len(a) != graph.num_edges or any(x < 0 for x in a):
+        raise ValueError("bad multidegree")
+    if x_bound < 0:
+        raise ValueError(f"x_bound must be >= 0, got {x_bound}")
+    tails = [edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges)]
+    caps = _direct_edge_caps(graph, order, a, tails, x_bound)
+    plans = [
+        (vertex, _germ_plans(graph, a, tails, caps, vertex)) for vertex in reversed(order)
+    ]
+    return tails, caps, plans
+
+
+def _direct_edge_caps(
     graph: FeynmanGraph,
     order: VertexOrder,
     a: Sequence[int],
-    windings: Mapping[int, int],
+    tails: Sequence[int],
+    x_bound: int,
+) -> dict[int, int]:
+    """Largest weight an a_k = 0 edge can carry and still contribute a
+    monomial inside the |exponent| <= x_bound window.
+
+    At the tail of such an edge the positive exponent +w must be offset,
+    within the window, by the other germs there: marked edges contribute
+    at most a_e, and incoming unmarked edges at most their own (already
+    computed) cap, so processing tails in vertex order closes the caps.
+    """
+    caps: dict[int, int] = {}
+    incident: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
+    for idx, (u, v) in enumerate(graph.edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    for tail_v in order:
+        for idx in incident[tail_v]:
+            if a[idx] > 0 or tails[idx] != tail_v:
+                continue
+            cap = x_bound
+            for other in incident[tail_v]:
+                if other == idx:
+                    continue
+                if a[other] > 0:
+                    cap += a[other]
+                elif tails[other] != tail_v:  # incoming: contributes -w here
+                    cap += caps[other + 1]
+            caps[idx + 1] = cap
+    return caps
+
+
+def _germ_plans(
+    graph: FeynmanGraph,
+    a: Sequence[int],
+    tails: Sequence[int],
+    caps: Mapping[int, int],
     vertex: int,
-    energy: int,
-    caps: Mapping[int, int] | None,
-) -> list[tuple[str, int, int]]:
+) -> list[Plan]:
     """One plan per incident edge germ: how this vertex's germ may move.
 
     A plan is (kind, edge, parameter):
 
-    * ("marked", k, w): edge with a_k > 0 -- either m = +w (consume the
-      ket-side end label (k, a_k/w + 1, w)) or m = -w (produce the
-      bra-side end label (k, 1, w));
-    * ("annihilate", k, limit): a_k = 0 and this vertex is the
-      order-earlier endpoint, whose operator acts second -- it must
+    * ("marked", k, a_k): edge with a_k > 0 and winding w -- either
+      m = +w (consume the ket-side end label (k, a_k/w + 1, w)) or m = -w
+      (produce the bra-side end label (k, 1, w));
+    * ("annihilate", k, cap): a_k = 0 and this vertex is the tail (the
+      order-earlier endpoint, whose operator acts second) -- it must
       consume whatever the partner germ created under label (k, 1);
-    * ("create", k, limit): a_k = 0, order-later endpoint, acts first --
-      it must create (k, 1, m), m = 1..limit.
-
-    ``caps`` widens the weight limits for the variable-tracking operator;
-    without it the total energy bounds every weight.
+    * ("create", k, cap): a_k = 0, this vertex is the head and acts
+      first -- it must create (k, 1, m), m = 1..cap.
     """
-    plans: list[tuple[str, int, int]] = []
+    plans: list[Plan] = []
     for idx, (u, v) in enumerate(graph.edges):
         if vertex not in (u, v):
             continue
         k = idx + 1
         if a[idx] > 0:
-            plans.append(("marked", k, windings[k]))
+            plans.append(("marked", k, a[idx]))
         else:
-            tail, _ = edge_orientation(graph, idx, order)
-            limit = caps[k] if caps is not None else energy
-            plans.append(("annihilate" if vertex == tail else "create", k, limit))
+            kind = "annihilate" if vertex == tails[idx] else "create"
+            plans.append((kind, k, caps[k]))
     return plans
 
 
 def _moves_for_key(
-    plans: Sequence[tuple[str, int, int]],
-    a: Sequence[int],
-    key: tuple[Triple, ...],
+    plans: Sequence[Plan], windings: Mapping[int, int], key: tuple[Triple, ...]
 ) -> list[list[tuple[int, Triple]]]:
     """Per germ plan, the moves that can act on this basis key without dying."""
     options: list[list[tuple[int, Triple]]] = []
     for kind, k, par in plans:
         if kind == "marked":
-            w = par
-            c = a[k - 1] // w
+            w = windings[k]
             moves: list[tuple[int, Triple]] = [(-w, (k, 1, w))]
-            if (k, c + 1, w) in key:
-                moves.append((w, (k, c + 1, w)))
+            end = (k, par // w + 1, w)
+            if end in key:
+                moves.append((w, end))
         elif kind == "annihilate":
             moves = [
                 (t[2], t)
@@ -412,8 +435,8 @@ def _moves_for_key(
 
 
 def _apply_moves(
-    key: tuple[Triple, ...], coeff: Coeff, moves: Sequence[tuple[int, Triple]]
-) -> tuple[tuple[Triple, ...], Coeff] | None:
+    key: tuple[Triple, ...], coeff: int, moves: Sequence[tuple[int, Triple]]
+) -> tuple[tuple[Triple, ...], int] | None:
     """Apply a germ combination (annihilations then creations) to a basis key."""
     cur = list(key)
     c = coeff
@@ -431,156 +454,61 @@ def _apply_moves(
 
 
 def _vertex_operator(
-    state: State,
-    graph: FeynmanGraph,
-    order: VertexOrder,
-    a: Sequence[int],
-    windings: Mapping[int, int],
-    vertex: int,
-    energy: int,
-) -> State:
-    """The balanced three-germ operator of one vertex applied to a state.
-
-    The germ moves must sum to zero, so the product runs over all germs
-    but the last, whose move is looked up by the m that balances the sum
-    (within one germ the moves have distinct m).
-    """
-    out: State = {}
-    plans = _germ_plans(graph, order, a, windings, vertex, energy, None)
-    for key, coeff in state.items():
-        options = _moves_for_key(plans, a, key)
-        if not options:
-            continue
-        closing = {m: (m, t) for m, t in options[-1]}
-        for combo in itertools.product(*options[:-1]):
-            last = closing.get(-sum(m for m, _ in combo))
-            if last is None:
-                continue
-            res = _apply_moves(key, coeff, combo + (last,))
-            if res is None:
-                continue
-            new_key, c = res
-            out[new_key] = out.get(new_key, 0) + c
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def labeled_matrix_element(
-    graph: FeynmanGraph,
-    order: VertexOrder,
-    a: Sequence[int],
-    windings: Mapping[int, int],
-) -> Coeff:
-    """prod_k (1/w_k)^{a_k/w_k} <bra| M_{last} ... M_{first} |ket>.
-
-    Vertex operators are applied in reverse vertex order (the order-last
-    vertex acts on the ket first).  Defined for loop-free trivalent
-    graphs; this is where the operator product has one three-germ factor
-    per vertex.
-    """
-    if graph.num_loops:
-        raise ValueError("labeled matrix elements need a loop-free graph")
-    if any(graph.degree(v) != 3 for v in range(1, graph.n + 1)):
-        raise ValueError("labeled matrix elements need a trivalent graph")
-    if len(a) != graph.num_edges or any(x < 0 for x in a):
-        raise ValueError("bad multidegree")
-    bra, ket = labeled_boundary_states(a, windings)
-    energy = sum(a)
-    state: State = {ket: 1}
-    for vertex in reversed(order):
-        state = _vertex_operator(state, graph, order, a, windings, vertex, energy)
-        if not state:
-            break
-    value = inner_product({bra: 1}, state)
-    return normalize(Fraction(value, _winding_denominator(a, windings)))
-
-
-def fock_cover_count(
-    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int]
-) -> Coeff:
-    """Sum of labeled matrix elements over all winding choices."""
-    total: Coeff = 0
-    for windings in winding_choices(a):
-        total = total + labeled_matrix_element(graph, order, a, windings)
-    return normalize(total)
-
-
-# -- variable-tracking operators ----------------------------------------
-
-
-def _direct_edge_caps(
-    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int], x_bound: int
-) -> dict[int, int]:
-    """Largest weight an a_k = 0 edge can carry and still contribute a
-    monomial inside the |exponent| <= x_bound window.
-
-    At the tail of such an edge the positive exponent +w must be offset,
-    within the window, by the other germs there: marked edges contribute
-    at most a_e, and incoming unmarked edges at most their own (already
-    computed) cap, so processing tails in vertex order closes the caps.
-    """
-    caps: dict[int, int] = {}
-    incident: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
-    for idx, (u, v) in enumerate(graph.edges):
-        incident[u].append(idx)
-        if u != v:
-            incident[v].append(idx)
-    for tail_v in order:
-        for idx in incident[tail_v]:
-            if a[idx] > 0:
-                continue
-            tail, head = edge_orientation(graph, idx, order)
-            if tail != tail_v:
-                continue
-            cap = x_bound
-            for other in incident[tail_v]:
-                if other == idx:
-                    continue
-                if a[other] > 0:
-                    cap += a[other]
-                else:
-                    o_tail, _ = edge_orientation(graph, other, order)
-                    if o_tail != tail_v:  # incoming: contributes -w here
-                        cap += caps[other + 1]
-            caps[idx + 1] = cap
-    return caps
-
-
-def _vertex_operator_tracked(
     state: dict,
-    graph: FeynmanGraph,
-    order: VertexOrder,
-    a: Sequence[int],
-    windings: Mapping[int, int],
     vertex: int,
-    caps: Mapping[int, int],
+    plans: Sequence[Plan],
+    windings: Mapping[int, int],
     x_bound: int,
 ) -> dict:
-    """Variable-tracking germ operator: keys are (basis key, exponent vector).
+    """The three-germ operator of one vertex on (basis key, exponent vector)
+    states; each germ move m multiplies by x_vertex^m.
 
-    Each germ multiplies by x_vertex^m; there is no balance constraint.
-    This is the only operator that changes x_vertex, so a state whose
-    exponent leaves the window |x_vertex| <= x_bound is dropped here.
+    This is the only operator that changes x_vertex, so only moves that
+    land it in the window |x_vertex| <= x_bound are kept: the product runs
+    over all germs but the last, whose move is looked up by each m that
+    lands x_vertex in the window (within one germ the moves have distinct
+    m).  At x_bound = 0 the moves must balance.
     """
     out: dict = {}
-    plans = _germ_plans(graph, order, a, windings, vertex, 0, caps)
     vi = vertex - 1
+    window = range(-x_bound, x_bound + 1)
     for (key, xvec), coeff in state.items():
-        options = _moves_for_key(plans, a, key)
+        options = _moves_for_key(plans, windings, key)
         if not options:
             continue
-        for combo in itertools.product(*options):
-            xv = xvec[vi] + sum(m for m, _ in combo)
-            if abs(xv) > x_bound:
-                continue
-            res = _apply_moves(key, coeff, combo)
-            if res is None:
-                continue
-            new_key, c = res
-            new_x = list(xvec)
-            new_x[vi] = xv
-            nk = (new_key, tuple(new_x))
-            out[nk] = out.get(nk, 0) + c
+        options.sort(key=len)  # the widest germ closes
+        closing = {m: (m, t) for m, t in options[-1]}
+        for combo in itertools.product(*options[:-1]):
+            base = xvec[vi] + sum(m for m, _ in combo)
+            for xv in window:
+                last = closing.get(xv - base)
+                if last is None:
+                    continue
+                res = _apply_moves(key, coeff, combo + (last,))
+                if res is None:
+                    continue
+                new_key, c = res
+                nk = (new_key, xvec[:vi] + (xv,) + xvec[vi + 1 :])
+                out[nk] = out.get(nk, 0) + c
     return {k: c for k, c in out.items() if c != 0}
+
+
+def _operator_series(
+    n: int,
+    plans: Sequence[tuple[int, Sequence[Plan]]],
+    a: Sequence[int],
+    windings: Mapping[int, int],
+    x_bound: int,
+) -> dict[tuple[int, ...], int]:
+    """{exponent vector: coefficient} of the bra component of the operator
+    product applied to the ket (see :func:`labeled_series_product`)."""
+    bra, ket = labeled_boundary_states(a, windings)
+    state: dict = {(ket, (0,) * n): 1}
+    for vertex, germs in plans:
+        state = _vertex_operator(state, vertex, germs, windings, x_bound)
+        if not state:
+            break
+    return {xvec: c for (key, xvec), c in state.items() if key == bra}
 
 
 def labeled_series_product(
@@ -589,66 +517,71 @@ def labeled_series_product(
     a: Sequence[int],
     windings: Mapping[int, int],
     x_bound: int,
-) -> dict[tuple[int, ...], Coeff]:
-    """The variable-tracking matrix element as a vertex-exponent series.
+) -> dict[tuple[int, ...], int]:
+    """prod_k (1/w_k)^{a_k/w_k} <bra| M_{last} ... M_{first} |ket> as a
+    vertex-exponent series, restricted to |exponent| <= x_bound in every
+    slot.
 
-    Returns {exponent vector: coefficient}, restricted to the window
-    |exponent| <= x_bound in every slot, including the winding prefactor.
-    The window is applied vertex by vertex: the operator of vertex v is
-    the only one that moves x_v, so it drops every state whose x_v falls
-    outside the window, and no later step can bring it back.
+    The bra's triples are distinct, so <bra|bra> = prod_k w_k^{a_k/w_k}
+    cancels the winding prefactor and each coefficient is the bra
+    component of the state.  The window is applied vertex by vertex: the
+    operator of vertex v is the only one that moves x_v, so it drops every
+    state whose x_v falls outside the window, and no later step can bring
+    it back.  Defined for loop-free trivalent graphs, where the operator
+    product has one three-germ factor per vertex.
     """
-    if graph.num_loops:
-        raise ValueError("labeled matrix elements need a loop-free graph")
-    if any(graph.degree(v) != 3 for v in range(1, graph.n + 1)):
-        raise ValueError("labeled matrix elements need a trivalent graph")
-    bra, ket = labeled_boundary_states(a, windings)
-    caps = _direct_edge_caps(graph, order, a, x_bound)
-    state: dict = {(ket, (0,) * graph.n): 1}
-    for vertex in reversed(order):
-        state = _vertex_operator_tracked(
-            state, graph, order, a, windings, vertex, caps, x_bound
-        )
-    prefactor = Fraction(1, _winding_denominator(a, windings))
-    norm = _basis_norm(bra)
-    out: dict[tuple[int, ...], Coeff] = {}
-    for (key, xvec), coeff in state.items():
-        if key != bra:
-            continue
-        value = normalize(coeff * norm * prefactor)
-        if value != 0:
-            out[xvec] = out.get(xvec, 0) + value
-    return {k: normalize(c) for k, c in out.items() if c != 0}
+    _, _, plans = _operator_setup(graph, order, a, x_bound)
+    return _operator_series(graph.n, plans, a, windings, x_bound)
+
+
+def labeled_matrix_element(
+    graph: FeynmanGraph,
+    order: VertexOrder,
+    a: Sequence[int],
+    windings: Mapping[int, int],
+) -> int:
+    """The exponent-zero coefficient of :func:`labeled_series_product` in
+    the window x_bound = 0, where every vertex must balance: the weighted
+    cover count of one winding choice."""
+    return labeled_series_product(graph, order, a, windings, 0).get((0,) * graph.n, 0)
+
+
+def fock_cover_count(
+    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int]
+) -> int:
+    """Sum of labeled matrix elements over all winding choices."""
+    _, _, plans = _operator_setup(graph, order, a, 0)
+    zero = (0,) * graph.n
+    return sum(
+        _operator_series(graph.n, plans, a, windings, 0).get(zero, 0)
+        for windings in winding_choices(a)
+    )
 
 
 def _edge_factor_product(
     graph: FeynmanGraph,
-    order: VertexOrder,
+    tails: Sequence[int],
     a: Sequence[int],
-    windings: Mapping[int, int] | None,
+    windings: Mapping[int, int],
     x_bound: int,
     caps: Mapping[int, int],
-) -> dict[tuple[int, ...], Coeff]:
+) -> dict[tuple[int, ...], int]:
     """prod over edges of the expected two-endpoint factor, as a series.
 
     Edges with a_k > 0 contribute w ((x_t/x_h)^w + (x_h/x_t)^w) for the
-    chosen winding w (or the divisor sum when ``windings`` is None); edges
-    with a_k = 0 contribute sum_w w (x_t/x_h)^w up to the edge cap.
+    chosen winding w; edges with a_k = 0 contribute sum_w w (x_t/x_h)^w up
+    to the edge cap.
     """
-    series: dict[tuple[int, ...], Coeff] = {(0,) * graph.n: 1}
-    for idx in range(graph.num_edges):
-        tail, head = edge_orientation(graph, idx, order)
-        ti, hi = tail - 1, head - 1
-        factor: list[tuple[int, int]] = []  # (signed winding at tail, weight w)
+    series: dict[tuple[int, ...], int] = {(0,) * graph.n: 1}
+    for idx, (u, v) in enumerate(graph.edges):
+        ti = tails[idx] - 1
+        hi = u + v - tails[idx] - 1
         if a[idx] > 0:
-            ws = [windings[idx + 1]] if windings is not None else divisors(a[idx])
-            for w in ws:
-                factor.append((w, w))
-                factor.append((-w, w))
+            w = windings[idx + 1]
+            factor = [(w, w), (-w, w)]  # (signed winding at tail, weight w)
         else:
-            for w in range(1, caps[idx + 1] + 1):
-                factor.append((w, w))
-        new: dict[tuple[int, ...], Coeff] = {}
+            factor = [(w, w) for w in range(1, caps[idx + 1] + 1)]
+        new: dict[tuple[int, ...], int] = {}
         for xvec, coeff in series.items():
             for signed, w in factor:
                 nx = list(xvec)
@@ -677,14 +610,15 @@ def labeled_series_product_check(
     window, and that the winding-summed exponent-zero coefficient is the
     weighted cover count.
     """
-    caps = _direct_edge_caps(graph, order, a, x_bound)
-    total_zero: Coeff = 0
+    tails, caps, plans = _operator_setup(graph, order, a, x_bound)
+    zero = (0,) * graph.n
+    total_zero = 0
     for windings in winding_choices(a):
-        lhs = labeled_series_product(graph, order, a, windings, x_bound)
-        rhs = _edge_factor_product(graph, order, a, windings, x_bound, caps)
+        lhs = _operator_series(graph.n, plans, a, windings, x_bound)
+        rhs = _edge_factor_product(graph, tails, a, windings, x_bound, caps)
         if lhs != rhs:
             return False
-        total_zero = total_zero + lhs.get((0,) * graph.n, 0)
+        total_zero += lhs.get(zero, 0)
     from .covers import cover_count
 
-    return normalize(total_zero) == cover_count(graph, order, a)
+    return total_zero == cover_count(graph, order, a)

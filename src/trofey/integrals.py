@@ -298,6 +298,18 @@ def refined_sweep(
         if len(t) != graph.n:
             raise ValueError("bad leak vector length")
     assert a_t is not None
+    return _sweep(graph, order, a_t, targets, gf_t, x_bound)
+
+
+def _sweep(
+    graph: FeynmanGraph,
+    order: VertexOrder,
+    a_t: Multidegree,
+    targets: Sequence[LeakVector],
+    gf_t: tuple[int, ...],
+    x_bound: int | None,
+) -> dict[LeakVector, Coeff]:
+    """:func:`refined_sweep` on an already normalized query."""
     degrees = [(a_k,) for a_k in a_t]
     d = sum(a_t)
     if x_bound is not None:
@@ -326,14 +338,11 @@ def refined_coeff(
     function is supplied) the plain factors are used; a nonzero genus
     function then raises.
     """
-    a_t, leaks, gf_t, vc = _normalize_query(graph, a, l, gf, vertex_contributions)
+    a_t, leaks, gf_t, _ = _normalize_query(graph, a, l, gf, vertex_contributions)
     assert a_t is not None
     if sum(leaks) != 0:
         return 0  # every edge term moves weight between vertices, net zero
-    return refined_sweep(
-        graph, order, a_t, [leaks], gf_t if vc else None,
-        vertex_contributions=vc, x_bound=x_bound,
-    )[leaks]
+    return _sweep(graph, order, a_t, [leaks], gf_t, x_bound)[leaks]
 
 
 def multidegrees(

@@ -375,6 +375,18 @@ def test_fock_check_rejects_bad_graph(graphs, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("amax", ["0", "1"])
+def test_fock_check_rejects_loops_before_any_order(capsys, tmp_path, amax):
+    # the dumbbell's two loops need a_k >= 1 each, so at amax 0 or 1 no
+    # multidegree fits; "0 instances" would be a vacuous pass
+    path = tmp_path / "dumbbell.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[1, 1], [2, 2], [1, 2]]}))
+    code, out, err = run(capsys, "fock", "check", "--graph", str(path), "--amax", amax)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: labeled matrix elements need a loop-free graph"]
+
+
 def test_fit_constant(capsys):
     code, out, _ = run(capsys, "fit", "--coeffs", "1", "--max-weight", "0")
     assert code == 0

@@ -314,10 +314,15 @@ def test_labeled_matrix_element_splits_cover_count():
 
 
 def test_labeled_matrix_element_guards():
+    dumbbell = FeynmanGraph(2, ((1, 1), (2, 2), (1, 2)))
+    windings = {1: 1, 2: 1, 3: 1}
     with pytest.raises(ValueError):
-        labeled_matrix_element(
-            FeynmanGraph(2, ((1, 1), (2, 2), (1, 2))), ID2, (1, 1, 1), {1: 1, 2: 1, 3: 1}
-        )
+        labeled_matrix_element(dumbbell, ID2, (1, 1, 1), windings)
+    # one set-up guards every labeled entry point
+    with pytest.raises(ValueError, match="loop-free"):
+        labeled_series_product(dumbbell, ID2, (1, 1, 1), windings, 2)
+    with pytest.raises(ValueError, match="loop-free"):
+        labeled_series_product_check(dumbbell, ID2, (1, 1, 1), 2)
     with pytest.raises(ValueError):
         labeled_matrix_element(
             FeynmanGraph(3, ((1, 2), (2, 3), (1, 3))), identity_order(3), (1, 1, 1),
@@ -363,45 +368,74 @@ def test_series_product_check_theta_and_k4():
     assert labeled_series_product_check(DBL_DBL, id4, (1, 0, 0, 0, 0, 1), 3)
 
 
-def _vertex_operator_oracle(state, graph, order, a, windings, vertex, energy):
-    """The balanced operator as the full germ product filtered on sum 0."""
+def _vertex_operator_oracle(state, vertex, plans, windings, x_bound):
+    """The vertex operator as the full germ product, then the window filter."""
     out = {}
-    plans = fock._germ_plans(graph, order, a, windings, vertex, energy, None)
-    for key, coeff in state.items():
-        options = fock._moves_for_key(plans, a, key)
+    vi = vertex - 1
+    for (key, xvec), coeff in state.items():
+        options = fock._moves_for_key(plans, windings, key)
         if not options:
             continue
         for combo in itertools.product(*options):
-            if sum(m for m, _ in combo) != 0:
+            xv = xvec[vi] + sum(m for m, _ in combo)
+            if abs(xv) > x_bound:
                 continue
             res = fock._apply_moves(key, coeff, combo)
             if res is None:
                 continue
             new_key, c = res
-            out[new_key] = out.get(new_key, 0) + c
+            nk = (new_key, xvec[:vi] + (xv,) + xvec[vi + 1 :])
+            out[nk] = out.get(nk, 0) + c
     return {k: c for k, c in out.items() if c != 0}
 
 
 def test_balanced_operator_matches_product_filter_oracle():
-    nonzero = 0
+    # x_bound = 0 is the balanced operator of the matrix element; windows
+    # 1 and 2 exercise the closing-germ lookup over several target x_v
+    for x_bound in (0, 1, 2):
+        nonzero = 0
+        for graph in (THETA, K4, DBL_DBL):
+            for order in all_orders(graph.n):
+                for a in multidegrees(graph, [2] * graph.num_edges, 2):
+                    _, _, plans = fock._operator_setup(graph, order, a, x_bound)
+                    for windings in winding_choices(a):
+                        _, ket = labeled_boundary_states(a, windings)
+                        state = {(ket, (0,) * graph.n): 1}
+                        for vertex, germs in plans:
+                            want = _vertex_operator_oracle(
+                                state, vertex, germs, windings, x_bound
+                            )
+                            got = fock._vertex_operator(
+                                state, vertex, germs, windings, x_bound
+                            )
+                            assert got == want, (x_bound, graph.edges, order, a, vertex)
+                            state = want
+                        nonzero += bool(state)
+        assert nonzero > 0, x_bound
+
+
+def test_matrix_element_is_exponent_zero_coefficient_in_any_window():
+    # the window-0 caps on the a_k = 0 edges lose nothing that a wider
+    # window keeps at exponent zero
     for graph in (THETA, K4, DBL_DBL):
+        zero = (0,) * graph.n
         for order in all_orders(graph.n):
             for a in multidegrees(graph, [2] * graph.num_edges, 2):
-                energy = sum(a)
                 for windings in winding_choices(a):
-                    _, ket = labeled_boundary_states(a, windings)
-                    state = {ket: 1}
-                    for vertex in reversed(order):
-                        want = _vertex_operator_oracle(
-                            state, graph, order, a, windings, vertex, energy
+                    want = labeled_matrix_element(graph, order, a, windings)
+                    for x_bound in range(4):
+                        table = labeled_series_product(graph, order, a, windings, x_bound)
+                        assert table.get(zero, 0) == want, (
+                            graph.edges, order, a, windings, x_bound
                         )
-                        got = fock._vertex_operator(
-                            state, graph, order, a, windings, vertex, energy
-                        )
-                        assert got == want, (graph.edges, order, a, windings, vertex)
-                        state = want
-                    nonzero += bool(state)
-    assert nonzero > 0
+
+
+def test_negative_window_is_rejected():
+    # an empty window is not a product: {} or False would read as a mismatch
+    with pytest.raises(ValueError, match="x_bound must be >= 0, got -1"):
+        labeled_series_product(THETA, ID2, (2, 0, 0), {1: 2}, -1)
+    with pytest.raises(ValueError, match="x_bound must be >= 0, got -1"):
+        labeled_series_product_check(THETA, ID2, (2, 0, 0), -1)
 
 
 def test_series_product_check_every_order_dbl_dbl():
@@ -415,10 +449,10 @@ def test_series_product_equals_edge_factors_in_small_window(x_bound):
     for graph in (THETA, K4, DBL_DBL):
         for order in all_orders(graph.n):
             for a in multidegrees(graph, [1] * graph.num_edges, 2):
-                caps = fock._direct_edge_caps(graph, order, a, x_bound)
+                tails, caps, _ = fock._operator_setup(graph, order, a, x_bound)
                 for windings in winding_choices(a):
                     lhs = labeled_series_product(graph, order, a, windings, x_bound)
                     rhs = fock._edge_factor_product(
-                        graph, order, a, windings, x_bound, caps
+                        graph, tails, a, windings, x_bound, caps
                     )
                     assert lhs == rhs, (graph.edges, order, a, windings)

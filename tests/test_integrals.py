@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from series_oracle import refined_coeff_reference
+from trofey import integrals
 from trofey.graphs import (
     FeynmanGraph,
     all_orders,
@@ -75,6 +76,45 @@ def test_loop_without_degree_vanishes():
 def test_unbalanced_leak_vanishes():
     # windings transport x-exponents; a nonzero total leak can never cancel
     assert refined_coeff(TRIANGLE, ID3, (0, 0, 2), l=(1, 0, 0)) == 0
+
+
+def test_unbalanced_leak_vanishes_before_the_window_check():
+    # x_bound = 0 is below the winding bound of a = (0, 0, 1), but a leak
+    # vector that cannot balance is 0 before any window is looked at
+    assert refined_coeff(TRIANGLE, (1, 2, 3), (0, 0, 1), l=(1, 0, 0), x_bound=0) == 0
+
+
+def test_refined_coeff_normalizes_its_query_once(monkeypatch):
+    calls = []
+    normalize_query = integrals._normalize_query
+
+    def counted(*args):
+        calls.append(args)
+        return normalize_query(*args)
+
+    monkeypatch.setattr(integrals, "_normalize_query", counted)
+    assert refined_coeff(TRIANGLE, ID3, (0, 0, 3), gf=(1, 0, 0)) == Fraction(115, 6)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"a": (0, 1)}, "multidegree must be 3 nonnegative integers"),
+        ({"a": (0, -1, 1)}, "multidegree must be 3 nonnegative integers"),
+        ({"l": (1, -1)}, "leak vector must have length 3"),
+        ({"vertex_contributions": True}, "vertex contributions need a genus function"),
+        ({"gf": (1, 0)}, "genus function must be n nonnegative integers"),
+        ({"gf": (1, 0, 0), "vertex_contributions": False},
+         "plain integrals require an all-zero genus function"),
+        ({"x_bound": 0}, "x_bound 0 is smaller than the provably sufficient winding bound 1"),
+    ],
+)
+def test_refined_coeff_bad_input_messages(kwargs, message):
+    kwargs = {"a": (0, 0, 1), **kwargs}
+    with pytest.raises(ValueError) as info:
+        refined_coeff(TRIANGLE, ID3, **kwargs)
+    assert str(info.value).startswith(message)
 
 
 def test_balanced_leak_example_matches_reference():
