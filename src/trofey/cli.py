@@ -26,9 +26,9 @@ from . import __version__
 from .covers import _cover_table, invariant_series
 from .fock import (
     _check_operator_graph,
+    _fock_table,
     double_hurwitz,
     elliptic_hurwitz_disconnected,
-    fock_cover_count,
 )
 from .graphs import (
     FeynmanGraph,
@@ -130,6 +130,20 @@ def _thread_count(args: argparse.Namespace) -> int:
     if threads < 1:
         raise CliError(VALIDATION_ERROR, f"TROFEY_THREADS must be >= 1, got {threads}")
     return threads
+
+
+def _first_mismatch(left: dict, right: dict) -> tuple | None:
+    """(a, left value, right value) at the lexicographically least key
+    where two tables differ (a missing key reads 0), or None.
+
+    That key is the first mismatch that :func:`multidegrees` would yield,
+    since both tables hold only multidegrees it yields.
+    """
+    differing = [a for a in left.keys() | right.keys() if left.get(a, 0) != right.get(a, 0)]
+    if not differing:
+        return None
+    a = min(differing)
+    return a, left.get(a, 0), right.get(a, 0)
 
 
 def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> Iterator[Any]:
@@ -261,8 +275,8 @@ def _compare_tasks(
     """One task per (labeled graph, orientation class), weighted count/|Aut|.
 
     A task reads each side at every multidegree from one pass (the
-    integral DP and the cover pass) and compares the two tables,
-    multidegree by multidegree.
+    integral DP and the cover pass) and compares the two tables over the
+    union of their keys.
     """
     tasks = []
     for assignment in enumerate_labeled_graphs(k):
@@ -276,16 +290,13 @@ def _compare_tasks(
             def task(graph=graph, gf=gf, order=order, weight=Fraction(count, aut)):
                 integral = integral_series_refined(graph, order, dmax, gf=gf, total_q_cap=dmax)
                 covers = _cover_table(graph, order, dmax, k)
+                mismatch = _first_mismatch(covers, integral)
+                if mismatch is not None:
+                    return {}, (graph.edges, gf, order) + mismatch
                 part: dict[int, Fraction] = {}
-                for a in multidegrees(graph, [dmax] * graph.num_edges, dmax):
-                    covers_value = covers.get(a, 0)
-                    integral_value = integral.get(a, 0)
-                    if covers_value != integral_value:
-                        witness = (graph.edges, gf, order, a, covers_value, integral_value)
-                        return part, witness
-                    if covers_value != 0:
-                        d = sum(a)
-                        part[d] = part.get(d, Fraction(0)) + covers_value * weight
+                for a, value in covers.items():
+                    d = sum(a)
+                    part[d] = part.get(d, Fraction(0)) + value * weight
                 return part, None
 
             tasks.append(task)
@@ -381,28 +392,22 @@ def cmd_fock(args: argparse.Namespace) -> int:
         amax = args.amax
 
         def task(order):
-            covers = _cover_table(graph, order, amax)
-            checked = 0
-            for a in multidegrees(graph, [amax] * graph.num_edges, amax):
-                lhs = fock_cover_count(graph, order, a)
-                rhs = covers.get(a, 0)
-                if lhs != rhs:
-                    return checked, (order, a, lhs, rhs)
-                checked += 1
-            return checked, None
+            """One operator pass and one cover pass, compared as tables."""
+            fock = _fock_table(graph, order, amax)
+            return order, _first_mismatch(fock, _cover_table(graph, order, amax))
 
         tasks = [lambda order=order: task(order) for order in orders]
-        total_checked = 0
-        for checked, witness in _run_tasks(tasks, _thread_count(args)):
-            total_checked += checked
-            if witness is not None:
-                order, a, lhs, rhs = witness
+        for order, mismatch in _run_tasks(tasks, _thread_count(args)):
+            if mismatch is not None:
+                a, lhs, rhs = mismatch
                 print(
                     "operator/cover mismatch: order=%s a=%s fock=%s covers=%s"
                     % (order, a, _format_rational(lhs), _format_rational(rhs)),
                     file=sys.stderr,
                 )
                 return MISMATCH_ERROR
+        per_order = sum(1 for _ in multidegrees(graph, [amax] * graph.num_edges, amax))
+        total_checked = per_order * len(orders)
         query = {"command": "fock check", "graph": args.graph, "amax": amax}
         results = [
             {"labels": {"instances": total_checked}, "value": _format_rational(total_checked)}

@@ -26,9 +26,17 @@ x_v in a window |x_v| <= x_bound.  The operator product, sandwiched
 between explicit bra/ket states, is the product of the edge factors; its
 exponent-zero coefficient at x_bound = 0, where every vertex balances, is
 the labeled matrix element, and it reproduces the weighted cover count
-winding by winding.  The set-up that a (graph, order, multidegree) fixes
--- guards, edge directions, weight caps and germ plans -- is built once
-and shared by all winding choices.
+winding by winding.
+
+One pass, :func:`_operator_pass`, runs the product for a (graph, vertex
+order) at every multidegree and winding choice at once.  It walks the
+vertices in acting order; each vertex opens the edges it heads (choosing
+a_k from a degree set and w | a_k, and adding that edge's ket labels),
+applies its operator, and closes the edges it tails (their labels must
+now be the bra's, and are dropped).  ``fock check`` reads the pass as a
+table keyed by multidegree; :func:`fock_cover_count` and the
+``labeled_*`` functions are views with one degree (and one winding) per
+edge.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Mapping, Sequence
 
-from .graphs import FeynmanGraph, VertexOrder, edge_orientation
+from .graphs import FeynmanGraph, Multidegree, VertexOrder, edge_orientation
 from .propagators import divisors
 from .series import Coeff, invert, mul, normalize
 
@@ -318,71 +326,70 @@ def _check_operator_graph(graph: FeynmanGraph) -> None:
         raise ValueError("labeled matrix elements need a trivalent graph")
 
 
-def _operator_setup(
-    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int], x_bound: int
-) -> tuple[list[int], dict[int, int], list[tuple[int, list[Plan]]]]:
-    """Everything one (graph, order, multidegree, window) fixes for every
-    winding choice: the edge tails, the weight caps of the a_k = 0 edges
-    (:func:`_direct_edge_caps`) and, in acting order (the order-last
-    vertex acts on the ket first), each vertex with its germ plans.
-    """
+def _check_query(graph: FeynmanGraph, a: Sequence[int], x_bound: int) -> Multidegree:
+    """The guards of one labeled entry point: graph, multidegree, window."""
     _check_operator_graph(graph)
     if len(a) != graph.num_edges or any(x < 0 for x in a):
         raise ValueError("bad multidegree")
     if x_bound < 0:
         raise ValueError(f"x_bound must be >= 0, got {x_bound}")
+    return tuple(a)
+
+
+def _order_setup(
+    graph: FeynmanGraph, order: VertexOrder
+) -> tuple[list[int], dict[int, list[int]]]:
+    """What a vertex order fixes: the tail (order-earlier endpoint) of every
+    edge, and every vertex's incident edges (its germs) in index order."""
     tails = [edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges)]
-    caps = _direct_edge_caps(graph, order, a, tails, x_bound)
-    plans = [
-        (vertex, _germ_plans(graph, a, tails, caps, vertex)) for vertex in reversed(order)
-    ]
-    return tails, caps, plans
+    germs: dict[int, list[int]] = {v: [] for v in order}
+    for idx, (u, v) in enumerate(graph.edges):
+        germs[u].append(idx)
+        germs[v].append(idx)
+    return tails, germs
 
 
-def _direct_edge_caps(
-    graph: FeynmanGraph,
+def _edge_caps(
     order: VertexOrder,
-    a: Sequence[int],
     tails: Sequence[int],
+    germs: Mapping[int, Sequence[int]],
+    degrees: Sequence[Sequence[int]],
+    total_cap: int,
     x_bound: int,
 ) -> dict[int, int]:
-    """Largest weight an a_k = 0 edge can carry and still contribute a
-    monomial inside the |exponent| <= x_bound window.
+    """Largest weight an edge of degree 0 can carry and still contribute a
+    monomial inside the |exponent| <= x_bound window, for every edge whose
+    degree set holds 0.
 
     At the tail of such an edge the positive exponent +w must be offset,
-    within the window, by the other germs there: marked edges contribute
-    at most a_e, and incoming unmarked edges at most their own (already
-    computed) cap, so processing tails in vertex order closes the caps.
+    within the window, by the other germs there: an edge of degree a_e > 0
+    contributes at most a_e, so at most its largest degree within the
+    total cap, and an incoming edge of degree 0 at most its own (already
+    computed) cap; processing tails in vertex order closes the caps.  With
+    one degree per edge these are the caps of that multidegree.
     """
     caps: dict[int, int] = {}
-    incident: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
-    for idx, (u, v) in enumerate(graph.edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
     for tail_v in order:
-        for idx in incident[tail_v]:
-            if a[idx] > 0 or tails[idx] != tail_v:
+        for idx in germs[tail_v]:
+            if 0 not in degrees[idx] or tails[idx] != tail_v:
                 continue
             cap = x_bound
-            for other in incident[tail_v]:
+            for other in germs[tail_v]:
                 if other == idx:
                     continue
-                if a[other] > 0:
-                    cap += a[other]
-                elif tails[other] != tail_v:  # incoming: contributes -w here
-                    cap += caps[other + 1]
+                top = min(max(degrees[other]), total_cap)
+                if 0 in degrees[other] and tails[other] != tail_v:  # incoming: -w here
+                    top = max(top, caps[other + 1])
+                cap += top
             caps[idx + 1] = cap
     return caps
 
 
-def _germ_plans(
-    graph: FeynmanGraph,
-    a: Sequence[int],
-    tails: Sequence[int],
-    caps: Mapping[int, int],
-    vertex: int,
-) -> list[Plan]:
-    """One plan per incident edge germ: how this vertex's germ may move.
+def _moves_for_key(
+    plans: Sequence[Plan], windings: Mapping[int, int], key: tuple[Triple, ...]
+) -> list[list[tuple[int, Triple]]]:
+    """Per germ plan, the moves that can act on this basis key without
+    dying, in ascending m (a key is sorted, so its triples are too).
 
     A plan is (kind, edge, parameter):
 
@@ -395,23 +402,6 @@ def _germ_plans(
     * ("create", k, cap): a_k = 0, this vertex is the head and acts
       first -- it must create (k, 1, m), m = 1..cap.
     """
-    plans: list[Plan] = []
-    for idx, (u, v) in enumerate(graph.edges):
-        if vertex not in (u, v):
-            continue
-        k = idx + 1
-        if a[idx] > 0:
-            plans.append(("marked", k, a[idx]))
-        else:
-            kind = "annihilate" if vertex == tails[idx] else "create"
-            plans.append((kind, k, caps[k]))
-    return plans
-
-
-def _moves_for_key(
-    plans: Sequence[Plan], windings: Mapping[int, int], key: tuple[Triple, ...]
-) -> list[list[tuple[int, Triple]]]:
-    """Per germ plan, the moves that can act on this basis key without dying."""
     options: list[list[tuple[int, Triple]]] = []
     for kind, k, par in plans:
         if kind == "marked":
@@ -427,7 +417,7 @@ def _moves_for_key(
                 if t[0] == k and t[1] == 1 and t[2] <= par
             ]
         else:
-            moves = [(-m, (k, 1, m)) for m in range(1, par + 1)]
+            moves = [(-m, (k, 1, m)) for m in range(par, 0, -1)]
         if not moves:
             return []
         options.append(moves)
@@ -464,51 +454,183 @@ def _vertex_operator(
     states; each germ move m multiplies by x_vertex^m.
 
     This is the only operator that changes x_vertex, so only moves that
-    land it in the window |x_vertex| <= x_bound are kept: the product runs
-    over all germs but the last, whose move is looked up by each m that
-    lands x_vertex in the window (within one germ the moves have distinct
-    m).  At x_bound = 0 the moves must balance.
+    land it in the window |x_vertex| <= x_bound are kept: a germ keeps a
+    move only if the other germs can still bring x_vertex into the window,
+    the product runs over all germs but the last, and the last germ's move
+    is looked up by each m that lands x_vertex in the window (within one
+    germ the moves have distinct m).  At x_bound = 0 the moves must
+    balance.  The moves depend on a state only through its key and
+    x_vertex, so they are found once per such pair.
     """
-    out: dict = {}
+    rows: dict = {}
     vi = vertex - 1
-    window = range(-x_bound, x_bound + 1)
     for (key, xvec), coeff in state.items():
+        rows.setdefault((key, xvec[vi]), []).append((xvec, coeff))
+    out: dict = {}
+    for (key, x0), group in rows.items():
         options = _moves_for_key(plans, windings, key)
         if not options:
+            continue
+        low = x0 + sum(moves[0][0] for moves in options)  # moves ascend in m
+        high = x0 + sum(moves[-1][0] for moves in options)
+        options = [
+            [
+                mv
+                for mv in moves
+                if moves[-1][0] - high - x_bound <= mv[0] <= moves[0][0] - low + x_bound
+            ]
+            for moves in options
+        ]
+        if not all(options):
             continue
         options.sort(key=len)  # the widest germ closes
         closing = {m: (m, t) for m, t in options[-1]}
         for combo in itertools.product(*options[:-1]):
-            base = xvec[vi] + sum(m for m, _ in combo)
-            for xv in window:
+            base = x0 + sum(m for m, _ in combo)
+            for xv in range(-x_bound, x_bound + 1):
                 last = closing.get(xv - base)
                 if last is None:
                     continue
-                res = _apply_moves(key, coeff, combo + (last,))
+                res = _apply_moves(key, 1, combo + (last,))
                 if res is None:
                     continue
-                new_key, c = res
-                nk = (new_key, xvec[:vi] + (xv,) + xvec[vi + 1 :])
-                out[nk] = out.get(nk, 0) + c
+                new_key, factor = res
+                for xvec, coeff in group:
+                    nk = (new_key, xvec[:vi] + (xv,) + xvec[vi + 1 :])
+                    out[nk] = out.get(nk, 0) + coeff * factor
     return {k: c for k, c in out.items() if c != 0}
 
 
-def _operator_series(
-    n: int,
-    plans: Sequence[tuple[int, Sequence[Plan]]],
-    a: Sequence[int],
+def _open_edge(
+    groups: dict,
+    idx: int,
+    degrees: Sequence[int],
+    total_cap: int,
+    windings: Mapping[int, int] | None,
+) -> dict:
+    """Give edge idx a degree a_k (ascending, within each group's remaining
+    budget) and a winding w | a_k, and put its ket triples (k, 2..c+1, w),
+    c = a_k / w, into every key."""
+    k = idx + 1
+    out: dict = {}
+    for (a, wind), states in groups.items():
+        budget = total_cap - sum(a)
+        for a_k in degrees:
+            if a_k > budget:
+                break
+            if a_k == 0:
+                out[a, wind] = states
+                continue
+            marked = a[:idx] + (a_k,) + a[idx + 1 :]
+            for w in divisors(a_k) if windings is None else (windings[k],):
+                ket = tuple((k, j, w) for j in range(2, a_k // w + 2))
+                opened = {key: tuple(sorted(key + ket)) for key, _ in states}
+                out[marked, wind[:idx] + (w,) + wind[idx + 1 :]] = {
+                    (opened[key], xvec): c for (key, xvec), c in states.items()
+                }
+    return out
+
+
+def _close_edges(groups: dict, idxs: Sequence[int]) -> dict:
+    """Keep the states whose triples on each edge in idxs are exactly the
+    bra's (k, 1..c, w), or none for a_k = 0, and drop those triples and
+    windings; states that differed only there merge."""
+    edges = {idx + 1 for idx in idxs}
+    out: dict = {}
+    for (a, wind), states in groups.items():
+        bra = tuple(
+            (idx + 1, j, wind[idx])
+            for idx in idxs
+            if a[idx]
+            for j in range(1, a[idx] // wind[idx] + 1)
+        )
+        closed = tuple(0 if idx in idxs else w for idx, w in enumerate(wind))
+        merged = out.setdefault((a, closed), {})
+        rests: dict = {}  # key -> key without the closed edges, or None
+        for (key, xvec), c in states.items():
+            if key not in rests:
+                mine = tuple(t for t in key if t[0] in edges)
+                rests[key] = tuple(t for t in key if t[0] not in edges) if mine == bra else None
+            rest = rests[key]
+            if rest is not None:
+                merged[rest, xvec] = merged.get((rest, xvec), 0) + c
+    return {group: states for group, states in out.items() if states}
+
+
+def _operator_pass(
+    graph: FeynmanGraph,
+    order: VertexOrder,
+    degrees: Sequence[Sequence[int]],
+    total_cap: int,
+    windings: Mapping[int, int] | None,
+    x_bound: int,
+) -> dict[tuple[Multidegree, tuple[int, ...]], int]:
+    """{(a, exponent vector): coefficient} of the labeled operator product
+    at every multidegree with a_k in degrees[k] (ascending) and
+    sum(a) <= total_cap, summed over every winding choice (or at the one
+    choice ``windings``), inside the window |x_v| <= x_bound.
+
+    One pass over the vertices in acting order (the order-last vertex acts
+    on the ket first).  States are (multidegree so far, windings of the
+    open edges, basis key, exponent vector).  A vertex first opens the
+    edges it heads (:func:`_open_edge`), then applies its windowed
+    operator (:func:`_vertex_operator`), then closes the edges it tails
+    (:func:`_close_edges`).  This is exact for any window: vertex v's
+    operator is the only one that moves x_v; an edge's triples are
+    untouched until its head acts and cannot change after its tail acts;
+    and the bra's triples are distinct, so each coefficient is the bra
+    component of :func:`labeled_series_product`.  States of different
+    multidegrees share every step before the edges where they differ open.
+    The caller has checked the graph (:func:`_check_operator_graph`).
+    """
+    n, r = graph.n, graph.num_edges
+    tails, germs = _order_setup(graph, order)
+    caps = _edge_caps(order, tails, germs, degrees, total_cap, x_bound)
+    opens: dict[int, list[int]] = {v: [] for v in order}
+    closes: dict[int, list[int]] = {v: [] for v in order}
+    for idx, tail in enumerate(tails):
+        closes[tail].append(idx)
+        opens[sum(graph.edges[idx]) - tail].append(idx)
+    groups: dict = {((0,) * r, (0,) * r): {((), (0,) * n): 1}}
+    for vertex in reversed(order):
+        for idx in opens[vertex]:
+            groups = _open_edge(groups, idx, degrees[idx], total_cap, windings)
+        stepped: dict = {}
+        for (a, wind), states in groups.items():
+            plans: list[Plan] = []
+            for idx in germs[vertex]:
+                if a[idx]:
+                    plans.append(("marked", idx + 1, a[idx]))
+                else:
+                    kind = "annihilate" if tails[idx] == vertex else "create"
+                    plans.append((kind, idx + 1, caps[idx + 1]))
+            here = {idx + 1: wind[idx] for idx in germs[vertex] if a[idx]}
+            states = _vertex_operator(states, vertex, plans, here, x_bound)
+            if states:
+                stepped[a, wind] = states
+        groups = _close_edges(stepped, closes[vertex]) if closes[vertex] else stepped
+        if not groups:
+            break
+    return {(a, xvec): c for (a, _), states in groups.items() for (_, xvec), c in states.items()}
+
+
+def _fock_table(graph: FeynmanGraph, order: VertexOrder, amax: int) -> dict[Multidegree, int]:
+    """:func:`fock_cover_count` at every multidegree with sum(a) <= amax,
+    from one pass (zero entries dropped); the caller has checked the graph."""
+    degrees = [range(amax + 1)] * graph.num_edges
+    return {a: c for (a, _), c in _operator_pass(graph, order, degrees, amax, None, 0).items()}
+
+
+def _series(
+    graph: FeynmanGraph,
+    order: VertexOrder,
+    a: Multidegree,
     windings: Mapping[int, int],
     x_bound: int,
 ) -> dict[tuple[int, ...], int]:
-    """{exponent vector: coefficient} of the bra component of the operator
-    product applied to the ket (see :func:`labeled_series_product`)."""
-    bra, ket = labeled_boundary_states(a, windings)
-    state: dict = {(ket, (0,) * n): 1}
-    for vertex, germs in plans:
-        state = _vertex_operator(state, vertex, germs, windings, x_bound)
-        if not state:
-            break
-    return {xvec: c for (key, xvec), c in state.items() if key == bra}
+    """The pass at one multidegree and one winding choice, by exponent vector."""
+    table = _operator_pass(graph, order, [(x,) for x in a], sum(a), windings, x_bound)
+    return {xvec: c for (_, xvec), c in table.items()}
 
 
 def labeled_series_product(
@@ -528,10 +650,12 @@ def labeled_series_product(
     operator of vertex v is the only one that moves x_v, so it drops every
     state whose x_v falls outside the window, and no later step can bring
     it back.  Defined for loop-free trivalent graphs, where the operator
-    product has one three-germ factor per vertex.
+    product has one three-germ factor per vertex.  A view of
+    :func:`_operator_pass` with one degree and one winding per edge.
     """
-    _, _, plans = _operator_setup(graph, order, a, x_bound)
-    return _operator_series(graph.n, plans, a, windings, x_bound)
+    a = _check_query(graph, a, x_bound)
+    labeled_boundary_states(a, windings)  # every winding must divide its a_k
+    return _series(graph, order, a, windings, x_bound)
 
 
 def labeled_matrix_element(
@@ -549,13 +673,10 @@ def labeled_matrix_element(
 def fock_cover_count(
     graph: FeynmanGraph, order: VertexOrder, a: Sequence[int]
 ) -> int:
-    """Sum of labeled matrix elements over all winding choices."""
-    _, _, plans = _operator_setup(graph, order, a, 0)
-    zero = (0,) * graph.n
-    return sum(
-        _operator_series(graph.n, plans, a, windings, 0).get(zero, 0)
-        for windings in winding_choices(a)
-    )
+    """Sum of labeled matrix elements over all winding choices: the pass
+    with the one degree a_k on edge k."""
+    a = _check_query(graph, a, 0)
+    return sum(_operator_pass(graph, order, [(x,) for x in a], sum(a), None, 0).values())
 
 
 def _edge_factor_product(
@@ -570,8 +691,10 @@ def _edge_factor_product(
 
     Edges with a_k > 0 contribute w ((x_t/x_h)^w + (x_h/x_t)^w) for the
     chosen winding w; edges with a_k = 0 contribute sum_w w (x_t/x_h)^w up
-    to the edge cap.
+    to the edge cap.  A vertex's exponent is final once its last edge is
+    in, so the window is applied to it then.
     """
+    last_edge = {v: idx for idx, edge in enumerate(graph.edges) for v in edge}
     series: dict[tuple[int, ...], int] = {(0,) * graph.n: 1}
     for idx, (u, v) in enumerate(graph.edges):
         ti = tails[idx] - 1
@@ -589,12 +712,9 @@ def _edge_factor_product(
                 nx[hi] -= signed
                 key = tuple(nx)
                 new[key] = new.get(key, 0) + coeff * w
-        series = new
-    return {
-        k: c
-        for k, c in series.items()
-        if c != 0 and all(abs(e) <= x_bound for e in k)
-    }
+        done = [x - 1 for x in (u, v) if last_edge[x] == idx]
+        series = {k: c for k, c in new.items() if all(abs(k[i]) <= x_bound for i in done)}
+    return {k: c for k, c in series.items() if c != 0}
 
 
 def labeled_series_product_check(
@@ -610,11 +730,13 @@ def labeled_series_product_check(
     window, and that the winding-summed exponent-zero coefficient is the
     weighted cover count.
     """
-    tails, caps, plans = _operator_setup(graph, order, a, x_bound)
+    a = _check_query(graph, a, x_bound)
+    tails, germs = _order_setup(graph, order)
+    caps = _edge_caps(order, tails, germs, [(x,) for x in a], sum(a), x_bound)
     zero = (0,) * graph.n
     total_zero = 0
     for windings in winding_choices(a):
-        lhs = _operator_series(graph.n, plans, a, windings, x_bound)
+        lhs = _series(graph, order, a, windings, x_bound)
         rhs = _edge_factor_product(graph, tails, a, windings, x_bound, caps)
         if lhs != rhs:
             return False

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trofey
-from trofey import cli
+from trofey import cli, fock
 from trofey.cli import main
 from trofey.covers import cover_count, descendant_contribution
 from trofey.graphs import FeynmanGraph, orientation_classes
+from trofey.integrals import multidegrees
 from trofey.quasimodular import fit as quasimodular_fit
 
 
@@ -282,13 +283,14 @@ def test_fock_check_passes(graphs, capsys):
 
 
 def test_fock_check_mismatch_prints_one_witness(graphs, capsys, monkeypatch):
-    true_count = cli.fock_cover_count
+    true_table = cli._fock_table
 
-    def off_by_one(graph, order, a):
-        value = true_count(graph, order, a)
-        return value + 1 if a == (2, 0, 0) else value
+    def off_by_one(graph, order, amax):
+        table = true_table(graph, order, amax)
+        table[2, 0, 0] = table.get((2, 0, 0), 0) + 1
+        return table
 
-    monkeypatch.setattr(cli, "fock_cover_count", off_by_one)
+    monkeypatch.setattr(cli, "_fock_table", off_by_one)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
@@ -325,20 +327,80 @@ def test_run_tasks_is_serial_in_task_order():
 
 def test_fock_check_stops_at_the_first_mismatch(graphs, capsys, monkeypatch):
     # every order mismatches at a = (2, 0, 0); only the first order may run
-    true_count = cli.fock_cover_count
+    true_table = cli._fock_table
     orders_seen = []
 
-    def off_by_one(graph, order, a):
+    def off_by_one(graph, order, amax):
         orders_seen.append(order)
-        value = true_count(graph, order, a)
-        return value + 1 if a == (2, 0, 0) else value
+        table = true_table(graph, order, amax)
+        table[2, 0, 0] = table.get((2, 0, 0), 0) + 1
+        return table
 
-    monkeypatch.setattr(cli, "fock_cover_count", off_by_one)
+    monkeypatch.setattr(cli, "_fock_table", off_by_one)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
     assert err.startswith("operator/cover mismatch: order=(1, 2) a=(2, 0, 0) ")
     assert set(orders_seen) == {(1, 2)}
+
+
+def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, monkeypatch):
+    # two multidegrees of the first order mismatch, one of them missing from
+    # the table; the witness is the one multidegrees yields first, whatever
+    # order the table holds them in
+    theta = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
+    first, later = (0, 1, 1), (2, 0, 0)
+    assert list(multidegrees(theta, [2] * 3, 2)).index(first) < list(
+        multidegrees(theta, [2] * 3, 2)
+    ).index(later)
+    true_table = cli._fock_table
+
+    def two_off(graph, order, amax):
+        table = true_table(graph, order, amax)
+        wrong = {later: table.get(later, 0) + 1}
+        wrong.update((a, c) for a, c in table.items() if a not in (first, later))
+        return wrong
+
+    monkeypatch.setattr(cli, "_fock_table", two_off)
+    code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
+    assert code == 4
+    assert out == ""
+    covers = cover_count(theta, (1, 2), first)
+    assert covers != 0
+    assert err == f"operator/cover mismatch: order=(1, 2) a={first} fock=0 covers={covers}\n"
+
+
+def test_invariant_compare_prints_the_first_mismatching_multidegree(capsys, monkeypatch):
+    # as above, for the first task of --compare
+    true_table = cli.integral_series_refined
+    corrupted = []
+
+    def two_off(graph, order, dmax, **kwargs):
+        table = true_table(graph, order, dmax, **kwargs)
+        if corrupted:
+            return table
+        yielded = list(multidegrees(graph, [dmax] * graph.num_edges, dmax))
+        first, later = yielded[0], yielded[-1]
+        corrupted.append((graph.edges, order, first, table.get(first, 0)))
+        wrong = {later: table.get(later, 0) + 1}
+        wrong.update((a, c) for a, c in table.items() if a not in (first, later))
+        wrong[first] = table.get(first, 0) + 1
+        return wrong
+
+    monkeypatch.setattr(cli, "integral_series_refined", two_off)
+    code, out, err = run(capsys, "invariant", "--k", "2,0,0", "--dmax", "2", "--compare")
+    assert code == 4
+    assert out == ""
+    [(edges, order, first, value)] = corrupted
+    match = re.fullmatch(
+        r"route mismatch: edges=(.*) gf=.* order=(.*) a=(.*) covers=(\S+) integral=(\S+)\n", err
+    )
+    assert match, err
+    assert ast.literal_eval(match.group(1)) == edges
+    assert ast.literal_eval(match.group(2)) == order
+    assert ast.literal_eval(match.group(3)) == first
+    assert Fraction(match.group(4)) == value
+    assert Fraction(match.group(5)) == value + 1
 
 
 def test_invariant_compare_stops_at_the_first_mismatch(capsys, monkeypatch):
@@ -360,6 +422,23 @@ def test_invariant_compare_stops_at_the_first_mismatch(capsys, monkeypatch):
     edges, order = (ast.literal_eval(match.group(i)) for i in (1, 2))
     assert calls[-1] == (edges, order)
     assert len(calls) < len(cli._compare_tasks((2, 0, 0), 2))
+
+
+def test_fock_check_guards_the_graph_once(graphs, capsys, monkeypatch):
+    # the tables run no guard of their own: the one check precedes every order
+    calls = []
+    true_guard = cli._check_operator_graph
+
+    def counted(graph):
+        calls.append(graph)
+        true_guard(graph)
+
+    monkeypatch.setattr(cli, "_check_operator_graph", counted)
+    monkeypatch.setattr(fock, "_check_operator_graph", counted)
+    code, out, _ = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
+    assert code == 0
+    assert out == "20\n"
+    assert len(calls) == 1
 
 
 def test_fock_check_rejects_negative_amax(graphs, capsys):

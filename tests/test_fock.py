@@ -11,9 +11,15 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from fock_oracle import (
+    _direct_edge_caps,
+    _operator_setup,
+    fock_cover_count_reference,
+    series_product_reference,
+)
 
 from trofey import fock
-from trofey.covers import cover_count, cover_count_by_windings, invariant
+from trofey.covers import _cover_table, cover_count, cover_count_by_windings, invariant
 from trofey.fock import (
     apply_alpha,
     cut_join,
@@ -397,7 +403,7 @@ def test_balanced_operator_matches_product_filter_oracle():
         for graph in (THETA, K4, DBL_DBL):
             for order in all_orders(graph.n):
                 for a in multidegrees(graph, [2] * graph.num_edges, 2):
-                    _, _, plans = fock._operator_setup(graph, order, a, x_bound)
+                    _, _, plans = _operator_setup(graph, order, a, x_bound)
                     for windings in winding_choices(a):
                         _, ket = labeled_boundary_states(a, windings)
                         state = {(ket, (0,) * graph.n): 1}
@@ -449,10 +455,71 @@ def test_series_product_equals_edge_factors_in_small_window(x_bound):
     for graph in (THETA, K4, DBL_DBL):
         for order in all_orders(graph.n):
             for a in multidegrees(graph, [1] * graph.num_edges, 2):
-                tails, caps, _ = fock._operator_setup(graph, order, a, x_bound)
+                tails, caps, _ = _operator_setup(graph, order, a, x_bound)
                 for windings in winding_choices(a):
                     lhs = labeled_series_product(graph, order, a, windings, x_bound)
                     rhs = fock._edge_factor_product(
                         graph, tails, a, windings, x_bound, caps
                     )
                     assert lhs == rhs, (graph.edges, order, a, windings)
+
+
+# -- the one-pass table against the per-winding product --------------------
+
+
+def test_fock_table_equals_oracle_and_cover_table():
+    # one pass per order over every multidegree, summed over windings
+    for graph in (THETA, K4, DBL_DBL):
+        for order in all_orders(graph.n):
+            table = fock._fock_table(graph, order, 3)
+            assert table == _cover_table(graph, order, 3), (graph.edges, order)
+            for a in multidegrees(graph, [3] * graph.num_edges, 3):
+                want = fock_cover_count_reference(graph, order, a)
+                assert table.get(a, 0) == want, (graph.edges, order, a)
+                assert fock_cover_count(graph, order, a) == want, (graph.edges, order, a)
+
+
+def test_series_product_equals_per_winding_oracle():
+    for graph in (THETA, K4, DBL_DBL):
+        for order in all_orders(graph.n):
+            for a in multidegrees(graph, [2] * graph.num_edges, 2):
+                for windings in winding_choices(a):
+                    for x_bound in (0, 1, 2):
+                        want = series_product_reference(graph, order, a, windings, x_bound)
+                        got = labeled_series_product(graph, order, a, windings, x_bound)
+                        assert got == want, (graph.edges, order, a, windings, x_bound)
+
+
+def test_edge_caps_of_one_multidegree_are_its_direct_caps():
+    # the edge-factor side of labeled_series_product_check reads these caps
+    for graph in (THETA, K4, DBL_DBL):
+        for order in all_orders(graph.n):
+            tails, germs = fock._order_setup(graph, order)
+            for a in multidegrees(graph, [3] * graph.num_edges, 3):
+                for x_bound in (0, 1, 2):
+                    got = fock._edge_caps(order, tails, germs, [(x,) for x in a], sum(a), x_bound)
+                    assert got == _direct_edge_caps(graph, order, a, tails, x_bound), (
+                        graph.edges, order, a, x_bound
+                    )
+
+
+def test_operator_guard_runs_once_per_call(monkeypatch):
+    calls = []
+    true_guard = fock._check_operator_graph
+
+    def counted(graph):
+        calls.append(graph)
+        true_guard(graph)
+
+    monkeypatch.setattr(fock, "_check_operator_graph", counted)
+    id4 = identity_order(4)
+    a = (1, 0, 0, 0, 0, 1)
+    for call in (
+        lambda: fock_cover_count(DBL_DBL, id4, a),
+        lambda: labeled_matrix_element(DBL_DBL, id4, a, {1: 1, 6: 1}),
+        lambda: labeled_series_product(DBL_DBL, id4, a, {1: 1, 6: 1}, 2),
+        lambda: labeled_series_product_check(DBL_DBL, id4, a, 2),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
