@@ -12,7 +12,7 @@ from fractions import Fraction
 from trofey.covers import invariant_series
 from trofey.integrals import mirror_total_series
 
-VECTORS = [(1, 1), (2, 0, 0), (2, 2), (3, 1)]
+VECTORS = [(1, 1), (2, 0, 0), (1, 1, 1, 1), (2, 2), (3, 1)]
 
 
 def fmt(value) -> str:

@@ -33,12 +33,10 @@ from .fock import (
 from .graphs import (
     FeynmanGraph,
     all_orders,
-    automorphism_count,
-    enumerate_labeled_graphs,
     graph_from_json_dict,
     identity_order,
-    orientation_classes,
     validate_assignment,
+    weighted_classes,
 )
 from .integrals import (
     integral_series_q,
@@ -118,18 +116,17 @@ def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[i
     return graph, gf, relabeling
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    """TROFEY_THREADS if set, else --threads (checked in :func:`main`)."""
+def _check_thread_env(args: argparse.Namespace) -> None:
+    """Let TROFEY_THREADS, if set, override --threads, checked like it."""
     env = os.environ.get("TROFEY_THREADS")
     if env is None:
-        return args.threads
+        return
     try:
-        threads = int(env)
+        args.threads = int(env)
     except ValueError as exc:
         raise CliError(PARSE_ERROR, "TROFEY_THREADS must be an integer") from exc
-    if threads < 1:
-        raise CliError(VALIDATION_ERROR, f"TROFEY_THREADS must be >= 1, got {threads}")
-    return threads
+    if args.threads < 1:
+        raise CliError(VALIDATION_ERROR, f"TROFEY_THREADS must be >= 1, got {args.threads}")
 
 
 def _first_mismatch(left: dict, right: dict) -> tuple | None:
@@ -272,34 +269,29 @@ def _strip_private(report: dict[str, Any]) -> None:
 def _compare_tasks(
     k: tuple[int, ...], dmax: int
 ) -> list[Callable[[], tuple[dict[int, Fraction], tuple | None]]]:
-    """One task per (labeled graph, orientation class), weighted count/|Aut|.
+    """One task per (isomorphism class, orientation class) of
+    :func:`~trofey.graphs.weighted_classes`, carrying its weight.
 
     A task reads each side at every multidegree from one pass (the
     integral DP and the cover pass) and compares the two tables over the
     union of their keys.
     """
     tasks = []
-    for assignment in enumerate_labeled_graphs(k):
-        graph, gf = assignment.graph, assignment.gf
-        reasons = validate_assignment(graph, gf, k)
-        if reasons:
-            raise CliError(VALIDATION_ERROR, "; ".join(reasons))
-        aut = automorphism_count(graph, gf, "vertex_labeled")
-        for order, count in orientation_classes(graph):
+    for graph, gf, order, weight in weighted_classes(k):
 
-            def task(graph=graph, gf=gf, order=order, weight=Fraction(count, aut)):
-                integral = integral_series_refined(graph, order, dmax, gf=gf, total_q_cap=dmax)
-                covers = _cover_table(graph, order, dmax, k)
-                mismatch = _first_mismatch(covers, integral)
-                if mismatch is not None:
-                    return {}, (graph.edges, gf, order) + mismatch
-                part: dict[int, Fraction] = {}
-                for a, value in covers.items():
-                    d = sum(a)
-                    part[d] = part.get(d, Fraction(0)) + value * weight
-                return part, None
+        def task(graph=graph, gf=gf, order=order, weight=weight):
+            integral = integral_series_refined(graph, order, dmax, gf=gf, total_q_cap=dmax)
+            covers = _cover_table(graph, order, dmax, k)
+            mismatch = _first_mismatch(covers, integral)
+            if mismatch is not None:
+                return {}, (graph.edges, gf, order) + mismatch
+            part: dict[int, Fraction] = {}
+            for a, value in covers.items():
+                d = sum(a)
+                part[d] = part.get(d, Fraction(0)) + value * weight
+            return part, None
 
-            tasks.append(task)
+        tasks.append(task)
     return tasks
 
 
@@ -317,7 +309,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
         if args.compare:
             tasks = _compare_tasks(k, args.dmax)
             totals: dict[int, Fraction] = {}
-            for part, witness in _run_tasks(tasks, _thread_count(args)):
+            for part, witness in _run_tasks(tasks, args.threads):
                 for d, c in part.items():
                     totals[d] = totals.get(d, Fraction(0)) + c
                 if witness is not None:
@@ -397,7 +389,7 @@ def cmd_fock(args: argparse.Namespace) -> int:
             return order, _first_mismatch(fock, _cover_table(graph, order, amax))
 
         tasks = [lambda order=order: task(order) for order in orders]
-        for order, mismatch in _run_tasks(tasks, _thread_count(args)):
+        for order, mismatch in _run_tasks(tasks, args.threads):
             if mismatch is not None:
                 a, lhs, rhs = mismatch
                 print(
@@ -566,6 +558,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise CliError(VALIDATION_ERROR, f"--threads must be >= 1, got {args.threads}")
+        _check_thread_env(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

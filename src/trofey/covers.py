@@ -50,10 +50,10 @@ from .graphs import (
     FeynmanGraph,
     Multidegree,
     VertexOrder,
+    _check_assignment,
     automorphism_count,
     enumerate_labeled_graphs,
-    orientation_classes,
-    validate_assignment,
+    weighted_classes,
 )
 from .propagators import divisors
 from .series import Coeff, invert, mul, s_series
@@ -356,12 +356,6 @@ def _cover_table(
     return table
 
 
-def _check_assignment(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> None:
-    reasons = validate_assignment(graph, gf, k)
-    if reasons:
-        raise ValueError("invalid (graph, gf, k): " + "; ".join(reasons))
-
-
 def descendant_contribution(
     graph: FeynmanGraph,
     gf: Sequence[int],
@@ -422,6 +416,10 @@ def invariant_fixed_order(
 ) -> Coeff:
     """One vertex order's slice of the invariant: sum over labeled graph
     classes of (descendant contributions at total degree d) / |Aut_vl|."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    if sorted(order) != list(range(1, len(k) + 1)):
+        raise ValueError(f"order must be a permutation of 1..{len(k)}, got {tuple(order)}")
     total: Coeff = 0
     for assignment in enumerate_labeled_graphs(k):
         graph, gf = assignment.graph, assignment.gf
@@ -434,44 +432,29 @@ def invariant_fixed_order(
 
 
 def _invariant_totals(k: Sequence[int], degrees: range) -> dict[int, Coeff]:
-    """Nonzero invariant values at the given degrees >= 1: one cover pass
-    per (labeled graph, orientation class), its table bucketed by d."""
+    """Nonzero invariant values at the given degrees >= 1: one cover pass per
+    class of :func:`~trofey.graphs.weighted_classes`, its table bucketed by d."""
     totals: dict[int, Coeff] = {}
-    if not degrees:
-        return totals
-    cap = degrees[-1]
-    for assignment in enumerate_labeled_graphs(k):
-        graph, gf = assignment.graph, assignment.gf
-        _check_assignment(graph, gf, k)
-        aut = automorphism_count(graph, gf, "vertex_labeled")
-        for order, count in orientation_classes(graph):
-            weight = Fraction(count, aut)
-            for a, value in _cover_table(graph, order, cap, k).items():
-                d = sum(a)
-                if d in degrees:
-                    totals[d] = totals.get(d, 0) + value * weight
+    cap = max(degrees, default=0)
+    for graph, gf, order, weight in weighted_classes(k):
+        for a, value in _cover_table(graph, order, cap, k).items():
+            d = sum(a)
+            if d in degrees:
+                totals[d] = totals.get(d, 0) + value * weight
     return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
 
 
 def invariant(k: Sequence[int], d: int) -> Coeff:
-    """The degree-d descendant invariant: sum over all vertex orders.
-
-    Sums over vertex-labeled (graph, gf) classes weighted by the
-    vertex-labeled automorphism count (equivalently: isomorphism classes
-    weighted by labeled-copy count / |Aut_vl|); see the mirror-series
-    docstring in :mod:`trofey.integrals` for why the bare unlabeled-Aut
-    weighting is not used.
-    """
+    """The degree-d descendant invariant: sum over all vertex orders and
+    graph classes, weighted as in :func:`~trofey.graphs.weighted_classes`."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     return _invariant_totals(k, range(d, d + 1)).get(d, 0)
 
 
 def invariant_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
-    """Invariant values for all degrees 1..q_order (zero values dropped).
-
-    Each (labeled graph, gf) is enumerated, validated and weighted once,
-    and each orientation class of its vertex orders is evaluated once and
-    weighted by its size.
-    """
+    """Invariant values for all degrees 1..q_order (zero values dropped),
+    from one cover pass per class of :func:`~trofey.graphs.weighted_classes`."""
+    if q_order < 0:
+        raise ValueError(f"q-order must be >= 0, got {q_order}")
     return _invariant_totals(k, range(1, q_order + 1))

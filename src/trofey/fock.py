@@ -282,7 +282,7 @@ def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
 # -- labeled mode --------------------------------------------------------
 
 Triple = tuple[int, int, int]  # (edge index, germ label, weight)
-Plan = tuple[str, int, int]  # (kind, edge index, parameter); see _germ_plans
+Plan = tuple[str, int, int]  # (kind, edge index, parameter); built in _operator_pass
 
 
 def labeled_boundary_states(

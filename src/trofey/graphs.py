@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -382,21 +383,57 @@ def canonical_code(graph: FeynmanGraph, gf: Sequence[int]) -> tuple:
     )
 
 
-def labeled_copy_count(graph: FeynmanGraph, gf: Sequence[int]) -> int:
-    """Number of distinct labeled assignments isomorphic to this one that
-    stay compatible with the *same* descendant vector.
+def _orbit_codes(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> set[tuple]:
+    """Codes of the assignment under the vertex relabelings preserving k."""
+    return {
+        _relabeled_code(graph, gf, perm)
+        for perm in itertools.permutations(range(1, graph.n + 1))
+        if all(k[p - 1] == kv for p, kv in zip(perm, k))
+    }
 
-    Only relabelings preserving the k-vector produce assignments counted
-    by :func:`enumerate_labeled_graphs` for that k; the count is the orbit
-    size of the decorated adjacency data under those relabelings.
+
+def labeled_copy_count(graph: FeynmanGraph, gf: Sequence[int]) -> int:
+    """How many times :func:`enumerate_labeled_graphs` lists this class for
+    its own k: the orbit under the relabelings preserving k."""
+    return len(_orbit_codes(graph, gf, derived_k(graph, gf)))
+
+
+def _orbit_walk(k: Sequence[int]) -> Iterator[tuple[GraphAssignment, int]]:
+    """(first labeled member, orbit size) per isomorphism class, in the
+    order of :func:`enumerate_labeled_graphs`; later members are skipped."""
+    seen: set[tuple] = set()
+    for assignment in enumerate_labeled_graphs(k):
+        graph, gf = assignment.graph, assignment.gf
+        if _relabeled_code(graph, gf, identity_order(graph.n)) not in seen:
+            orbit = _orbit_codes(graph, gf, k)
+            seen |= orbit
+            yield assignment, len(orbit)
+
+
+def _check_assignment(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> None:
+    reasons = validate_assignment(graph, gf, k)
+    if reasons:
+        raise ValueError("invalid (graph, gf, k): " + "; ".join(reasons))
+
+
+def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
+    """(graph, gf, order, Fraction weight) once per (isomorphism class,
+    orientation class): the graph sum of the cover and integral routes.
+
+    An invariant sums a per-order value / |Aut_vl| over all labeled
+    (graph, gf) for k and all n! vertex orders.  Relabeling permutes the
+    orders and keeps |Aut_vl|, so each isomorphism class is visited (and
+    validated) once, at its first labeled member, with weight class size
+    (:func:`orientation_classes`) * labeled copies / |Aut_vl|.  The bare
+    unlabeled 1/|Aut| misses the pinned values; one vertex order is not
+    relabeling-invariant, so its slice sums labeled graphs.
     """
-    k = derived_k(graph, gf)
-    codes = set()
-    for perm in itertools.permutations(range(1, graph.n + 1)):
-        if any(k[perm[v - 1] - 1] != k[v - 1] for v in range(1, graph.n + 1)):
-            continue
-        codes.add(_relabeled_code(graph, gf, perm))
-    return len(codes)
+    for assignment, copies in _orbit_walk(k):
+        graph, gf = assignment.graph, assignment.gf
+        _check_assignment(graph, gf, k)
+        aut = automorphism_count(graph, gf, "vertex_labeled")
+        for order, size in orientation_classes(graph):
+            yield graph, gf, order, Fraction(size * copies, aut)
 
 
 def enumerate_graphs(k: Sequence[int]) -> list[GraphAssignment]:
@@ -406,12 +443,8 @@ def enumerate_graphs(k: Sequence[int]) -> list[GraphAssignment]:
     hence the descendant vector).  Representatives are sorted by their
     canonical codes, so the output order is deterministic.
     """
-    seen: dict[tuple, GraphAssignment] = {}
-    for assignment in enumerate_labeled_graphs(k):
-        code = canonical_code(assignment.graph, assignment.gf)
-        if code not in seen:
-            seen[code] = assignment
-    return [seen[code] for code in sorted(seen)]
+    reps = [assignment for assignment, _ in _orbit_walk(k)]
+    return sorted(reps, key=lambda a: canonical_code(a.graph, a.gf))
 
 
 # -- JSON interchange --------------------------------------------------

@@ -39,7 +39,6 @@ bounds are sufficient, and an explicit smaller ``x_bound`` raises instead.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -47,10 +46,9 @@ from .graphs import (
     FeynmanGraph,
     Multidegree,
     VertexOrder,
-    automorphism_count,
     edge_orientation,
-    enumerate_labeled_graphs,
     orientation_classes,
+    weighted_classes,
 )
 from .propagators import divisors
 from .series import Coeff, invert, s_coeff, s_series
@@ -446,21 +444,12 @@ def integral_series_all_orders(
 
 
 def mirror_total_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
-    """The graph-sum side of the mirror identity.
-
-    Sums, over all vertex-labeled (graph, gf) classes compatible with k
-    and all vertex orders, the dressed q-series weighted by the
-    vertex-labeled automorphism count.  Summing labeled classes this way
-    equals summing isomorphism classes with the labeled-copy multiplicity;
-    both reproduce the pinned invariant values, whereas weighting
-    isomorphism classes by bare 1/|Aut| does not.
-    """
+    """The graph-sum side of the mirror identity: the dressed q-series summed
+    as in :func:`~trofey.graphs.weighted_classes` (zero coefficients dropped)."""
     totals: dict[int, Coeff] = {}
-    for assignment in enumerate_labeled_graphs(k):
-        aut = automorphism_count(assignment.graph, assignment.gf, "vertex_labeled")
-        series = integral_series_all_orders(assignment.graph, assignment.gf, q_order)
-        for d, c in series.items():
-            s = totals.get(d, 0) + c * Fraction(1, aut)
+    for graph, gf, order, weight in weighted_classes(k):
+        for d, c in integral_series_q(graph, gf, order, q_order).items():
+            s = totals.get(d, 0) + c * weight
             if s == 0:
                 totals.pop(d, None)
             else:

@@ -552,10 +552,24 @@ def test_threads_env_does_not_change_output(graphs, capsys, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_bad_threads_env(capsys, monkeypatch):
+# every subcommand reads TROFEY_THREADS through main, not only the task runners
+THREAD_ENV_ARGVS = (
+    ("invariant", "--k", "1,1", "--dmax", "1"),
+    ("invariant", "--k", "1,1", "--dmax", "1", "--compare"),
+    ("fit", "--coeffs", "1,0,240", "--max-weight", "4"),
+    ("fock", "double", "--mu", "2,1", "--nu", "2,1", "--n", "2"),
+    ("fock", "elliptic", "--g", "2", "--d", "3"),
+)
+
+
+def test_bad_threads_env(graphs, capsys, monkeypatch):
     monkeypatch.setenv("TROFEY_THREADS", "many")
-    code, _, _ = run(capsys, "invariant", "--k", "1,1", "--dmax", "1", "--compare")
-    assert code == 2
+    integral = ("integral", "--graph", graphs["theta"], "--a", "0,0,1")
+    for argv in THREAD_ENV_ARGVS + (integral,):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.splitlines() == ["error: TROFEY_THREADS must be an integer"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
@@ -573,10 +587,11 @@ def test_threads_flag_below_one_is_validation_error(capsys, threads):
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_env_below_one_is_validation_error(capsys, monkeypatch, threads):
     monkeypatch.setenv("TROFEY_THREADS", threads)
-    code, out, err = run(capsys, "invariant", "--k", "1,1", "--dmax", "1", "--compare")
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == [f"error: TROFEY_THREADS must be >= 1, got {threads}"]
+    for argv in THREAD_ENV_ARGVS:
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.splitlines() == [f"error: TROFEY_THREADS must be >= 1, got {threads}"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -34,7 +34,7 @@ from trofey.graphs import (
     identity_order,
     orientation_classes,
 )
-from trofey.integrals import integral_series_refined, multidegrees
+from trofey.integrals import integral_series_refined, mirror_total_series, multidegrees
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -274,17 +274,41 @@ def test_invariant_series_matches_pointwise():
 
 
 @pytest.mark.parametrize(
-    "k, q_order", [((2, 0, 0), 4), ((1, 1), 4), ((2, 2), 2), ((2, 1, 1), 2)]
+    "k, q_order",
+    [((2, 0, 0), 4), ((1, 1), 4), ((2, 2), 2), ((2, 1, 1), 2), ((1, 1, 1, 1), 3), ((3, 1), 4)],
 )
 def test_invariant_series_equals_sum_of_order_slices(k, q_order):
-    # the one-pass series (orientation classes weighted by size) against the
-    # per-degree, per-order definition
+    # both routes' graph-class sums (one isomorphism class per orbit, weighted
+    # by labeled copies) against the labeled, per-degree, per-order definition
     expected = {}
     for d in range(1, q_order + 1):
         value = sum(invariant_fixed_order(k, d, order) for order in all_orders(len(k)))
         if value != 0:
             expected[d] = value
     assert invariant_series(k, q_order) == expected
+    assert mirror_total_series(k, q_order) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: invariant_series((2, 0, 0), -1), "q-order must be >= 0"),
+        (lambda: mirror_total_series((2, 0, 0), -1), "q-order must be >= 0"),
+        (lambda: invariant_series((1, 2), 0), "must be even"),
+        (lambda: mirror_total_series((1, 2), 0), "must be even"),
+        (lambda: invariant_fixed_order((2, 0, 0), 0, ID3), "degree must be >= 1"),
+        (lambda: invariant_fixed_order((2, 0, 0), 1, (1, 1, 2)), "permutation of 1..3"),
+        (lambda: invariant_fixed_order((2, 0, 0), 1, (1, 2)), "permutation of 1..3"),
+    ],
+)
+def test_route_entry_points_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_invariant_series_six_points():
+    # also the completed-cycles value, which shares no code with the graph routes
+    assert invariant_series((1,) * 6, 2) == {2: 1440}
 
 
 def test_invariant_series_1111_through_d4():

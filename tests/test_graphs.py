@@ -1,5 +1,8 @@
 """Tests for multigraphs, vertex orders, automorphisms, and enumeration."""
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,9 @@ from trofey.graphs import (
     order_position,
     validate,
     validate_assignment,
+    weighted_classes,
 )
+from test_acceptance import SWEEP_KS
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -189,6 +194,31 @@ def test_enumerate_graphs_reps_cover_all_labeled_classes():
         assert {canonical_code(a.graph, a.gf) for a in labeled} == rep_codes
         # copy counts partition the labeled classes
         assert sum(labeled_copy_count(a.graph, a.gf) for a in reps) == len(labeled)
+
+
+@pytest.mark.parametrize("k", SWEEP_KS)
+def test_weighted_classes_visit_each_orbit_once(k):
+    labeled = enumerate_labeled_graphs(k)
+    classes = list(weighted_classes(k))
+    # the weights total the labeled graph sum of n! / |Aut_vl|
+    assert sum(weight for *_, weight in classes) == sum(
+        Fraction(factorial(len(k)), automorphism_count(a.graph, a.gf)) for a in labeled
+    )
+    # representatives: the first labeled member of each isomorphism class,
+    # in enumeration order, with every orientation class weighted by its
+    # size * labeled copies / |Aut_vl|
+    first: dict[tuple, int] = {}
+    for i, a in enumerate(labeled):
+        first.setdefault(canonical_code(a.graph, a.gf), i)
+    expected = []
+    for i in sorted(first.values()):
+        graph, gf = labeled[i].graph, labeled[i].gf
+        copies, aut = labeled_copy_count(graph, gf), automorphism_count(graph, gf)
+        for order, size in orientation_classes(graph):
+            expected.append((graph, gf, order, Fraction(size * copies, aut)))
+    assert classes == expected
+    # enumerate_graphs keeps its old output: those members, by canonical code
+    assert enumerate_graphs(k) == [labeled[i] for _, i in sorted(first.items())]
 
 
 @settings(max_examples=40, deadline=None)
