@@ -46,7 +46,6 @@ from .integrals import (
     refined_coeff,
 )
 from .quasimodular import fit as quasimodular_fit
-from .quasimodular import monomial_weight
 
 PARSE_ERROR = 2
 VALIDATION_ERROR = 3
@@ -280,7 +279,7 @@ def _compare_tasks(
     for graph, gf, order, weight in weighted_classes(k):
 
         def task(graph=graph, gf=gf, order=order, weight=weight):
-            integral = integral_series_refined(graph, order, dmax, gf=gf, total_q_cap=dmax)
+            integral = integral_series_refined(graph, order, dmax, gf=gf)
             covers = _cover_table(graph, order, dmax, k)
             mismatch = _first_mismatch(covers, integral)
             if mismatch is not None:
@@ -469,18 +468,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "q_order": q_order,
         "source": args.series or "inline",
     }
-    rows = []
-    ordered = sorted(
-        result.coefficients.items(),
-        key=lambda kv: (monomial_weight(kv[0]), -kv[0][0], -kv[0][1]),
-    )
-    for (a, b, c), value in ordered:
-        name = "*".join(
-            f"{nm}^{e}" if e > 1 else nm
-            for nm, e in (("E2", a), ("E4", b), ("E6", c))
-            if e > 0
-        ) or "1"
-        rows.append({"labels": {"monomial": name}, "value": _format_rational(value)})
+    rows = [
+        {"labels": {"monomial": name}, "value": _format_rational(value)}
+        for name, value in result.terms()
+    ]
     extra = {
         "weight_profile": sorted(result.weight_profile),
         "homogeneous": result.is_homogeneous,

@@ -52,6 +52,9 @@ from .graphs import (
     VertexOrder,
     _check_assignment,
     automorphism_count,
+    check_leaks,
+    check_multidegree,
+    check_order,
     enumerate_labeled_graphs,
     weighted_classes,
 )
@@ -212,12 +215,9 @@ def _single(
 ) -> Iterator[Cover]:
     """The pass at one multidegree (the degree set (a_k,) on edge k), its
     inputs checked."""
-    a = tuple(a)
-    if len(a) != graph.num_edges or any(x < 0 for x in a):
-        raise ValueError(f"multidegree must be {graph.num_edges} nonnegative integers")
-    leaks = tuple(l) if l is not None else (0,) * graph.n
-    if len(leaks) != graph.n:
-        raise ValueError(f"leak vector must have length {graph.n}")
+    order = check_order(order, graph.n)
+    a = check_multidegree(a, graph.num_edges)
+    leaks = check_leaks(l, graph.n)
     return _cover_pass(graph, order, [(a_k,) for a_k in a], sum(a), leaks)
 
 
@@ -269,9 +269,10 @@ def cover_count_by_windings(
     Keys are tuples of w_k over those edges in index order -- the
     decomposition the Fock route produces summand by summand.
     """
-    marked = [idx for idx in range(graph.num_edges) if a[idx] > 0]
+    covers = _single(graph, order, a, l)
+    marked = [idx for idx, a_k in enumerate(a) if a_k > 0]
     out: dict[tuple[int, ...], int] = {}
-    for _, windings, _ in _single(graph, order, a, l):
+    for _, windings, _ in covers:
         key = tuple(windings[idx] for idx in marked)
         out[key] = out.get(key, 0) + prod(windings)
     return out
@@ -378,9 +379,10 @@ def descendant_contribution_by_windings(
     """Per-cover breakdown of descendant_contribution, keyed like
     :func:`cover_count_by_windings`."""
     _check_assignment(graph, gf, k)
-    marked = [idx for idx in range(graph.num_edges) if a[idx] > 0]
+    covers = _single(graph, order, a, None)
+    marked = [idx for idx, a_k in enumerate(a) if a_k > 0]
     out: dict[tuple[int, ...], Coeff] = {}
-    for _, windings, arrows in _single(graph, order, a, None):
+    for _, windings, arrows in covers:
         term = _descendant_weight(graph.n, windings, arrows, k)
         if term == 0:
             continue
@@ -403,6 +405,7 @@ def fixed_order_series(
     automorphism count of the graph.
     """
     _check_assignment(graph, gf, k)
+    order = check_order(order, graph.n)
     aut = automorphism_count(graph, gf, "vertex_labeled")
     out: dict[int, Coeff] = {}
     for a, value in _cover_table(graph, order, q_order, k).items():
@@ -418,8 +421,7 @@ def invariant_fixed_order(
     classes of (descendant contributions at total degree d) / |Aut_vl|."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if sorted(order) != list(range(1, len(k) + 1)):
-        raise ValueError(f"order must be a permutation of 1..{len(k)}, got {tuple(order)}")
+    order = check_order(order, len(k))
     total: Coeff = 0
     for assignment in enumerate_labeled_graphs(k):
         graph, gf = assignment.graph, assignment.gf

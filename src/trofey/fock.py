@@ -47,7 +47,14 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Mapping, Sequence
 
-from .graphs import FeynmanGraph, Multidegree, VertexOrder, edge_orientation
+from .graphs import (
+    FeynmanGraph,
+    Multidegree,
+    VertexOrder,
+    check_multidegree,
+    check_order,
+    edge_orientation,
+)
 from .propagators import divisors
 from .series import Coeff, invert, mul, normalize
 
@@ -326,14 +333,16 @@ def _check_operator_graph(graph: FeynmanGraph) -> None:
         raise ValueError("labeled matrix elements need a trivalent graph")
 
 
-def _check_query(graph: FeynmanGraph, a: Sequence[int], x_bound: int) -> Multidegree:
-    """The guards of one labeled entry point: graph, multidegree, window."""
+def _check_query(
+    graph: FeynmanGraph, order: Sequence[int], a: Sequence[int], x_bound: int
+) -> tuple[VertexOrder, Multidegree]:
+    """The guards of one labeled entry point: graph, order, multidegree, window."""
     _check_operator_graph(graph)
-    if len(a) != graph.num_edges or any(x < 0 for x in a):
-        raise ValueError("bad multidegree")
+    order = check_order(order, graph.n)
+    a = check_multidegree(a, graph.num_edges)
     if x_bound < 0:
         raise ValueError(f"x_bound must be >= 0, got {x_bound}")
-    return tuple(a)
+    return order, a
 
 
 def _order_setup(
@@ -653,7 +662,7 @@ def labeled_series_product(
     product has one three-germ factor per vertex.  A view of
     :func:`_operator_pass` with one degree and one winding per edge.
     """
-    a = _check_query(graph, a, x_bound)
+    order, a = _check_query(graph, order, a, x_bound)
     labeled_boundary_states(a, windings)  # every winding must divide its a_k
     return _series(graph, order, a, windings, x_bound)
 
@@ -675,7 +684,7 @@ def fock_cover_count(
 ) -> int:
     """Sum of labeled matrix elements over all winding choices: the pass
     with the one degree a_k on edge k."""
-    a = _check_query(graph, a, 0)
+    order, a = _check_query(graph, order, a, 0)
     return sum(_operator_pass(graph, order, [(x,) for x in a], sum(a), None, 0).values())
 
 
@@ -730,7 +739,7 @@ def labeled_series_product_check(
     window, and that the winding-summed exponent-zero coefficient is the
     weighted cover count.
     """
-    a = _check_query(graph, a, x_bound)
+    order, a = _check_query(graph, order, a, x_bound)
     tails, germs = _order_setup(graph, order)
     caps = _edge_caps(order, tails, germs, [(x,) for x in a], sum(a), x_bound)
     zero = (0,) * graph.n

@@ -14,6 +14,8 @@ number of the graph then satisfies ``h1 + sum(g_v) = g`` automatically.
 
 Vertex orders (total orders on the vertex set) orient the non-loop edges:
 every edge points from its earlier endpoint to its later endpoint.
+:func:`check_order`, :func:`check_multidegree` and :func:`check_leaks`
+are the query checks every route's entry points share.
 """
 
 from __future__ import annotations
@@ -190,6 +192,30 @@ def edge_orientation(graph: FeynmanGraph, edge_index: int, order: VertexOrder) -
     if order.index(u) < order.index(v):
         return (u, v)
     return (v, u)
+
+
+def check_order(order: Sequence[int], n: int) -> VertexOrder:
+    """The order as a tuple, if it is a permutation of 1..n."""
+    order = tuple(order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order must be a permutation of 1..{n}, got {order}")
+    return order
+
+
+def check_multidegree(a: Sequence[int], r: int) -> Multidegree:
+    """The multidegree as a tuple, if it is r nonnegative integers."""
+    a = tuple(a)
+    if len(a) != r or any(x < 0 for x in a):
+        raise ValueError(f"multidegree must be {r} nonnegative integers")
+    return a
+
+
+def check_leaks(l: Sequence[int] | None, n: int) -> tuple[int, ...]:
+    """The leak vector as a tuple (None: no leaks), if it has length n."""
+    leaks = (0,) * n if l is None else tuple(l)
+    if len(leaks) != n:
+        raise ValueError(f"leak vector must have length {n}")
+    return leaks
 
 
 def _orientation_signature(graph: FeynmanGraph, order: VertexOrder) -> tuple:

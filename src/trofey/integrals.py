@@ -6,15 +6,16 @@ order, leak vector l and multidegree a, is
     Coef_{z^{2g}} Coef_{x^l} Coef_{q^a}  prod_i 1/S(z_i)
         * prod_{loops k} P~_loop(q_k) * prod_{non-loops k} P~(x_t/x_h, q_k)
 
-with the dressed factors of :mod:`trofey.propagators`; the plain variant
-drops all z-machinery (and requires an all-zero genus function).  Since
+with the dressed factors of :mod:`trofey.propagators`.  With no genus
+function every vertex has genus 0: the dressing is then trivial and the
+factors are the plain ones of the Hurwitz case, on the same code path.  Since
 q_k occurs in exactly one factor, the q-extraction happens per edge: a
 query at multidegree a multiplies the per-edge q^{a_k} slices and only
 then extracts x- and z-coefficients.
 
 One DP does every extraction.  Edge k multiplies in its q^a slices for
 the a in a degree set: the single a_k for one multidegree
-(:func:`refined_sweep`, :func:`refined_coeff`), 0..bound for a series
+(:func:`refined_sweep`, :func:`refined_coeff`), 0..q_order for a series
 (:func:`integral_series_q`, :func:`integral_series_refined`), always with
 sum(a) <= a total cap.  The state maps a grade (the total q-degree d, or
 the degrees of the edges done so far) to the monomials in (x-exponents,
@@ -34,18 +35,21 @@ pruned per vertex: an exponent x_v must stay within [min_t t_v - R_v,
 max_t t_v + R_v], where R_v sums the pruning caps of v's remaining edges.
 An edge's pruning cap is B if it may stay uncurled (0 in its degree set)
 and its largest degree otherwise.  Nothing is silently truncated: the
-bounds are sufficient, and an explicit smaller ``x_bound`` raises instead.
+bounds are sufficient.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     FeynmanGraph,
     Multidegree,
     VertexOrder,
+    check_leaks,
+    check_multidegree,
+    check_order,
     edge_orientation,
     orientation_classes,
     weighted_classes,
@@ -97,32 +101,22 @@ def _slice_terms(
 
 def _normalize_query(
     graph: FeynmanGraph,
+    order: Sequence[int],
     a: Sequence[int] | None,
     l: Sequence[int] | None,
     gf: Sequence[int] | None,
-    vertex_contributions: bool | None,
-) -> tuple[Multidegree | None, LeakVector, tuple[int, ...], bool]:
-    n, r = graph.n, graph.num_edges
+) -> tuple[VertexOrder, Multidegree | None, LeakVector, tuple[int, ...]]:
+    """The checked order, multidegree (None for a series), leaks and genus
+    function.  No genus function means genus 0 at every vertex, where the
+    dressed factors are the plain ones."""
+    order = check_order(order, graph.n)
     if a is not None:
-        a = tuple(a)
-        if len(a) != r or any(x < 0 for x in a):
-            raise ValueError(f"multidegree must be {r} nonnegative integers")
-    leaks = tuple(l) if l is not None else (0,) * n
-    if len(leaks) != n:
-        raise ValueError(f"leak vector must have length {n}")
-    if vertex_contributions is None:
-        vertex_contributions = gf is not None
-    if vertex_contributions:
-        if gf is None:
-            raise ValueError("vertex contributions need a genus function")
-        gf = tuple(gf)
-        if len(gf) != n or any(g < 0 for g in gf):
-            raise ValueError("genus function must be n nonnegative integers")
-    else:
-        if gf is not None and any(gf):
-            raise ValueError("plain integrals require an all-zero genus function")
-        gf = (0,) * n
-    return a, leaks, gf, vertex_contributions
+        a = check_multidegree(a, graph.num_edges)
+    leaks = check_leaks(l, graph.n)
+    gf = (0,) * graph.n if gf is None else tuple(gf)
+    if len(gf) != graph.n or any(g < 0 for g in gf):
+        raise ValueError("genus function must be n nonnegative integers")
+    return order, a, leaks, gf
 
 
 def _edge_processing_order(graph: FeynmanGraph, order: VertexOrder) -> list[int]:
@@ -277,26 +271,18 @@ def refined_sweep(
     a: Sequence[int],
     leak_targets: Sequence[Sequence[int]],
     gf: Sequence[int] | None = None,
-    vertex_contributions: bool | None = None,
-    x_bound: int | None = None,
 ) -> dict[LeakVector, Coeff]:
     """Coefficients at one multidegree for several leak vectors at once.
 
     One :func:`_graded_pass` with the single degree a_k on edge k: the
     edge-factor product is independent of the leak target, so a whole
-    family of leak extractions shares one product.  An explicit
-    ``x_bound`` below the largest pruning cap (loops count 0) raises
-    instead of truncating.
+    family of leak extractions shares one product.
     """
-    targets = [tuple(t) for t in leak_targets]
+    order, a_t, _, gf_t = _normalize_query(graph, order, a, None, gf)
+    targets = [check_leaks(t, graph.n) for t in leak_targets]
     if not targets:
         raise ValueError("refined_sweep needs at least one leak target")
-    a_t, _, gf_t, _ = _normalize_query(graph, a, targets[0], gf, vertex_contributions)
-    for t in targets:
-        if len(t) != graph.n:
-            raise ValueError("bad leak vector length")
-    assert a_t is not None
-    return _sweep(graph, order, a_t, targets, gf_t, x_bound)
+    return _sweep(graph, order, a_t, targets, gf_t)
 
 
 def _sweep(
@@ -305,19 +291,10 @@ def _sweep(
     a_t: Multidegree,
     targets: Sequence[LeakVector],
     gf_t: tuple[int, ...],
-    x_bound: int | None,
 ) -> dict[LeakVector, Coeff]:
     """:func:`refined_sweep` on an already normalized query."""
-    degrees = [(a_k,) for a_k in a_t]
     d = sum(a_t)
-    if x_bound is not None:
-        _, caps = _winding_caps(graph, degrees, d, targets)
-        if caps and x_bound < max(caps):
-            raise ValueError(
-                f"x_bound {x_bound} is smaller than the provably sufficient "
-                f"winding bound {max(caps)}; refusing to truncate silently"
-            )
-    tables = _graded_pass(graph, gf_t, order, degrees, d, targets, False)
+    tables = _graded_pass(graph, gf_t, order, [(a_k,) for a_k in a_t], d, targets, False)
     return {t: tables[t].get(d, 0) for t in targets}
 
 
@@ -327,20 +304,13 @@ def refined_coeff(
     a: Sequence[int],
     l: Sequence[int] | None = None,
     gf: Sequence[int] | None = None,
-    vertex_contributions: bool | None = None,
-    x_bound: int | None = None,
 ) -> Coeff:
-    """Single coefficient of the (dressed) edge-factor product.
-
-    With ``vertex_contributions`` false (the default when no genus
-    function is supplied) the plain factors are used; a nonzero genus
-    function then raises.
-    """
-    a_t, leaks, gf_t, _ = _normalize_query(graph, a, l, gf, vertex_contributions)
-    assert a_t is not None
+    """Single coefficient of the dressed edge-factor product; with no genus
+    function, of the plain one (genus 0 everywhere)."""
+    order, a_t, leaks, gf_t = _normalize_query(graph, order, a, l, gf)
     if sum(leaks) != 0:
         return 0  # every edge term moves weight between vertices, net zero
-    return _sweep(graph, order, a_t, [leaks], gf_t, x_bound)[leaks]
+    return _sweep(graph, order, a_t, [leaks], gf_t)[leaks]
 
 
 def multidegrees(
@@ -375,29 +345,23 @@ def multidegrees(
 def integral_series_refined(
     graph: FeynmanGraph,
     order: VertexOrder,
-    q_bounds: Sequence[int] | int,
+    q_order: int,
     l: Sequence[int] | None = None,
     gf: Sequence[int] | None = None,
-    vertex_contributions: bool | None = None,
-    total_q_cap: int | None = None,
 ) -> dict[Multidegree, Coeff]:
-    """All refined coefficients with a_k <= q_bounds[k] (zero entries dropped).
+    """All refined coefficients with sum(a) <= q_order (zero entries dropped).
 
-    One :func:`_graded_pass` with degree sets 0..q_bounds[k], graded by
-    the degrees of the edges done so far, gives every multidegree at once;
+    One :func:`_graded_pass` with degree sets 0..q_order, graded by the
+    degrees of the edges done so far, gives every multidegree at once;
     each value equals :func:`refined_coeff` at it.
     """
-    if isinstance(q_bounds, int):
-        q_bounds = [q_bounds] * graph.num_edges
-    if len(q_bounds) != graph.num_edges:
-        raise ValueError("need one q-bound per edge")
-    _, leaks, gf_t, _ = _normalize_query(graph, None, l, gf, vertex_contributions)
+    order, _, leaks, gf_t = _normalize_query(graph, order, None, l, gf)
+    if q_order < 0:
+        raise ValueError(f"q-order must be >= 0, got {q_order}")
     if sum(leaks) != 0:
         return {}
-    if total_q_cap is None:
-        total_q_cap = sum(q_bounds)
-    degrees = [range(min(b, total_q_cap) + 1) for b in q_bounds]
-    return _graded_pass(graph, gf_t, order, degrees, total_q_cap, [leaks], True)[leaks]
+    degrees = [range(q_order + 1)] * graph.num_edges
+    return _graded_pass(graph, gf_t, order, degrees, q_order, [leaks], True)[leaks]
 
 
 def integral_series_q(
@@ -405,14 +369,13 @@ def integral_series_q(
     gf: Sequence[int] | None,
     order: VertexOrder,
     q_order: int,
-    vertex_contributions: bool | None = None,
 ) -> dict[int, Coeff]:
     """q-series with q_1 = ... = q_r = q: coefficient of q^d sums Σa = d.
 
     One DP over the edges whose state also carries the total q-degree d,
     so every multidegree with Σa <= q_order is covered in a single pass.
     """
-    _, _, gf_t, _ = _normalize_query(graph, None, None, gf, vertex_contributions)
+    order, _, _, gf_t = _normalize_query(graph, order, None, None, gf)
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
     degrees = [range(q_order + 1)] * graph.num_edges
@@ -420,38 +383,34 @@ def integral_series_q(
     return _graded_pass(graph, gf_t, order, degrees, q_order, [zero], False)[zero]
 
 
+def _weighted_total(parts: Iterable[tuple[dict[int, Coeff], Coeff]]) -> dict[int, Coeff]:
+    """Sum of weight * series over (series, weight) pairs, in ascending d,
+    zero coefficients dropped."""
+    totals: dict[int, Coeff] = {}
+    for series, weight in parts:
+        for d, c in series.items():
+            totals[d] = totals.get(d, 0) + c * weight
+    return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
+
+
 def integral_series_all_orders(
-    graph: FeynmanGraph,
-    gf: Sequence[int] | None,
-    q_order: int,
-    vertex_contributions: bool | None = None,
+    graph: FeynmanGraph, gf: Sequence[int] | None, q_order: int
 ) -> dict[int, Coeff]:
     """Sum of integral_series_q over all n! vertex orders.
 
     Orders inducing the same edge orientations give identical series, so
     the sum is computed once per orientation class and multiplied.
     """
-    out: dict[int, Coeff] = {}
-    for rep, count in orientation_classes(graph):
-        part = integral_series_q(graph, gf, rep, q_order, vertex_contributions)
-        for d, c in part.items():
-            s = out.get(d, 0) + c * count
-            if s == 0:
-                out.pop(d, None)
-            else:
-                out[d] = s
-    return out
+    return _weighted_total(
+        (integral_series_q(graph, gf, rep, q_order), count)
+        for rep, count in orientation_classes(graph)
+    )
 
 
 def mirror_total_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
     """The graph-sum side of the mirror identity: the dressed q-series summed
     as in :func:`~trofey.graphs.weighted_classes` (zero coefficients dropped)."""
-    totals: dict[int, Coeff] = {}
-    for graph, gf, order, weight in weighted_classes(k):
-        for d, c in integral_series_q(graph, gf, order, q_order).items():
-            s = totals.get(d, 0) + c * weight
-            if s == 0:
-                totals.pop(d, None)
-            else:
-                totals[d] = s
-    return totals
+    return _weighted_total(
+        (integral_series_q(graph, gf, order, q_order), weight)
+        for graph, gf, order, weight in weighted_classes(k)
+    )

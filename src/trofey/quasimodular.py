@@ -103,21 +103,29 @@ class QuasimodularFit:
                 total[d] = total[d] + coeff * row[d]
         return [normalize(c) for c in total]
 
-    def format_polynomial(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts: list[str] = []
+    def terms(self) -> list[tuple[str, Coeff]]:
+        """(monomial name, coefficient) in display order: by weight, then by
+        descending E2 and E4 exponents; names like "E2^2*E4", "1" for the
+        constant."""
         ordered = sorted(
             self.coefficients.items(),
             key=lambda kv: (monomial_weight(kv[0]), -kv[0][0], -kv[0][1]),
         )
-        for (a, b, c), coeff in ordered:
+        out: list[tuple[str, Coeff]] = []
+        for monomial, coeff in ordered:
             factors = [
                 f"{name}^{e}" if e > 1 else name
-                for name, e in (("E2", a), ("E4", b), ("E6", c))
+                for name, e in zip(("E2", "E4", "E6"), monomial)
                 if e > 0
             ]
-            mono = "*".join(factors) if factors else "1"
+            out.append(("*".join(factors) or "1", coeff))
+        return out
+
+    def format_polynomial(self) -> str:
+        if not self.coefficients:
+            return "0"
+        parts: list[str] = []
+        for mono, coeff in self.terms():
             coeff = Fraction(coeff)
             sign = "-" if coeff < 0 else "+"
             mag = -coeff if coeff < 0 else coeff

@@ -488,15 +488,18 @@ def refined_coeff_reference(
     a: Sequence[int],
     l: Sequence[int] | None = None,
     gf: Sequence[int] | None = None,
-    vertex_contributions: bool | None = None,
 ) -> Coeff:
-    """Same coefficient via full TruncatedSeries propagator products.
+    """Same coefficient via full TruncatedSeries propagator products: the
+    plain edge factors with no genus function, the dressed ones and the
+    1/S vertex factors with one.
 
     Exponentially slower than :func:`trofey.integrals.refined_coeff`; exists to pin the
-    fast path against the series-level definitions.
+    fast path against the series-level definitions.  The fast path reads a
+    missing genus function as genus 0 and dresses anyway, so comparing it
+    with the plain factors here checks that the dressing is trivial there.
     """
-    a_t, leaks, gf_t, vc = _normalize_query(graph, a, l, gf, vertex_contributions)
-    assert a_t is not None
+    order, a_t, leaks, gf_t = _normalize_query(graph, order, a, l, gf)
+    dressed = gf is not None
     direct_cap = sum(a_t) + sum(abs(x) for x in leaks)
     x_bound = max(1, direct_cap * max(graph.degrees()))
     spec = TruncationSpec.make(
@@ -507,7 +510,7 @@ def refined_coeff_reference(
     product = TruncatedSeries.one(spec)
     for idx in range(1, graph.num_edges + 1):
         ctx = EdgeContext.from_graph(graph, order, idx)
-        if vc:
+        if dressed:
             factor = (
                 vertex_loop_propagator(ctx, spec)
                 if ctx.is_loop
@@ -518,7 +521,7 @@ def refined_coeff_reference(
                 loop_propagator(ctx, spec) if ctx.is_loop else propagator(ctx, spec)
             )
         product = product * factor
-    if vc:
+    if dressed:
         for v in range(1, graph.n + 1):
             if gf_t[v - 1] > 0:
                 product = product * invert(
@@ -531,6 +534,6 @@ def refined_coeff_reference(
     for v in range(1, graph.n + 1):
         if leaks[v - 1]:
             exponents[("x", v)] = leaks[v - 1]
-        if vc and gf_t[v - 1]:
+        if dressed and gf_t[v - 1]:
             exponents[("z", v)] = 2 * gf_t[v - 1]
     return product.coefficient(exponents)

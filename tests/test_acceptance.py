@@ -167,9 +167,7 @@ def test_criterion_07_bijection_sweep():
             targets = _leak_vectors(graph.n)
             for order in all_orders(graph.n):
                 for a in multidegrees(graph, [4] * graph.num_edges, 4):
-                    table = refined_sweep(
-                        graph, order, a, targets, vertex_contributions=False
-                    )
+                    table = refined_sweep(graph, order, a, targets)
                     for l in targets:
                         covers = cover_count(graph, order, a, l=l)
                         assert table.get(l, 0) == covers, (k, graph.edges, order, a, l)

@@ -213,7 +213,7 @@ def test_invariant_compare_mismatch_prints_reproducible_witness(capsys, monkeypa
     assert order in [rep for rep, _ in orientation_classes(graph)]
     # the printed order and multidegree reproduce both sides of the mismatch
     assert descendant_contribution(graph, gf, order, a, (2, 0, 0)) == covers
-    assert doubled(graph, order, 2, gf=gf, total_q_cap=2)[a] == integral
+    assert doubled(graph, order, 2, gf=gf)[a] == integral
     assert covers != integral
     # and so does the integral command at that order (which the doubling misses)
     path = tmp_path / "witness.json"

@@ -3,6 +3,7 @@
 import ast
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,15 @@ from trofey.graphs import (
     identity_order,
     orientation_classes,
 )
-from trofey.integrals import integral_series_refined, mirror_total_series, multidegrees
+from trofey.fock import fock_cover_count, labeled_matrix_element
+from trofey.integrals import (
+    integral_series_q,
+    integral_series_refined,
+    mirror_total_series,
+    multidegrees,
+    refined_coeff,
+    refined_sweep,
+)
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -159,7 +168,7 @@ def test_cover_table_equals_integral_table(k):
         graph, gf = assignment.graph, assignment.gf
         for order, _ in orientation_classes(graph):
             covers = _cover_table(graph, order, 3, k)
-            integral = integral_series_refined(graph, order, 3, gf=gf, total_q_cap=3)
+            integral = integral_series_refined(graph, order, 3, gf=gf)
             assert 0 not in covers.values() and 0 not in integral.values()
             for a in set(covers) | set(integral):
                 assert covers.get(a, 0) == integral.get(a, 0), (graph.edges, order, a)
@@ -289,6 +298,75 @@ def test_invariant_series_equals_sum_of_order_slices(k, q_order):
     assert mirror_total_series(k, q_order) == expected
 
 
+# every per-(graph, order) entry point of the three routes, called as
+# call(order, a, l), with the query parts it takes: multidegree, leaks
+QUERY_ENTRY_POINTS = [
+    ("enumerate_tuples", TRIANGLE, "al", lambda o, a, l: enumerate_tuples(TRIANGLE, o, a, l)),
+    ("cover_count", TRIANGLE, "al", lambda o, a, l: cover_count(TRIANGLE, o, a, l)),
+    (
+        "cover_count_by_windings",
+        TRIANGLE,
+        "al",
+        lambda o, a, l: cover_count_by_windings(TRIANGLE, o, a, l),
+    ),
+    (
+        "descendant_contribution",
+        TRIANGLE,
+        "a",
+        lambda o, a, l: descendant_contribution(TRIANGLE, (0, 0, 0), o, a, (0, 0, 0)),
+    ),
+    (
+        "descendant_contribution_by_windings",
+        TRIANGLE,
+        "a",
+        lambda o, a, l: descendant_contribution_by_windings(
+            TRIANGLE, (0, 0, 0), o, a, (0, 0, 0)
+        ),
+    ),
+    (
+        "fixed_order_series",
+        TRIANGLE,
+        "",
+        lambda o, a, l: fixed_order_series(TRIANGLE, (0, 0, 0), o, (0, 0, 0), 2),
+    ),
+    ("refined_coeff", TRIANGLE, "al", lambda o, a, l: refined_coeff(TRIANGLE, o, a, l)),
+    ("refined_sweep", TRIANGLE, "al", lambda o, a, l: refined_sweep(TRIANGLE, o, a, [l])),
+    ("integral_series_q", TRIANGLE, "", lambda o, a, l: integral_series_q(TRIANGLE, None, o, 2)),
+    (
+        "integral_series_refined",
+        TRIANGLE,
+        "l",
+        lambda o, a, l: integral_series_refined(TRIANGLE, o, 2, l),
+    ),
+    ("fock_cover_count", THETA, "a", lambda o, a, l: fock_cover_count(THETA, o, a)),
+    (
+        "labeled_matrix_element",
+        THETA,
+        "a",
+        lambda o, a, l: labeled_matrix_element(THETA, o, a, {}),
+    ),
+]
+
+
+def _bad_queries():
+    """A repeated order entry, an order of the wrong length, a short
+    multidegree and a short leak vector, at each entry point taking them."""
+    for name, graph, takes, call in QUERY_ENTRY_POINTS:
+        n, r = graph.n, graph.num_edges
+        cases = [
+            ("repeated-order", 0, (1,) + tuple(range(1, n)), f"permutation of 1..{n}"),
+            ("long-order", 0, tuple(range(1, n + 2)), f"permutation of 1..{n}"),
+        ]
+        if "a" in takes:
+            cases.append(("short-a", 1, (0,) * (r - 1), f"multidegree must be {r} nonnegative"))
+        if "l" in takes:
+            cases.append(("short-l", 2, (0,) * (n - 1), f"leak vector must have length {n}"))
+        for case, slot, value, message in cases:
+            args = [identity_order(n), (0,) * r, (0,) * n]
+            args[slot] = value
+            yield pytest.param(partial(call, *args), message, id=f"{name}-{case}")
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -299,6 +377,8 @@ def test_invariant_series_equals_sum_of_order_slices(k, q_order):
         (lambda: invariant_fixed_order((2, 0, 0), 0, ID3), "degree must be >= 1"),
         (lambda: invariant_fixed_order((2, 0, 0), 1, (1, 1, 2)), "permutation of 1..3"),
         (lambda: invariant_fixed_order((2, 0, 0), 1, (1, 2)), "permutation of 1..3"),
+        (lambda: integral_series_refined(TRIANGLE, ID3, -1), "q-order must be >= 0"),
+        *_bad_queries(),
     ],
 )
 def test_route_entry_points_reject_bad_arguments(call, message):

@@ -42,7 +42,7 @@ DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
 ID3 = identity_order(3)
 
 
-def refined_table_by_coeff(graph, order, q_bounds, l=None, gf=None, total_q_cap=None):
+def refined_table_by_coeff(graph, order, q_order, l=None, gf=None):
     """One refined_coeff per multidegree, to compare with integral_series_refined.
 
     Both run on the same DP, so this checks the grade bookkeeping (degree
@@ -50,10 +50,8 @@ def refined_table_by_coeff(graph, order, q_bounds, l=None, gf=None, total_q_cap=
     checks are criteria 07/08 (the cover route) and refined_coeff_reference
     (the full-series oracle).
     """
-    if isinstance(q_bounds, int):
-        q_bounds = [q_bounds] * graph.num_edges
     table = {}
-    for a in multidegrees(graph, q_bounds, total_q_cap):
+    for a in multidegrees(graph, [q_order] * graph.num_edges, q_order):
         value = refined_coeff(graph, order, a, l=l, gf=gf)
         if value != 0:
             table[a] = value
@@ -78,12 +76,6 @@ def test_unbalanced_leak_vanishes():
     assert refined_coeff(TRIANGLE, ID3, (0, 0, 2), l=(1, 0, 0)) == 0
 
 
-def test_unbalanced_leak_vanishes_before_the_window_check():
-    # x_bound = 0 is below the winding bound of a = (0, 0, 1), but a leak
-    # vector that cannot balance is 0 before any window is looked at
-    assert refined_coeff(TRIANGLE, (1, 2, 3), (0, 0, 1), l=(1, 0, 0), x_bound=0) == 0
-
-
 def test_refined_coeff_normalizes_its_query_once(monkeypatch):
     calls = []
     normalize_query = integrals._normalize_query
@@ -103,17 +95,16 @@ def test_refined_coeff_normalizes_its_query_once(monkeypatch):
         ({"a": (0, 1)}, "multidegree must be 3 nonnegative integers"),
         ({"a": (0, -1, 1)}, "multidegree must be 3 nonnegative integers"),
         ({"l": (1, -1)}, "leak vector must have length 3"),
-        ({"vertex_contributions": True}, "vertex contributions need a genus function"),
+        ({"order": (1, 1, 2)}, "order must be a permutation of 1..3, got (1, 1, 2)"),
         ({"gf": (1, 0)}, "genus function must be n nonnegative integers"),
-        ({"gf": (1, 0, 0), "vertex_contributions": False},
-         "plain integrals require an all-zero genus function"),
-        ({"x_bound": 0}, "x_bound 0 is smaller than the provably sufficient winding bound 1"),
+        ({"gf": (0, -1, 1)}, "genus function must be n nonnegative integers"),
+        ({"order": (1, 2)}, "order must be a permutation of 1..3, got (1, 2)"),
     ],
 )
 def test_refined_coeff_bad_input_messages(kwargs, message):
-    kwargs = {"a": (0, 0, 1), **kwargs}
+    kwargs = {"order": ID3, "a": (0, 0, 1), **kwargs}
     with pytest.raises(ValueError) as info:
-        refined_coeff(TRIANGLE, ID3, **kwargs)
+        refined_coeff(TRIANGLE, **kwargs)
     assert str(info.value).startswith(message)
 
 
@@ -122,21 +113,6 @@ def test_balanced_leak_example_matches_reference():
         fast = refined_coeff(TRIANGLE, ID3, (1, 1, 0), l=l)
         slow = refined_coeff_reference(TRIANGLE, ID3, (1, 1, 0), l=l)
         assert fast == slow
-
-
-def test_plain_rejects_genus():
-    with pytest.raises(ValueError):
-        refined_coeff(TRIANGLE, ID3, (0, 0, 1), gf=(1, 0, 0), vertex_contributions=False)
-
-
-def test_dressed_requires_genus():
-    with pytest.raises(ValueError):
-        refined_coeff(TRIANGLE, ID3, (0, 0, 1), vertex_contributions=True)
-
-
-def test_explicit_small_x_bound_refuses():
-    with pytest.raises(ValueError):
-        refined_coeff(TRIANGLE, ID3, (0, 0, 3), gf=(1, 0, 0), x_bound=1)
 
 
 @pytest.mark.parametrize(
@@ -148,11 +124,11 @@ def test_explicit_small_x_bound_refuses():
     ],
 )
 def test_x_bound_boundary(graph, a, l, bound):
-    value = refined_coeff(graph, ID3, a, l=l)
-    assert value != 0
-    assert refined_coeff(graph, ID3, a, l=l, x_bound=bound) == value
-    with pytest.raises(ValueError, match=f"x_bound {bound - 1} is smaller"):
-        refined_coeff(graph, ID3, a, l=l, x_bound=bound - 1)
+    # the largest pruning cap on |x-exponent| a one-multidegree pass builds to
+    l = l or (0,) * graph.n
+    assert refined_coeff(graph, ID3, a, l=l) != 0
+    _, caps = integrals._winding_caps(graph, [(a_k,) for a_k in a], sum(a), [l])
+    assert max(caps) == bound
 
 
 def test_refined_sweep_needs_a_leak_target():
@@ -234,7 +210,7 @@ def test_frozen_triangle_series():
 )
 def test_series_q_matches_refined_table(graph, order, gf, q_order):
     by_degree: dict[int, Fraction] = {}
-    table = refined_table_by_coeff(graph, order, q_order, gf=gf, total_q_cap=q_order)
+    table = refined_table_by_coeff(graph, order, q_order, gf=gf)
     for a, value in table.items():
         by_degree[sum(a)] = by_degree.get(sum(a), 0) + value
     expected = {d: c for d, c in by_degree.items() if c != 0}
@@ -251,7 +227,7 @@ def test_all_orders_equals_explicit_sum():
 
 
 def test_integral_series_refined_table():
-    table = integral_series_refined(RIGHT, ID3, 2, gf=(0, 0, 0), total_q_cap=2)
+    table = integral_series_refined(RIGHT, ID3, 2, gf=(0, 0, 0))
     # every key is a valid multidegree with a positive loop entry
     assert table, "series table should not be empty"
     for a, value in table.items():
@@ -271,7 +247,7 @@ def test_integral_series_refined_table():
 def test_refined_table_matches_coeff_on_every_class(graph, gf, q_order):
     # the a-keyed pass read at every multidegree with sum(a) <= q_order
     for order, _ in orientation_classes(graph):
-        table = integral_series_refined(graph, order, q_order, gf=gf, total_q_cap=q_order)
+        table = integral_series_refined(graph, order, q_order, gf=gf)
         assert table, (graph.edges, order)
         for a in multidegrees(graph, [q_order] * graph.num_edges, q_order):
             assert table.get(a, 0) == refined_coeff(graph, order, a, gf=gf), (order, a)
@@ -284,10 +260,10 @@ def test_refined_table_matches_coeff_on_every_class(graph, gf, q_order):
     data=st.data(),
 )
 def test_refined_table_matches_coeff_with_bounds_and_leaks(graph, data):
-    n, r = graph.n, graph.num_edges
+    # the bound is the total degree: sum(a) <= q_order
+    n = graph.n
     order = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
-    q_bounds = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
-    total = data.draw(st.none() | st.integers(0, 5))
+    q_order = data.draw(st.integers(0, 5))
     gf = data.draw(st.none() | st.tuples(*[st.integers(0, 1)] * n))
     l = None
     if data.draw(st.booleans()):
@@ -295,19 +271,17 @@ def test_refined_table_matches_coeff_with_bounds_and_leaks(graph, data):
         w = data.draw(st.integers(1, 2))
         l = [0] * n
         l[i], l[j] = w, -w
-    table = integral_series_refined(graph, order, q_bounds, l=l, gf=gf, total_q_cap=total)
-    assert table == refined_table_by_coeff(graph, order, q_bounds, l=l, gf=gf, total_q_cap=total)
+    table = integral_series_refined(graph, order, q_order, l=l, gf=gf)
+    assert table == refined_table_by_coeff(graph, order, q_order, l=l, gf=gf)
 
 
 def test_refined_table_leaks_widen_the_winding_cap():
     # at a = 0 the leak (2,0,-2) needs winding 1 on every edge of the
     # triangle, beyond a cap of sum(a) = 0: the cap must add sum|l|
-    for total in (0, 1, 2):
-        table = integral_series_refined(
-            TRIANGLE, ID3, 2, l=(2, 0, -2), vertex_contributions=False, total_q_cap=total
-        )
+    for q_order in (0, 1, 2):
+        table = integral_series_refined(TRIANGLE, ID3, q_order, l=(2, 0, -2))
         assert table[(0, 0, 0)] == 1
-        assert table == refined_table_by_coeff(TRIANGLE, ID3, 2, l=(2, 0, -2), total_q_cap=total)
+        assert table == refined_table_by_coeff(TRIANGLE, ID3, q_order, l=(2, 0, -2))
 
 
 def test_mirror_total_series_frozen_values():
@@ -321,6 +295,16 @@ def test_mirror_total_series_frozen_values():
 def test_mirror_total_series_four_points():
     # the cover route gives the same d=4 value
     assert mirror_total_series((1, 1, 1, 1), 4) == {2: 48, 3: 3840, 4: 58752}
+
+
+def test_by_degree_series_ascend():
+    # as covers.invariant_series does; a first class with zeros at low d
+    # used to put its higher degrees first
+    assert list(mirror_total_series((1, 1, 1, 1), 4)) == [2, 3, 4]
+    assert list(mirror_total_series((2, 0, 0), 3)) == [1, 2, 3]
+    graph = FeynmanGraph(4, ((1, 3), (1, 4), (1, 4), (2, 3), (2, 3), (2, 4)))
+    assert list(integral_series_all_orders(graph, None, 4)) == [2, 3, 4]
+    assert list(integral_series_all_orders(TRIANGLE, (1, 0, 0), 3)) == [1, 2, 3]
 
 
 def test_fast_engine_matches_reference_randomized():
@@ -341,9 +325,13 @@ def test_fast_engine_matches_reference_randomized():
             i, j = rng.sample(range(graph.n), 2)
             l = [0] * graph.n
             l[i], l[j] = 1, -1
-        kwargs = {"gf": gf} if dressed else {"l": l, "vertex_contributions": False}
+        kwargs = {"gf": gf} if dressed else {"l": l}
         fast = refined_coeff(graph, order, tuple(a), **kwargs)
         slow = refined_coeff_reference(graph, order, tuple(a), **kwargs)
         assert fast == slow, (graph.edges, gf, order, a, l, dressed)
+        if not dressed:
+            # no genus function is genus 0 everywhere
+            zero = refined_coeff(graph, order, tuple(a), l=l, gf=(0,) * graph.n)
+            assert fast == zero, (graph.edges, order, a, l)
         checked += 1
     assert checked == 40
