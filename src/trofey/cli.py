@@ -26,7 +26,7 @@ from . import __version__
 from .covers import _cover_table, invariant_series
 from .fock import (
     _check_operator_graph,
-    _fock_table,
+    _fock_tables,
     double_hurwitz,
     elliptic_hurwitz_disconnected,
 )
@@ -381,11 +381,11 @@ def cmd_fock(args: argparse.Namespace) -> int:
         _check_operator_graph(graph)  # before any order: no vacuous "0" for a bad graph
         orders = list(all_orders(graph.n))
         amax = args.amax
+        tables = _fock_tables(graph, amax)  # one operator walk serves every order
 
         def task(order):
-            """One operator pass and one cover pass, compared as tables."""
-            fock = _fock_table(graph, order, amax)
-            return order, _first_mismatch(fock, _cover_table(graph, order, amax))
+            """One order's operator table against its cover pass."""
+            return order, _first_mismatch(tables[order], _cover_table(graph, order, amax))
 
         tasks = [lambda order=order: task(order) for order in orders]
         for order, mismatch in _run_tasks(tasks, args.threads):

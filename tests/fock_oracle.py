@@ -1,6 +1,7 @@
-"""Test-only oracle for the labeled operator route: the per-winding product.
+"""Test-only oracles for the operator route: the per-winding labeled product,
+and cut-and-join applied without cached rows.
 
-This is the labeled operator product that ``trofey.fock`` ran before the
+The labeled product is the one that ``trofey.fock`` ran before the
 one-pass table.  For one (graph, order, multidegree, window) it builds the
 edge tails, the weight caps of the a_k = 0 edges and every vertex's germ
 plans, then, for each winding choice on its own, applies the vertex
@@ -8,6 +9,10 @@ operators in acting order to the full ket of that choice and keeps the bra
 component.  It shares the windowed vertex operator with the pass (which has
 its own product-then-filter oracle in ``tests/test_fock.py``) but none of
 the pass's edge opening, closing or merging, so equal values check those.
+
+:func:`cut_join_reference` is the body ``trofey.fock.cut_join`` had before
+it read cached per-partition rows: it applies M to every key of a state on
+the spot.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Mapping, Sequence
 
 from trofey.fock import (
     Plan,
+    State,
     _check_operator_graph,
     _vertex_operator,
     labeled_boundary_states,
@@ -154,3 +160,38 @@ def fock_cover_count_reference(
         _operator_series(graph.n, plans, a, windings, 0).get(zero, 0)
         for windings in winding_choices(a)
     )
+
+
+def cut_join_reference(state: State) -> State:
+    """One application of M to an unlabeled state vector.
+
+    M has integer entries in the b_mu basis: each 1/2 pairs the ordered
+    (i, j) term with its mirror (j, i), and a diagonal i = j term carries
+    an even factor of its own.  So the doubled terms are summed exactly
+    (in ``int`` for integer input) and each output key is halved once.
+    """
+    doubled: State = {}
+    for key, coeff in state.items():
+        # join: alpha_{-i} alpha_{-j} alpha_{i+j}, summed over ordered (i, j)
+        for p in set(key):
+            pos = key.index(p)
+            removed = key[:pos] + key[pos + 1 :]
+            base = coeff * p * key.count(p)
+            for i in range(1, p):
+                new = tuple(sorted(removed + (i, p - i), reverse=True))
+                doubled[new] = doubled.get(new, 0) + base
+        # cut: alpha_{-(i+j)} alpha_i alpha_j, summed over ordered (i, j)
+        for j in set(key):
+            posj = key.index(j)
+            mid = key[:posj] + key[posj + 1 :]
+            cj = coeff * j * key.count(j)
+            for i in set(mid):
+                posi = mid.index(i)
+                rest = mid[:posi] + mid[posi + 1 :]
+                new = tuple(sorted(rest + (i + j,), reverse=True))
+                doubled[new] = doubled.get(new, 0) + cj * i * mid.count(i)
+    return {
+        k: c // 2 if isinstance(c, int) else c / 2
+        for k, c in doubled.items()
+        if c != 0
+    }

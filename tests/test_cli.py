@@ -283,14 +283,15 @@ def test_fock_check_passes(graphs, capsys):
 
 
 def test_fock_check_mismatch_prints_one_witness(graphs, capsys, monkeypatch):
-    true_table = cli._fock_table
+    true_tables = cli._fock_tables
 
-    def off_by_one(graph, order, amax):
-        table = true_table(graph, order, amax)
-        table[2, 0, 0] = table.get((2, 0, 0), 0) + 1
-        return table
+    def off_by_one(graph, amax):
+        tables = true_tables(graph, amax)
+        for table in tables.values():
+            table[2, 0, 0] = table.get((2, 0, 0), 0) + 1
+        return tables
 
-    monkeypatch.setattr(cli, "_fock_table", off_by_one)
+    monkeypatch.setattr(cli, "_fock_tables", off_by_one)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
@@ -326,22 +327,31 @@ def test_run_tasks_is_serial_in_task_order():
 
 
 def test_fock_check_stops_at_the_first_mismatch(graphs, capsys, monkeypatch):
-    # every order mismatches at a = (2, 0, 0); only the first order may run
-    true_table = cli._fock_table
-    orders_seen = []
+    # every order mismatches at a = (2, 0, 0); the operator side is one walk
+    # over every order, and only the first order's cover pass may run
+    true_tables = cli._fock_tables
+    true_cover = cli._cover_table
+    walks, cover_orders = [], []
 
-    def off_by_one(graph, order, amax):
-        orders_seen.append(order)
-        table = true_table(graph, order, amax)
-        table[2, 0, 0] = table.get((2, 0, 0), 0) + 1
-        return table
+    def off_by_one(graph, amax):
+        walks.append(amax)
+        tables = true_tables(graph, amax)
+        for table in tables.values():
+            table[2, 0, 0] = table.get((2, 0, 0), 0) + 1
+        return tables
 
-    monkeypatch.setattr(cli, "_fock_table", off_by_one)
+    def counted_cover(graph, order, *args):
+        cover_orders.append(order)
+        return true_cover(graph, order, *args)
+
+    monkeypatch.setattr(cli, "_fock_tables", off_by_one)
+    monkeypatch.setattr(cli, "_cover_table", counted_cover)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
     assert err.startswith("operator/cover mismatch: order=(1, 2) a=(2, 0, 0) ")
-    assert set(orders_seen) == {(1, 2)}
+    assert walks == [2]
+    assert cover_orders == [(1, 2)]
 
 
 def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, monkeypatch):
@@ -353,15 +363,17 @@ def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, mon
     assert list(multidegrees(theta, [2] * 3, 2)).index(first) < list(
         multidegrees(theta, [2] * 3, 2)
     ).index(later)
-    true_table = cli._fock_table
+    true_tables = cli._fock_tables
 
-    def two_off(graph, order, amax):
-        table = true_table(graph, order, amax)
-        wrong = {later: table.get(later, 0) + 1}
-        wrong.update((a, c) for a, c in table.items() if a not in (first, later))
-        return wrong
+    def two_off(graph, amax):
+        tables = true_tables(graph, amax)
+        for order, table in tables.items():
+            wrong = {later: table.get(later, 0) + 1}
+            wrong.update((a, c) for a, c in table.items() if a not in (first, later))
+            tables[order] = wrong
+        return tables
 
-    monkeypatch.setattr(cli, "_fock_table", two_off)
+    monkeypatch.setattr(cli, "_fock_tables", two_off)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""

@@ -6,6 +6,7 @@ operators and must reproduce the cover counts edge for edge.
 """
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -14,6 +15,7 @@ import pytest
 from fock_oracle import (
     _direct_edge_caps,
     _operator_setup,
+    cut_join_reference,
     fock_cover_count_reference,
     series_product_reference,
 )
@@ -128,6 +130,53 @@ def test_cut_join_integer_accumulation_matches_half_oracle():
     # rational input keeps exact rational output
     state = {(3, 1): Fraction(1, 3), (2, 2): Fraction(-5, 7)}
     assert cut_join(state) == _cut_join_oracle(state)
+
+
+def test_cut_join_rows_equal_the_uncached_body():
+    # every basis state with d <= 8, then random integer and rational
+    # combinations, against the body that applied M without rows
+    for d in range(9):
+        for mu in partitions(d):
+            state = state_from_partition(mu)
+            assert cut_join(state) == cut_join_reference(state), mu
+    rng = random.Random(13)
+    for d in range(1, 9):
+        keys = partitions(d)
+        for _ in range(5):
+            picked = rng.sample(keys, min(len(keys), rng.randint(1, 6)))
+            ints = {mu: rng.randint(-9, 9) for mu in picked}
+            fracs = {mu: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for mu in picked}
+            for state in (ints, fracs):
+                assert cut_join(state) == cut_join_reference(state), state
+            got = cut_join(ints)
+            assert all(type(c) is int for c in got.values()), ints
+
+
+def test_matrix_element_equals_repeated_reference_application():
+    for d in range(1, 7):
+        for nu in partitions(d):
+            state = state_from_partition(nu)
+            for n in range(5):
+                for mu in partitions(d):
+                    want = inner_product(state_from_partition(mu), state)
+                    assert matrix_element(mu, n, nu) == want, (mu, n, nu)
+                state = cut_join_reference(state)
+
+
+def test_cut_join_rows_are_built_once_for_reached_partitions():
+    fock._cut_join_row.cache_clear()
+    # (30) is cut into 15 two-part partitions: 16 rows, not one per p(30)
+    double_hurwitz((30,), (30,), 2)
+    assert fock._cut_join_row.cache_info().misses == 16
+    fock._cut_join_row.cache_clear()
+    elliptic_hurwitz_disconnected(2, 2, 3)
+    info = fock._cut_join_row.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)  # one row per partition of 3
+
+
+def test_elliptic_hurwitz_bench_values():
+    assert elliptic_hurwitz_disconnected(4, 6, 10) == 15765963912000
+    assert elliptic_hurwitz_connected(4, 6) == 2203008
 
 
 def test_degree_three_diagonal_matrix_elements():
@@ -468,15 +517,67 @@ def test_series_product_equals_edge_factors_in_small_window(x_bound):
 
 
 def test_fock_table_equals_oracle_and_cover_table():
-    # one pass per order over every multidegree, summed over windings
-    for graph in (THETA, K4, DBL_DBL):
-        for order in all_orders(graph.n):
-            table = fock._fock_table(graph, order, 3)
-            assert table == _cover_table(graph, order, 3), (graph.edges, order)
-            for a in multidegrees(graph, [3] * graph.num_edges, 3):
+    # one walk over the shared suffixes of every order, summed over
+    # windings, against a pass of each order on its own
+    for graph, amax in ((THETA, 4), (K4, 3), (DBL_DBL, 3)):
+        orders = list(all_orders(graph.n))
+        degrees = [range(amax + 1)] * graph.num_edges
+        walk = fock._operator_pass(graph, orders, degrees, amax, None, 0)
+        tables = fock._fock_tables(graph, amax)
+        assert list(walk) == list(tables) == orders
+        for order in orders:
+            single = fock._operator_pass(graph, [order], degrees, amax, None, 0)
+            assert walk[order] == single[order], (graph.edges, order)
+            table = tables[order]
+            assert table == {a: c for (a, _), c in walk[order].items()}
+            assert table == _cover_table(graph, order, amax), (graph.edges, order)
+            for a in multidegrees(graph, [amax] * graph.num_edges, amax):
                 want = fock_cover_count_reference(graph, order, a)
                 assert table.get(a, 0) == want, (graph.edges, order, a)
                 assert fock_cover_count(graph, order, a) == want, (graph.edges, order, a)
+
+
+def test_walk_equals_single_order_passes_in_a_window():
+    # with a window the states carry exponent vectors that the suffix walk
+    # must share exactly as the single-order pass builds them; at a = 0 in
+    # a wide window some order needs a larger create cap than another
+    for graph in (THETA, K4, DBL_DBL):
+        orders = list(all_orders(graph.n))
+        for degrees, total_cap, windows in (
+            ([range(3)] * graph.num_edges, 2, (1, 2)),
+            ([(0,)] * graph.num_edges, 0, (3, 4)),
+        ):
+            for x_bound in windows:
+                walk = fock._operator_pass(graph, orders, degrees, total_cap, None, x_bound)
+                for order in orders:
+                    single = fock._operator_pass(
+                        graph, [order], degrees, total_cap, None, x_bound
+                    )
+                    assert walk[order] == single[order], (graph.edges, order, x_bound)
+
+
+def test_walk_makes_one_vertex_step_per_shared_suffix(monkeypatch):
+    # at a = 0 in window 3 every step keeps one group of live states, so
+    # each vertex step is one operator call: 4 + 12 + 24 + 24 for the 24
+    # orders of four vertices, against 4 * 24 for one pass per order
+    steps = []
+    true_operator = fock._vertex_operator
+
+    def counted(state, vertex, *args):
+        steps.append(vertex)
+        return true_operator(state, vertex, *args)
+
+    monkeypatch.setattr(fock, "_vertex_operator", counted)
+    for graph in (K4, DBL_DBL):
+        orders = list(all_orders(4))
+        steps.clear()
+        tables = fock._operator_pass(graph, orders, [(0,)] * 6, 0, None, 3)
+        assert all(tables.values())
+        assert len(steps) == 64
+        steps.clear()
+        for order in orders:
+            fock._operator_pass(graph, [order], [(0,)] * 6, 0, None, 3)
+        assert len(steps) == 96
 
 
 def test_series_product_equals_per_winding_oracle():
@@ -501,6 +602,40 @@ def test_edge_caps_of_one_multidegree_are_its_direct_caps():
                     assert got == _direct_edge_caps(graph, order, a, tails, x_bound), (
                         graph.edges, order, a, x_bound
                     )
+
+
+def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
+    # the caps are shared by the orders of a walk; the oracle tests against
+    # _direct_edge_caps and the any-window test show they are sufficient
+    seen = []
+    true_operator = fock._vertex_operator
+
+    def recording(state, vertex, plans, windings, x_bound):
+        seen.extend((k, cap) for kind, k, cap in plans if kind != "marked")
+        return true_operator(state, vertex, plans, windings, x_bound)
+
+    monkeypatch.setattr(fock, "_vertex_operator", recording)
+    for graph in (THETA, K4, DBL_DBL):
+        for order in all_orders(graph.n):
+            tails, germs = fock._order_setup(graph, order)
+            for x_bound in (0, 1, 2):
+                # every multidegree with sum(a) <= 2 in one pass of this order
+                degrees = [range(3)] * graph.num_edges
+                caps = fock._edge_caps(order, tails, germs, degrees, 2, x_bound)
+                seen.clear()
+                fock._operator_pass(graph, [order], degrees, 2, None, x_bound)
+                assert seen
+                for k, cap in seen:
+                    assert cap <= min(caps[k], 2 + graph.n * x_bound), (graph.edges, order, k)
+                # and the caps of one multidegree at a time, sum(a) <= 3
+                for a in multidegrees(graph, [3] * graph.num_edges, 3):
+                    one = [(x,) for x in a]
+                    caps = fock._edge_caps(order, tails, germs, one, sum(a), x_bound)
+                    used, _ = fock._pass_caps(graph, [order], one, sum(a), x_bound)
+                    assert used.keys() == caps.keys()
+                    bound = sum(a) + graph.n * x_bound
+                    for k, cap in used.items():
+                        assert cap <= min(caps[k], bound), (graph.edges, order, a, k)
 
 
 def test_operator_guard_runs_once_per_call(monkeypatch):

@@ -1,0 +1,45 @@
+"""Source checks over ``src/trofey`` that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "trofey"
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names loaded, attributes read and names imported anywhere in node."""
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_def_is_used_in_the_package():
+    # a private helper that only the tests call is a leftover: its test
+    # oracle belongs under tests/, not in the package
+    tops = [
+        (path.name, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    names = [_referenced_names(node) for _, node in tops]
+    private = [
+        (i, module, node.name)
+        for i, (module, node) in enumerate(tops)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert len(private) >= 50
+    # a reference from the def's own body (recursion) does not count
+    unused = [
+        f"{module}:{name}"
+        for i, module, name in private
+        if not any(name in used for j, used in enumerate(names) if j != i)
+    ]
+    assert unused == []
