@@ -40,7 +40,6 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     identity_order,
-    validate,
     validate_assignment,
 )
 from .integrals import (
@@ -96,7 +95,6 @@ __all__ = [
     "one_point_mult",
     "refined_coeff",
     "refined_sweep",
-    "validate",
     "validate_assignment",
     "weight_bound",
 ]

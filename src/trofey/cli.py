@@ -7,8 +7,9 @@ sweeps), ``fit`` (match a q-series against Q[E2, E4, E6]).
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 route
 mismatch, 5 fit failure.  All rationals are printed as "num/den"
-strings; JSON output is byte-deterministic for a given query regardless
-of thread count.
+strings; JSON output is byte-deterministic for a given query.  The
+global ``--threads N`` must be at least 1 and is otherwise ignored: every
+query runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence
@@ -115,19 +115,6 @@ def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[i
     return graph, gf, relabeling
 
 
-def _check_thread_env(args: argparse.Namespace) -> None:
-    """Let TROFEY_THREADS, if set, override --threads, checked like it."""
-    env = os.environ.get("TROFEY_THREADS")
-    if env is None:
-        return
-    try:
-        args.threads = int(env)
-    except ValueError as exc:
-        raise CliError(PARSE_ERROR, "TROFEY_THREADS must be an integer") from exc
-    if args.threads < 1:
-        raise CliError(VALIDATION_ERROR, f"TROFEY_THREADS must be >= 1, got {args.threads}")
-
-
 def _first_mismatch(left: dict, right: dict) -> tuple | None:
     """(a, left value, right value) at the lexicographically least key
     where two tables differ (a missing key reads 0), or None.
@@ -146,9 +133,11 @@ def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> Iterator[Any
     """Run independent tasks in order on the calling thread, lazily.
 
     Each task runs when its result is taken, so a caller that stops at
-    the first mismatch runs no task after it.  ``threads`` is accepted and
-    ignored: the tasks are pure-Python CPU work, which a thread pool only
-    slows down under the GIL.
+    the first mismatch runs no task after it.  ``threads`` (the checked
+    ``--threads``) is ignored: the tasks are pure-Python CPU work, which a
+    thread pool only slows down under the GIL.  This is the one place
+    that every task passes through, so a tracer can wrap it to time each
+    task.
     """
     return (task() for task in tasks)
 
@@ -397,7 +386,7 @@ def cmd_fock(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return MISMATCH_ERROR
-        per_order = sum(1 for _ in multidegrees(graph, [amax] * graph.num_edges, amax))
+        per_order = sum(1 for _ in multidegrees(graph, amax))
         total_checked = per_order * len(orders)
         query = {"command": "fock check", "graph": args.graph, "amax": amax}
         results = [
@@ -549,7 +538,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise CliError(VALIDATION_ERROR, f"--threads must be >= 1, got {args.threads}")
-        _check_thread_env(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -406,7 +406,7 @@ def fixed_order_series(
     """
     _check_assignment(graph, gf, k)
     order = check_order(order, graph.n)
-    aut = automorphism_count(graph, gf, "vertex_labeled")
+    aut = automorphism_count(graph)
     out: dict[int, Coeff] = {}
     for a, value in _cover_table(graph, order, q_order, k).items():
         d = sum(a)
@@ -426,7 +426,7 @@ def invariant_fixed_order(
     for assignment in enumerate_labeled_graphs(k):
         graph, gf = assignment.graph, assignment.gf
         _check_assignment(graph, gf, k)
-        aut = automorphism_count(graph, gf, "vertex_labeled")
+        aut = automorphism_count(graph)
         for a, value in _cover_table(graph, order, d, k).items():
             if sum(a) == d:
                 total = total + value * Fraction(1, aut)

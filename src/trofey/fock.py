@@ -305,6 +305,12 @@ Triple = tuple[int, int, int]  # (edge index, germ label, weight)
 Plan = tuple[str, int, int]  # (kind, edge index, parameter); built in _operator_pass
 
 
+def _edge_triples(k: int, a_k: int, w: int, first: int) -> tuple[Triple, ...]:
+    """Edge k's c = a_k / w triples of weight w, labeled first..first+c-1:
+    first = 1 on the bra side, 2 on the ket side."""
+    return tuple((k, j, w) for j in range(first, a_k // w + first))
+
+
 def labeled_boundary_states(
     a: Sequence[int], windings: Mapping[int, int]
 ) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
@@ -324,9 +330,8 @@ def labeled_boundary_states(
         w = windings.get(k)
         if w is None or w < 1 or ak % w != 0:
             raise ValueError(f"edge {k}: winding must divide a_k = {ak}")
-        c = ak // w
-        bra.extend((k, j, w) for j in range(1, c + 1))
-        ket.extend((k, j, w) for j in range(2, c + 2))
+        bra.extend(_edge_triples(k, ak, w, 1))
+        ket.extend(_edge_triples(k, ak, w, 2))
     return tuple(sorted(bra)), tuple(sorted(ket))
 
 
@@ -543,7 +548,7 @@ def _open_edge(
                 continue
             marked = a[:idx] + (a_k,) + a[idx + 1 :]
             for w in divisors(a_k) if windings is None else (windings[k],):
-                ket = tuple((k, j, w) for j in range(2, a_k // w + 2))
+                ket = _edge_triples(k, a_k, w, 2)
                 opened = {key: tuple(sorted(key + ket)) for key, _ in states}
                 out[marked, wind[:idx] + (w,) + wind[idx + 1 :]] = {
                     (opened[key], xvec): c for (key, xvec), c in states.items()
@@ -559,10 +564,7 @@ def _close_edges(groups: dict, idxs: Sequence[int]) -> dict:
     out: dict = {}
     for (a, wind), states in groups.items():
         bra = tuple(
-            (idx + 1, j, wind[idx])
-            for idx in idxs
-            if a[idx]
-            for j in range(1, a[idx] // wind[idx] + 1)
+            t for idx in idxs if a[idx] for t in _edge_triples(idx + 1, a[idx], wind[idx], 1)
         )
         closed = tuple(0 if idx in idxs else w for idx, w in enumerate(wind))
         merged = out.setdefault((a, closed), {})

@@ -21,9 +21,10 @@ are the query checks every route's entry points share.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -83,14 +84,6 @@ class FeynmanGraph:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.degree(v) for v in range(1, self.n + 1))
-
-    def multiplicity(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return sum(1 for e in self.edges if e == (u, v))
-
-    def loops_at(self, v: int) -> int:
-        return sum(1 for e in self.edges if e == (v, v))
 
     def is_connected(self) -> bool:
         reached = {1}
@@ -159,11 +152,6 @@ def validate_assignment(
     return reasons
 
 
-def validate(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> bool:
-    """True iff the (graph, genus function, descendant vector) triple is admissible."""
-    return not validate_assignment(graph, gf, k)
-
-
 # -- vertex orders -----------------------------------------------------
 
 
@@ -174,10 +162,6 @@ def identity_order(n: int) -> VertexOrder:
 def all_orders(n: int) -> Iterator[VertexOrder]:
     """All n! total orders on the vertices, identity first."""
     return itertools.permutations(range(1, n + 1))
-
-
-def order_position(order: VertexOrder, v: int) -> int:
-    return order.index(v)
 
 
 def edge_orientation(graph: FeynmanGraph, edge_index: int, order: VertexOrder) -> Edge:
@@ -250,50 +234,15 @@ def orientation_classes(graph: FeynmanGraph) -> list[tuple[VertexOrder, int]]:
 # -- automorphisms -----------------------------------------------------
 
 
-def automorphism_count(
-    graph: FeynmanGraph, gf: Sequence[int], mode: str = "vertex_labeled"
-) -> int:
-    """Order of the automorphism group in one of two categories.
+def automorphism_count(graph: FeynmanGraph) -> int:
+    """Order of the vertex-labeled automorphism group.
 
-    ``vertex_labeled``: vertices are pinned; automorphisms permute
-    parallel edge slots and the two or more loop slots at a vertex
-    (a loop is one edge slot: swapping its two half-edge germs is not
-    counted).  The count is the product of ``mult(u,v)!`` over vertex
-    pairs and ``loops(v)!`` over vertices.
-
-    ``unlabeled``: additionally quotient by vertex permutations preserving
-    both adjacency multiplicities and the genus function (brute force over
-    all permutations; the graphs here are tiny).
+    Vertices are pinned; automorphisms permute parallel edge slots and the
+    two or more loop slots at a vertex (a loop is one edge slot: swapping
+    its two half-edge germs is not counted).  The count is the product of
+    m! over the multiplicities m of the distinct edges.
     """
-    base = 1
-    for u in range(1, graph.n + 1):
-        base *= factorial(graph.loops_at(u))
-        for v in range(u + 1, graph.n + 1):
-            base *= factorial(graph.multiplicity(u, v))
-    if mode == "vertex_labeled":
-        return base
-    if mode != "unlabeled":
-        raise ValueError(f"unknown automorphism mode {mode!r}")
-    vertex_perms = 0
-    verts = range(1, graph.n + 1)
-    for perm in itertools.permutations(verts):
-        # perm maps vertex v -> perm[v-1]
-        if any(gf[perm[v - 1] - 1] != gf[v - 1] for v in verts):
-            continue
-        ok = True
-        for u in verts:
-            if graph.loops_at(perm[u - 1]) != graph.loops_at(u):
-                ok = False
-                break
-            for v in range(u + 1, graph.n + 1):
-                if graph.multiplicity(perm[u - 1], perm[v - 1]) != graph.multiplicity(u, v):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            vertex_perms += 1
-    return vertex_perms * base
+    return prod(factorial(m) for m in Counter(graph.edges).values())
 
 
 # -- enumeration -------------------------------------------------------
@@ -457,7 +406,7 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
     for assignment, copies in _orbit_walk(k):
         graph, gf = assignment.graph, assignment.gf
         _check_assignment(graph, gf, k)
-        aut = automorphism_count(graph, gf, "vertex_labeled")
+        aut = automorphism_count(graph)
         for order, size in orientation_classes(graph):
             yield graph, gf, order, Fraction(size * copies, aut)
 

@@ -313,33 +313,24 @@ def refined_coeff(
     return _sweep(graph, order, a_t, [leaks], gf_t)[leaks]
 
 
-def multidegrees(
-    graph: FeynmanGraph, q_bounds: Sequence[int], total_cap: int | None = None
-) -> Iterator[Multidegree]:
-    """All multidegrees within per-edge bounds (loops need a_k >= 1)."""
-    r = graph.num_edges
-    bounds = list(q_bounds)
-    if len(bounds) != r:
-        raise ValueError("need one q-bound per edge")
-    is_loop = [u == v for u, v in graph.edges]
-    if total_cap is None:
-        total_cap = sum(bounds)
+def multidegrees(graph: FeynmanGraph, amax: int) -> Iterator[Multidegree]:
+    """All multidegrees with sum(a) <= amax, in lexicographic order (loops
+    need a_k >= 1)."""
+    is_loop = [int(u == v) for u, v in graph.edges]
+    r = len(is_loop)
+    loops_after = [sum(is_loop[idx + 1 :]) for idx in range(r)]
 
     def rec(idx: int, left: int, acc: list[int]) -> Iterator[Multidegree]:
         if idx == r:
             yield tuple(acc)
             return
-        start = 1 if is_loop[idx] else 0
-        min_rest = sum(1 for j in range(idx + 1, r) if is_loop[j])
-        for val in range(start, min(bounds[idx], left - min_rest) + 1):
+        for val in range(is_loop[idx], left - loops_after[idx] + 1):
             acc.append(val)
             yield from rec(idx + 1, left - val, acc)
             acc.pop()
 
-    min_first = sum(1 for j in range(r) if is_loop[j])
-    if min_first > total_cap:
-        return
-    yield from rec(0, total_cap, [])
+    if sum(is_loop) <= amax:
+        yield from rec(0, amax, [])
 
 
 def integral_series_refined(

@@ -80,7 +80,6 @@ class QuasimodularFit:
     coefficients: Mapping[EisensteinMonomial, Coeff]
     max_weight: int
     residual_ok: bool
-    verified_order: int
 
     @property
     def weight_profile(self) -> frozenset[int]:
@@ -89,10 +88,6 @@ class QuasimodularFit:
     @property
     def is_homogeneous(self) -> bool:
         return len(self.weight_profile) <= 1
-
-    @property
-    def is_mixed(self) -> bool:
-        return len(self.weight_profile) > 1
 
     def q_expansion(self, q_order: int) -> list[Coeff]:
         rows = dict(basis(self.max_weight, q_order))
@@ -139,24 +134,9 @@ class QuasimodularFit:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def _coefficient_list(
-    series: Mapping[int, Coeff] | Sequence[Coeff], q_order: int
-) -> list[Coeff]:
-    if isinstance(series, Mapping):
-        if any(d < 0 for d in series):
-            raise ValueError("q-exponents must be nonnegative")
-        return [series.get(d, 0) for d in range(q_order + 1)]
-    if len(series) < q_order + 1:
-        raise ValueError("series has fewer coefficients than q_order requires")
-    return list(series[: q_order + 1])
-
-
-def fit(
-    series: Mapping[int, Coeff] | Sequence[Coeff],
-    max_weight: int,
-    q_order: int,
-) -> QuasimodularFit:
-    """Solve for the unique Eisenstein polynomial matching the series.
+def fit(series: Mapping[int, Coeff], max_weight: int, q_order: int) -> QuasimodularFit:
+    """Solve for the unique Eisenstein polynomial matching the series
+    {d: coefficient of q^d}; a missing d reads 0.
 
     The series must be known exactly through q_order, with q_order at
     least (number of basis monomials) + OVERDETERMINATION_MARGIN --
@@ -170,7 +150,9 @@ def fit(
             f"underdetermined: q_order {q_order} < {len(bas)} basis monomials "
             f"+ margin {OVERDETERMINATION_MARGIN}"
         )
-    target = _coefficient_list(series, q_order)
+    if any(d < 0 for d in series):
+        raise ValueError("q-exponents must be nonnegative")
+    target = [series.get(d, 0) for d in range(q_order + 1)]
 
     # augmented matrix over Fraction: one row per q-coefficient
     rows = [
@@ -200,10 +182,10 @@ def fit(
         raise ValueError("basis q-expansions are not independent at this order")
     consistent = all(row[ncols] == 0 for row in rows[rank:])
     if not consistent:
-        return QuasimodularFit({}, max_weight, False, q_order)
+        return QuasimodularFit({}, max_weight, False)
     solution: dict[EisensteinMonomial, Coeff] = {}
     for col, (monomial, _) in enumerate(bas):
         value = rows[pivot_of_col[col]][ncols]
         if value != 0:
             solution[monomial] = normalize(value)
-    return QuasimodularFit(solution, max_weight, True, q_order)
+    return QuasimodularFit(solution, max_weight, True)

@@ -113,7 +113,7 @@ def test_criterion_05_quasimodular_fits():
         (1, 0, 1): Fraction(-1, 10368),
         (0, 2, 0): Fraction(1, 20736),
     }
-    assert tri.is_mixed and tri.weight_profile == {6, 8}
+    assert not tri.is_homogeneous and tri.weight_profile == {6, 8}
 
     right_series = integral_series_q(RIGHT, (0, 0, 0), ID3, q_order)
     right = fit(right_series, 8, q_order)
@@ -126,7 +126,7 @@ def test_criterion_05_quasimodular_fits():
         (2, 1, 0): Fraction(-1, 13824),
         (1, 0, 1): Fraction(1, 20736),
     }
-    assert right.is_mixed and right.weight_profile == {6, 8}
+    assert not right.is_homogeneous and right.weight_profile == {6, 8}
 
     mid = fit(integral_series_q(MIDDLE, (0, 0, 0), ID3, q_order), 8, q_order)
     assert mid.residual_ok
@@ -166,7 +166,7 @@ def test_criterion_07_bijection_sweep():
             graph = rep.graph
             targets = _leak_vectors(graph.n)
             for order in all_orders(graph.n):
-                for a in multidegrees(graph, [4] * graph.num_edges, 4):
+                for a in multidegrees(graph, 4):
                     table = refined_sweep(graph, order, a, targets)
                     for l in targets:
                         covers = cover_count(graph, order, a, l=l)
@@ -178,7 +178,7 @@ def test_criterion_08_mirror_sweep():
         for rep in enumerate_graphs(k):
             graph, gf = rep.graph, rep.gf
             for order in all_orders(graph.n):
-                for a in multidegrees(graph, [4] * graph.num_edges, 4):
+                for a in multidegrees(graph, 4):
                     dressed = refined_coeff(graph, order, a, gf=gf)
                     covers = descendant_contribution(graph, gf, order, a, k)
                     assert dressed == covers, (k, graph.edges, gf, order, a)
@@ -187,7 +187,7 @@ def test_criterion_08_mirror_sweep():
 def test_criterion_09_operator_route():
     for graph in (THETA, DBL_DBL, K4):
         for order in all_orders(graph.n):
-            for a in multidegrees(graph, [3] * graph.num_edges, 3):
+            for a in multidegrees(graph, 3):
                 assert fock_cover_count(graph, order, a) == cover_count(
                     graph, order, a
                 ), (graph.edges, order, a)

@@ -3,13 +3,11 @@
 import ast
 import io
 import json
-import os
 import re
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -360,9 +358,8 @@ def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, mon
     # order the table holds them in
     theta = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
     first, later = (0, 1, 1), (2, 0, 0)
-    assert list(multidegrees(theta, [2] * 3, 2)).index(first) < list(
-        multidegrees(theta, [2] * 3, 2)
-    ).index(later)
+    yielded = list(multidegrees(theta, 2))
+    assert yielded.index(first) < yielded.index(later)
     true_tables = cli._fock_tables
 
     def two_off(graph, amax):
@@ -391,7 +388,7 @@ def test_invariant_compare_prints_the_first_mismatching_multidegree(capsys, monk
         table = true_table(graph, order, dmax, **kwargs)
         if corrupted:
             return table
-        yielded = list(multidegrees(graph, [dmax] * graph.num_edges, dmax))
+        yielded = list(multidegrees(graph, dmax))
         first, later = yielded[0], yielded[-1]
         corrupted.append((graph.edges, order, first, table.get(first, 0)))
         wrong = {later: table.get(later, 0) + 1}
@@ -550,21 +547,18 @@ def test_fit_needs_exactly_one_source(capsys):
     assert code == 2
 
 
-def test_threads_env_does_not_change_output(graphs, capsys, monkeypatch):
-    outputs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("TROFEY_THREADS", threads)
-        code, out, _ = run(
-            capsys,
-            "--format", "json",
-            "invariant", "--k", "2,0,0", "--dmax", "2", "--compare",
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+def test_threads_flag_does_not_change_output(graphs, capsys):
+    # both commands that hand out tasks, at two thread counts
+    for argv in (
+        ("--format", "json", "invariant", "--k", "2,0,0", "--dmax", "2", "--compare"),
+        ("--format", "json", "fock", "check", "--graph", graphs["theta"], "--amax", "2"),
+    ):
+        outputs = [run(capsys, "--threads", threads, *argv) for threads in ("1", "3")]
+        assert outputs[0][0] == 0, argv
+        assert outputs[0] == outputs[1], argv
 
 
-# every subcommand reads TROFEY_THREADS through main, not only the task runners
+# no subcommand reads TROFEY_THREADS: it is not a setting
 THREAD_ENV_ARGVS = (
     ("invariant", "--k", "1,1", "--dmax", "1"),
     ("invariant", "--k", "1,1", "--dmax", "1", "--compare"),
@@ -574,14 +568,14 @@ THREAD_ENV_ARGVS = (
 )
 
 
-def test_bad_threads_env(graphs, capsys, monkeypatch):
-    monkeypatch.setenv("TROFEY_THREADS", "many")
+def test_threads_env_is_ignored(graphs, capsys, monkeypatch):
     integral = ("integral", "--graph", graphs["theta"], "--a", "0,0,1")
     for argv in THREAD_ENV_ARGVS + (integral,):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert err.splitlines() == ["error: TROFEY_THREADS must be an integer"]
+        monkeypatch.delenv("TROFEY_THREADS", raising=False)
+        unset = run(capsys, *argv)
+        for value in ("abc", "0", "3"):
+            monkeypatch.setenv("TROFEY_THREADS", value)
+            assert run(capsys, *argv) == unset, (argv, value)
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
@@ -594,16 +588,6 @@ def test_threads_flag_below_one_is_validation_error(capsys, threads):
         assert code == 3
         assert out == ""
         assert err.splitlines() == [f"error: --threads must be >= 1, got {threads}"]
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_env_below_one_is_validation_error(capsys, monkeypatch, threads):
-    monkeypatch.setenv("TROFEY_THREADS", threads)
-    for argv in THREAD_ENV_ARGVS:
-        code, out, err = run(capsys, *argv)
-        assert code == 3, argv
-        assert out == ""
-        assert err.splitlines() == [f"error: TROFEY_THREADS must be >= 1, got {threads}"]
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -639,7 +623,6 @@ FUZZ_VALUES = {
         ["", "x", "1/0"],
     ),
     "--max-weight": (["0", "2", "4"], ["-2", "3", "", "x"]),
-    "TROFEY_THREADS": (["2"], ["0", "x"]),
 }
 FUZZ_FLAGS = {
     ("integral",): ["--graph", "--k", "--gf", "--order", "--a", "--l", "--q-order"],
@@ -698,8 +681,7 @@ def fuzz_argv(draw, files):
             argv += option(flag)
     if draw(st.integers(0, 19)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "extra", "-1"])))
-    env = value("TROFEY_THREADS") if draw(st.integers(0, 9)) == 0 else None
-    return argv, env
+    return argv
 
 
 @settings(max_examples=200, deadline=None)
@@ -708,24 +690,21 @@ def test_fuzz_cli_exit_codes_and_one_line_errors(fuzz_files, data):
     # Every argv ends in a documented exit code with no traceback (in
     # process, an uncaught exception leaves main and fails the test); a
     # validation or fit error is exactly one "error:" line.
-    argv, env = data.draw(fuzz_argv(fuzz_files))
+    argv = data.draw(fuzz_argv(fuzz_files))
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
-        os.environ.pop("TROFEY_THREADS", None)
-        if env is not None:
-            os.environ["TROFEY_THREADS"] = env
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     stderr = err.getvalue()
-    assert code in (0, 2, 3, 4, 5), (argv, env, code, stderr)
+    assert code in (0, 2, 3, 4, 5), (argv, code, stderr)
     assert "Traceback" not in stderr
     messages = [line for line in stderr.splitlines() if not line.startswith("warning:")]
     if code in (3, 5):
-        assert len(messages) == 1 and messages[0].startswith("error: "), (argv, env, stderr)
+        assert len(messages) == 1 and messages[0].startswith("error: "), (argv, stderr)
     if code == 0:
-        assert messages == [] and out.getvalue(), (argv, env, stderr)
+        assert messages == [] and out.getvalue(), (argv, stderr)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

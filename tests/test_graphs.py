@@ -1,5 +1,6 @@
 """Tests for multigraphs, vertex orders, automorphisms, and enumeration."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -23,8 +24,6 @@ from trofey.graphs import (
     _orientation_signature,
     labeled_copy_count,
     orientation_classes,
-    order_position,
-    validate,
     validate_assignment,
     weighted_classes,
 )
@@ -88,7 +87,7 @@ def test_derived_k_inverts_valence_relation():
 
 def test_validate_assignment():
     assert validate_assignment(TRIANGLE, (1, 0, 0), (2, 0, 0)) == []
-    assert validate(RIGHT, (0, 0, 0), (2, 0, 0))
+    assert validate_assignment(RIGHT, (0, 0, 0), (2, 0, 0)) == []
     # wrong k at vertex 1
     assert validate_assignment(TRIANGLE, (1, 0, 0), (1, 1, 0))
     # negative genus
@@ -102,8 +101,8 @@ def test_orders():
     orders = list(all_orders(3))
     assert len(orders) == 6
     assert orders[0] == (1, 2, 3)  # identity first
-    assert order_position((2, 1, 3), 1) == 1
-    assert order_position((2, 1, 3), 2) == 0
+    assert (2, 1, 3).index(1) == 1
+    assert (2, 1, 3).index(2) == 0
 
 
 def test_edge_orientation_follows_order():
@@ -117,17 +116,26 @@ def test_edge_orientation_follows_order():
 def test_vertex_labeled_automorphisms():
     # product over factorials of parallel-edge multiplicities and loop
     # slot counts; a single loop is one slot, so it contributes nothing
-    assert automorphism_count(TRIANGLE, (1, 0, 0), "vertex_labeled") == 1
-    assert automorphism_count(MIDDLE, (0, 0, 0), "vertex_labeled") == 4
-    assert automorphism_count(THETA, (0, 0), "vertex_labeled") == 6
-    assert automorphism_count(RIGHT, (0, 0, 0), "vertex_labeled") == 1
+    assert automorphism_count(TRIANGLE) == 1
+    assert automorphism_count(MIDDLE) == 4
+    assert automorphism_count(THETA) == 6
+    assert automorphism_count(RIGHT) == 1
+    assert automorphism_count(DUMBBELL) == 1
+    assert automorphism_count(FeynmanGraph(2, ((1, 1), (1, 1), (1, 2), (1, 2)))) == 4
 
 
-def test_unlabeled_automorphisms_add_vertex_symmetry():
-    assert automorphism_count(THETA, (0, 0), "unlabeled") == 12  # 3! * swap
-    assert automorphism_count(DUMBBELL, (0, 0), "unlabeled") == 2  # swap only
-    # genus labels can break vertex symmetry
-    assert automorphism_count(THETA, (1, 0), "unlabeled") == 6
+@pytest.mark.parametrize("k", SWEEP_KS)
+def test_automorphism_count_permutes_equal_edge_slots(k):
+    # by definition: the edge-slot permutations that fix every slot's
+    # endpoints, counted by brute force
+    for a in enumerate_labeled_graphs(k):
+        edges = a.graph.edges
+        fixing = sum(
+            1
+            for perm in itertools.permutations(range(len(edges)))
+            if all(edges[p] == e for p, e in zip(perm, edges))
+        )
+        assert automorphism_count(a.graph) == fixing, edges
 
 
 def test_enumerate_labeled_graphs_k200():
@@ -140,7 +148,7 @@ def test_enumerate_labeled_graphs_k200():
         (((1, 2), (1, 2), (1, 3), (1, 3)), (0, 0, 0)),
     }
     for a in classes:
-        assert validate(a.graph, a.gf, (2, 0, 0))
+        assert validate_assignment(a.graph, a.gf, (2, 0, 0)) == []
 
 
 def test_enumerate_labeled_graphs_k11():
@@ -202,7 +210,7 @@ def test_weighted_classes_visit_each_orbit_once(k):
     classes = list(weighted_classes(k))
     # the weights total the labeled graph sum of n! / |Aut_vl|
     assert sum(weight for *_, weight in classes) == sum(
-        Fraction(factorial(len(k)), automorphism_count(a.graph, a.gf)) for a in labeled
+        Fraction(factorial(len(k)), automorphism_count(a.graph)) for a in labeled
     )
     # representatives: the first labeled member of each isomorphism class,
     # in enumeration order, with every orientation class weighted by its
@@ -213,7 +221,7 @@ def test_weighted_classes_visit_each_orbit_once(k):
     expected = []
     for i in sorted(first.values()):
         graph, gf = labeled[i].graph, labeled[i].gf
-        copies, aut = labeled_copy_count(graph, gf), automorphism_count(graph, gf)
+        copies, aut = labeled_copy_count(graph, gf), automorphism_count(graph)
         for order, size in orientation_classes(graph):
             expected.append((graph, gf, order, Fraction(size * copies, aut)))
     assert classes == expected
@@ -227,7 +235,7 @@ def test_orientation_consistent_with_positions(perm):
     order = tuple(perm)
     for idx in range(TRIANGLE.num_edges):
         tail, head = edge_orientation(TRIANGLE, idx, order)
-        assert order_position(order, tail) < order_position(order, head)
+        assert order.index(tail) < order.index(head)
 
 
 def test_json_round_trip():

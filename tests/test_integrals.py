@@ -51,7 +51,7 @@ def refined_table_by_coeff(graph, order, q_order, l=None, gf=None):
     (the full-series oracle).
     """
     table = {}
-    for a in multidegrees(graph, [q_order] * graph.num_edges, q_order):
+    for a in multidegrees(graph, q_order):
         value = refined_coeff(graph, order, a, l=l, gf=gf)
         if value != 0:
             table[a] = value
@@ -137,14 +137,29 @@ def test_refined_sweep_needs_a_leak_target():
 
 
 def test_multidegrees_force_loops_positive():
-    assert set(multidegrees(RIGHT, [1, 1, 1, 1], 1)) == {(1, 0, 0, 0)}
-    assert all(a[0] >= 1 for a in multidegrees(RIGHT, [2] * 4, 2))
-    assert set(multidegrees(THETA, [1, 1, 1], 1)) == {
+    assert set(multidegrees(RIGHT, 1)) == {(1, 0, 0, 0)}
+    assert all(a[0] >= 1 for a in multidegrees(RIGHT, 2))
+    assert list(multidegrees(RIGHT, 0)) == []
+    assert set(multidegrees(THETA, 1)) == {
         (0, 0, 0),
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
     }
+
+
+@pytest.mark.parametrize("amax", [-1, 0, 1, 2, 3])
+def test_multidegrees_is_the_lexicographic_box_below_amax(amax):
+    # every a with a_k <= amax, sum(a) <= amax and a_k >= 1 on loops, in
+    # lexicographic order
+    for graph in (RIGHT, THETA, TRIANGLE, MIDDLE):
+        box = itertools.product(range(amax + 1), repeat=graph.num_edges)
+        expected = [
+            a
+            for a in box
+            if sum(a) <= amax and all(a_k >= 1 for a_k, (u, v) in zip(a, graph.edges) if u == v)
+        ]
+        assert list(multidegrees(graph, amax)) == expected
 
 
 def test_refined_sweep_matches_single_calls():
@@ -168,7 +183,7 @@ def test_dressed_leak_sweeps_match_reference():
     for graph, gfs in cases:
         n = graph.n
         targets = [(0,) * n] + sorted(set(itertools.permutations((1, -1) + (0,) * (n - 2))))
-        degrees = list(multidegrees(graph, [2] * graph.num_edges, 2))
+        degrees = list(multidegrees(graph, 2))
         for i, order in enumerate(all_orders(n)):
             for j, gf in enumerate(gfs[i % 2 :: 2]):
                 a = degrees[(3 * i + 5 * j + 1) % len(degrees)]
@@ -184,7 +199,7 @@ def test_dressed_leak_sweeps_match_reference():
 def test_series_q_sums_multidegrees():
     series = integral_series_q(TRIANGLE, (1, 0, 0), ID3, 2)
     by_hand = {}
-    for a in multidegrees(TRIANGLE, [2, 2, 2], 2):
+    for a in multidegrees(TRIANGLE, 2):
         d = sum(a)
         if d:
             by_hand[d] = by_hand.get(d, 0) + refined_coeff(TRIANGLE, ID3, a, gf=(1, 0, 0))
@@ -249,9 +264,9 @@ def test_refined_table_matches_coeff_on_every_class(graph, gf, q_order):
     for order, _ in orientation_classes(graph):
         table = integral_series_refined(graph, order, q_order, gf=gf)
         assert table, (graph.edges, order)
-        for a in multidegrees(graph, [q_order] * graph.num_edges, q_order):
+        for a in multidegrees(graph, q_order):
             assert table.get(a, 0) == refined_coeff(graph, order, a, gf=gf), (order, a)
-        assert set(table) <= set(multidegrees(graph, [q_order] * graph.num_edges, q_order))
+        assert set(table) <= set(multidegrees(graph, q_order))
 
 
 @settings(max_examples=40, deadline=None)

@@ -62,7 +62,7 @@ def test_fit_constant():
 
 def test_fit_recovers_single_eisenstein():
     coeffs = eisenstein_coefficients(4, 9)
-    result = fit(coeffs, 4, 9)
+    result = fit(dict(enumerate(coeffs)), 4, 9)
     assert result.residual_ok
     assert result.coefficients == {(0, 1, 0): 1}
     assert result.format_polynomial() == "E4"
@@ -76,7 +76,7 @@ def test_fit_triangle_polynomial():
         " + 1/20736*E2^2*E4 - 1/10368*E2*E6 + 1/20736*E4^2"
     )
     assert result.weight_profile == {6, 8}
-    assert result.is_mixed and not result.is_homogeneous
+    assert not result.is_homogeneous
 
 
 def test_fit_right_polynomial():
@@ -129,11 +129,11 @@ def test_q_expansion_round_trip():
     assert expanded == [series.get(d, 0) for d in range(Q_ORDER + 1)]
 
 
-def test_fit_accepts_sequence_and_mapping():
-    coeffs = eisenstein_coefficients(2, 8)
-    as_list = fit(coeffs, 2, 8)
-    as_map = fit({d: c for d, c in enumerate(coeffs)}, 2, 8)
-    assert as_list.coefficients == as_map.coefficients == {(1, 0, 0): 1}
+def test_fit_reads_missing_exponents_as_zero():
+    # {0: 1} is the constant 1 through every order; q^9 lies beyond q_order
+    assert fit({0: 1, 9: 5}, 2, 8).coefficients == {(0, 0, 0): 1}
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit({-1: 1, 0: 1}, 2, 8)
 
 
 def test_fit_result_is_frozen():

@@ -43,3 +43,19 @@ def test_every_private_def_is_used_in_the_package():
         if not any(name in used for j, used in enumerate(names) if j != i)
     ]
     assert unused == []
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a flag or a parameter: nothing reads os.environ or
+    # os.getenv, by attribute or by import
+    env_names = {"environ", "environb", "getenv", "getenvb"}
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 9
+    reads = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in env_names:
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}" for a in node.names if a.name in env_names]
+    assert reads == []
