@@ -35,6 +35,7 @@ from .graphs import (
     all_orders,
     graph_from_json_dict,
     identity_order,
+    orientation_classes,
     validate_assignment,
     weighted_classes,
 )
@@ -81,17 +82,21 @@ def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
         raise CliError(PARSE_ERROR, f"{what} must be comma-separated integers") from exc
 
 
-def _parse_orders(text: str, n: int) -> list[tuple[int, ...]]:
+def _parse_orders(text: str, graph: FeynmanGraph) -> list[tuple[tuple[int, ...], int]]:
+    """The orders ``--order`` names, as (order, multiplicity) pairs: ``all``
+    is one representative per orientation class, weighted by its size,
+    since the integrals see an order only through the edge directions."""
+    n = graph.n
     if text == "id":
-        return [identity_order(n)]
+        return [(identity_order(n), 1)]
     if text == "all":
-        return list(all_orders(n))
+        return orientation_classes(graph)
     order = _parse_int_vector(text, "order")
     if sorted(order) != list(range(1, n + 1)):
         raise CliError(
             VALIDATION_ERROR, f"order must be a permutation of 1..{n}, got {text!r}"
         )
-    return [order]
+    return [(order, 1)]
 
 
 def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[int] | None]:
@@ -178,7 +183,7 @@ def _emit(report: dict[str, Any], fmt: str) -> None:
     # plain: one value per line, labels prefixed when there are several rows
     for row in results:
         labels = row["labels"]
-        if len(results) == 1 and not row.get("force_labels"):
+        if len(results) == 1:
             sys.stdout.write(f"{row['value']}\n")
         else:
             prefix = " ".join(f"{k}={labels[k]}" for k in sorted(labels))
@@ -191,7 +196,7 @@ def _emit(report: dict[str, Any], fmt: str) -> None:
 def cmd_integral(args: argparse.Namespace) -> int:
     graph, file_gf, relabeling = _load_graph(args.graph)
     gf = _parse_int_vector(args.gf, "--gf") if args.gf else file_gf
-    orders = _parse_orders(args.order, graph.n)
+    orders = _parse_orders(args.order, graph)
     if args.k:
         k = _parse_int_vector(args.k, "--k")
         reasons = validate_assignment(graph, gf if gf else (0,) * graph.n, k)
@@ -215,8 +220,8 @@ def cmd_integral(args: argparse.Namespace) -> int:
         if args.a is not None:
             a = _parse_int_vector(args.a, "--a")
             total: Any = 0
-            for order in orders:
-                total += refined_coeff(graph, order, a, l=leaks, gf=gf)
+            for order, count in orders:
+                total += count * refined_coeff(graph, order, a, l=leaks, gf=gf)
             results.append(
                 {"labels": {"order": args.order, "a": args.a}, "value": _format_rational(total)}
             )
@@ -226,29 +231,19 @@ def cmd_integral(args: argparse.Namespace) -> int:
             if args.order == "all":
                 series = integral_series_all_orders(graph, gf, args.q_order)
             else:
-                series = {}
-                for order in orders:
-                    for d, c in integral_series_q(graph, gf, order, args.q_order).items():
-                        series[d] = series.get(d, 0) + c
+                [(order, _)] = orders
+                series = integral_series_q(graph, gf, order, args.q_order)
             for d in range(args.q_order + 1):
                 results.append(
                     {
                         "labels": {"order": args.order, "d": d},
                         "value": _format_rational(series.get(d, 0)),
-                        "force_labels": True,
                     }
                 )
     except ValueError as exc:
         raise CliError(VALIDATION_ERROR, str(exc)) from exc
-    report = _report(query, results, edge_relabeling=relabeling)
-    _strip_private(report)
-    _emit(report, args.format)
+    _emit(_report(query, results, edge_relabeling=relabeling), args.format)
     return 0
-
-
-def _strip_private(report: dict[str, Any]) -> None:
-    for row in report["results"]:
-        row.pop("force_labels", None)
 
 
 # -- invariant -----------------------------------------------------------
@@ -318,16 +313,10 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(VALIDATION_ERROR, str(exc)) from exc
     results = [
-        {
-            "labels": {"d": d},
-            "value": _format_rational(series.get(d, 0)),
-            "force_labels": True,
-        }
+        {"labels": {"d": d}, "value": _format_rational(series.get(d, 0))}
         for d in range(1, args.dmax + 1)
     ]
-    report = _report(query, results)
-    _strip_private(report)
-    _emit(report, args.format)
+    _emit(_report(query, results), args.format)
     return 0
 
 

@@ -17,12 +17,21 @@ One DP does every extraction.  Edge k multiplies in its q^a slices for
 the a in a degree set: the single a_k for one multidegree
 (:func:`refined_sweep`, :func:`refined_coeff`), 0..q_order for a series
 (:func:`integral_series_q`, :func:`integral_series_refined`), always with
-sum(a) <= a total cap.  The state maps a grade (the total q-degree d, or
-the degrees of the edges done so far) to the monomials in (x-exponents,
-z-exponents), so one pass covers every multidegree, and it extracts
-several leak targets at once.  The 1/S(z_i) prefactors are applied once,
-at extraction: a surviving monomial of z-degree zs_i at vertex i takes
-the z^{2 g_i - zs_i} coefficient of 1/S.
+sum(a) <= a total cap.  The state maps a monomial (x-exponents,
+z-exponents) to its coefficient at every grade: the total q-degree d, or
+the degrees of the edges done so far, packed into one integer.  An
+edge's slice terms are grouped by the exponent shift they apply, so the
+pass builds each new monomial once per (monomial, shift) and then walks
+the grades, and it extracts several leak targets at once.
+
+Genus dressing stays in integers.  A z^{2m} term at a vertex of genus g
+carries s_m = 1/(4^m (2m+1)!), m <= g; the pass scales it by K_g^m with
+K_g = 4 (2g+1)!, which leaves (2g+1)!^m / (2m+1)!, an integer because
+(2m+1)! divides (2g+1)!.  A monomial of z-degree zs_v at vertex v so
+carries K_v^{zs_v/2} too much.  The 1/S(z_v) prefactors and that scale
+are applied once per monomial, at extraction: vertex v contributes the
+z^{2 g_v - zs_v} coefficient of 1/S divided by K_v^{zs_v/2}.  Genus-0
+vertices contribute nothing, so a genus-0 pass stays in ``int``.
 
 Winding bounds.  A slice term of a curled edge (a_k > 0) moves w | a_k
 units between its endpoints; an uncurled edge (a_k = 0) carries w >= 1 in
@@ -40,7 +49,9 @@ bounds are sufficient.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -55,7 +66,7 @@ from .graphs import (
     weighted_classes,
 )
 from .propagators import divisors
-from .series import Coeff, invert, s_coeff, s_series
+from .series import Coeff, invert, s_series
 
 LeakVector = tuple[int, ...]
 
@@ -66,37 +77,72 @@ def _inv_s_even(g: int) -> tuple[Coeff, ...]:
     return tuple(invert(s_series(1, 2 * g), 2 * g)[::2])
 
 
-# An edge-slice term: exponent/dressing data at the two edge ends plus a
-# coefficient.  For loops both ends are the same vertex and x-exponents
-# are zero; the whole z-dressing is reported in the tail slot.
-_SliceTerm = tuple[int, int, int, int, Coeff]  # (x_tail, z_tail, x_head, z_head, c)
+@lru_cache(maxsize=None)
+def _scaled_s(m: int, g: int) -> int:
+    """K_g^m s_m = (2g+1)!^m / (2m+1)! for m <= g, with K_g = 4 (2g+1)!."""
+    return factorial(2 * g + 1) ** m // factorial(2 * m + 1)
 
 
 @lru_cache(maxsize=None)
-def _slice_terms(
-    is_loop: bool, a: int, direct_cap: int, g_tail: int, g_head: int
-) -> tuple[_SliceTerm, ...]:
-    """q^a-slice of one (dressed) edge factor, in endpoint-local form."""
-    out: list[_SliceTerm] = []
-    if is_loop:
+def _vertex_prefactors(g: int) -> tuple[Fraction, ...]:
+    """For a vertex of genus g >= 1 whose monomial has z-degree 2m (m = 0..g):
+    the z^{2g-2m} coefficient of 1/S, divided by the scale K_g^m."""
+    scale = 4 * factorial(2 * g + 1)
+    inv = _inv_s_even(g)
+    return tuple(Fraction(inv[g - m]) / scale**m for m in range(g + 1))
+
+
+# A shift group of one edge: the exponent shift at the two edge ends and
+# the terms applying it, as (grade step, scaled coefficient) in ascending
+# degree.  For loops both ends are the same vertex and the x-shifts are
+# zero; the whole z-dressing is reported in the tail slot.
+_ShiftGroup = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
+
+
+@lru_cache(maxsize=None)
+def _shift_groups(
+    is_loop: bool,
+    degrees: Sequence[int],
+    direct_cap: int,
+    g_tail: int,
+    g_head: int,
+    step_unit: int,
+) -> tuple[_ShiftGroup, ...]:
+    """The q^a slices (a in degrees, ascending) of one dressed edge factor,
+    grouped by shift, the z^{2m} dressing at a vertex of genus g scaled by
+    K_g^m; degree a steps the grade by a * step_unit."""
+    groups: dict[tuple[int, int, int, int], dict[int, int]] = {}
+
+    def add(shift: tuple[int, int, int, int], a: int, c: int) -> None:
+        terms = groups.setdefault(shift, {})
+        terms[a] = terms.get(a, 0) + c
+
+    # S(w z)^2 = sum_m (sum_{i+j=m} s_i s_j) w^{2m} z^{2m}
+    loop_dressing = [
+        sum(_scaled_s(i, g_tail) * _scaled_s(m - i, g_tail) for i in range(m + 1))
+        for m in range(g_tail + 1)
+    ]
+    for a in degrees:
+        if is_loop and a == 0:
+            continue  # loop factors have no constant term
+        if is_loop:
+            for w in divisors(a):
+                for m, conv in enumerate(loop_dressing):
+                    add((0, 2 * m, 0, 0), a, w ** (2 * m + 1) * conv)
+            continue
         if a == 0:
-            return ()  # loop factors have no constant term
-        for w in divisors(a):
-            # S(w z)^2 = sum_m (sum_{i+j=m} s_i s_j) w^{2m} z^{2m}
-            for m in range(g_tail + 1):
-                conv = sum(s_coeff(i) * s_coeff(m - i) for i in range(m + 1))
-                out.append((0, 2 * m, 0, 0, w ** (2 * m + 1) * conv))
-        return tuple(out)
-    if a == 0:
-        windings: list[tuple[int, int]] = [(w, 1) for w in range(1, direct_cap + 1)]
-    else:
-        windings = [(w, s) for w in divisors(a) for s in (1, -1)]
-    for w, sgn in windings:
-        for i in range(g_tail + 1):
-            for j in range(g_head + 1):
-                c = w ** (1 + 2 * i + 2 * j) * s_coeff(i) * s_coeff(j)
-                out.append((sgn * w, 2 * i, -sgn * w, 2 * j, c))
-    return tuple(out)
+            windings = [(w, 1) for w in range(1, direct_cap + 1)]
+        else:
+            windings = [(w, s) for w in divisors(a) for s in (1, -1)]
+        for w, sgn in windings:
+            for i in range(g_tail + 1):
+                for j in range(g_head + 1):
+                    c = _scaled_s(i, g_tail) * _scaled_s(j, g_head)
+                    add((sgn * w, 2 * i, -sgn * w, 2 * j), a, w ** (1 + 2 * i + 2 * j) * c)
+    return tuple(
+        shift + (tuple((a * step_unit, c) for a, c in sorted(terms.items())),)
+        for shift, terms in groups.items()
+    )
 
 
 def _normalize_query(
@@ -119,15 +165,22 @@ def _normalize_query(
     return order, a, leaks, gf
 
 
-def _edge_processing_order(graph: FeynmanGraph, order: VertexOrder) -> list[int]:
-    """Edge indices (0-based) sorted so vertices finish as early as possible."""
+@lru_cache(maxsize=None)
+def _edge_plan(graph: FeynmanGraph, order: VertexOrder) -> tuple[tuple[int, int, int], ...]:
+    """(edge index, tail, head) with 0-based vertices, edges sorted so
+    vertices finish as early as possible; a loop's tail is its head."""
     pos = {v: order.index(v) for v in range(1, graph.n + 1)}
 
     def key(idx: int) -> tuple[int, int, int]:
         u, v = graph.edges[idx]
         return (max(pos[u], pos[v]), min(pos[u], pos[v]), idx)
 
-    return sorted(range(graph.num_edges), key=key)
+    plan = []
+    for idx in sorted(range(graph.num_edges), key=key):
+        u, v = graph.edges[idx]
+        tail, head = edge_orientation(graph, idx, order) if u != v else (u, v)
+        plan.append((idx, tail - 1, head - 1))
+    return tuple(plan)
 
 
 def _winding_caps(
@@ -159,32 +212,41 @@ def _graded_pass(
     multidegree with a_k in degrees[k] and sum(a) <= total_cap: one table
     per target, in one DP over the edges.
 
-    The state maps a grade to its monomials (x-exponents, z-exponents).
-    The grade is the total q-degree d, or with ``by_multidegree`` the
-    degrees of the edges done so far; each table is keyed by the grade,
-    or by the multidegree in edge-index order.  Every uncurled winding is
-    capped once, at total_cap + max_t sum|t|; a vertex exponent is pruned
-    once it leaves [min_t t_v - remaining, max_t t_v + remaining], with
-    the remaining edges at their pruning caps (:func:`_winding_caps`).
+    The state maps a monomial (x-exponents, z-exponents) to {grade:
+    coefficient}.  A grade is the integer d * U + code, d the total
+    q-degree.  Without ``by_multidegree`` U = 1 and the code is 0, so the
+    grade is d.  With it, U = R^r for radix R = total_cap + 1 and r edges,
+    and the code holds the degree of the p-th edge done as its base-R
+    digit p.  No digit exceeds total_cap, so nothing carries: sum(a) <=
+    total_cap holds exactly when the grade is below R * U.  Each table is
+    keyed by d, or by the multidegree in edge-index order, ascending.
+
+    Per edge, each monomial builds one new monomial per shift group
+    (:func:`_shift_groups`), after the pruning checks; then each of its
+    grades takes the group's terms in ascending degree until the grade
+    reaches R * U.  Every uncurled winding is capped once, at
+    total_cap + max_t sum|t|; a vertex exponent is pruned once it leaves
+    [min_t t_v - remaining, max_t t_v + remaining], with the remaining
+    edges at their pruning caps (:func:`_winding_caps`).  Every scaled
+    slice coefficient is a positive integer, so the pass never cancels;
+    zero sums are dropped at extraction.
     """
     n = graph.n
-    edge_order = _edge_processing_order(graph, order)
+    plan = _edge_plan(graph, order)
     winding_cap, caps = _winding_caps(graph, degrees, total_cap, targets)
     remaining_cap = [0] * n  # loops have cap 0
     for (u, v), cap in zip(graph.edges, caps):
         remaining_cap[u - 1] += cap
         remaining_cap[v - 1] += cap
-    target_lo = [min(t[v] for t in targets) for v in range(n)]
-    target_hi = [max(t[v] for t in targets) for v in range(n)]
+    target_lo = [min(column) for column in zip(*targets)]
+    target_hi = [max(column) for column in zip(*targets)]
+    radix = total_cap + 1
+    unit = radix ** len(plan) if by_multidegree else 1
+    limit = radix * unit
     zero = (0,) * n
-    # grade -> {(x-exponents, z-exponents): coefficient}
-    state: dict[object, dict[tuple[tuple[int, ...], tuple[int, ...]], Coeff]] = {
-        () if by_multidegree else 0: {(zero, zero): 1}
-    }
-    for idx in edge_order:
-        u, v = graph.edges[idx]
-        tail, head = edge_orientation(graph, idx, order) if u != v else (u, v)
-        t_idx, h_idx = tail - 1, head - 1
+    # (x-exponents, z-exponents) -> {grade: coefficient}
+    state: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {(zero, zero): {0: 1}}
+    for p, (idx, t_idx, h_idx) in enumerate(plan):
         remaining_cap[t_idx] -= caps[idx]
         remaining_cap[h_idx] -= caps[idx]
         zt_max, zh_max = 2 * gf_t[t_idx], 2 * gf_t[h_idx]
@@ -192,77 +254,75 @@ def _graded_pass(
         t_hi = target_hi[t_idx] + remaining_cap[t_idx]
         h_lo = target_lo[h_idx] - remaining_cap[h_idx]
         h_hi = target_hi[h_idx] + remaining_cap[h_idx]
-        # (degree, grade increment, slice terms); the grade grows by addition
-        slices = [
-            (a, (a,) if by_multidegree else a, terms)
-            for a in degrees[idx]
-            if (terms := _slice_terms(u == v, a, winding_cap, gf_t[t_idx], gf_t[h_idx]))
-        ]
-        new: dict[object, dict[tuple[tuple[int, ...], tuple[int, ...]], Coeff]] = {}
-        for grade, monomials in state.items():
-            budget = total_cap - (sum(grade) if by_multidegree else grade)
-            for a, step, terms in slices:
-                if a > budget:
+        groups = _shift_groups(
+            t_idx == h_idx, degrees[idx], winding_cap, gf_t[t_idx], gf_t[h_idx],
+            unit + radix**p if by_multidegree else 1,
+        )
+        new: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
+        for (xs, zs), grades in state.items():
+            lowest = min(grades)
+            for xt, zt, xh, zh, terms in groups:
+                if lowest + terms[0][0] >= limit:
                     continue
-                out = new.setdefault(grade + step, {})
-                for (xs, zs), c in monomials.items():
-                    for xt, zt, xh, zh, ec in terms:
-                        zt_new = zs[t_idx] + zt
-                        if zt_new > zt_max:
-                            continue
-                        xt_new = xs[t_idx] + xt
-                        if not t_lo <= xt_new <= t_hi:
-                            continue
-                        if t_idx == h_idx:
-                            xs2, zs2 = list(xs), list(zs)
-                        else:
-                            zh_new = zs[h_idx] + zh
-                            if zh_new > zh_max:
-                                continue
-                            xh_new = xs[h_idx] + xh
-                            if not h_lo <= xh_new <= h_hi:
-                                continue
-                            xs2, zs2 = list(xs), list(zs)
-                            xs2[h_idx] = xh_new
-                            zs2[h_idx] = zh_new
-                        xs2[t_idx] = xt_new
-                        zs2[t_idx] = zt_new
-                        key = (tuple(xs2), tuple(zs2))
-                        s = out.get(key, 0) + c * ec
-                        if s == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
-        state = {grade: monomials for grade, monomials in new.items() if monomials}
+                zt_new = zs[t_idx] + zt
+                if zt_new > zt_max:
+                    continue
+                xt_new = xs[t_idx] + xt
+                if not t_lo <= xt_new <= t_hi:
+                    continue
+                if t_idx == h_idx:
+                    zs2 = list(zs)
+                    zs2[t_idx] = zt_new
+                    key = (xs, tuple(zs2))
+                else:
+                    zh_new = zs[h_idx] + zh
+                    if zh_new > zh_max:
+                        continue
+                    xh_new = xs[h_idx] + xh
+                    if not h_lo <= xh_new <= h_hi:
+                        continue
+                    xs2, zs2 = list(xs), list(zs)
+                    xs2[t_idx], xs2[h_idx] = xt_new, xh_new
+                    zs2[t_idx], zs2[h_idx] = zt_new, zh_new
+                    key = (tuple(xs2), tuple(zs2))
+                out = new.get(key)
+                if out is None:
+                    out = new[key] = {}
+                for g, c in grades.items():
+                    for step, ec in terms:
+                        g2 = g + step
+                        if g2 >= limit:
+                            break
+                        out[g2] = out.get(g2, 0) + c * ec
+        state = new
         if not state:
             break
 
     # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
-    dressed = [(vi, g, _inv_s_even(g)) for vi, g in enumerate(gf_t) if g]
-    tables: dict[LeakVector, dict] = {t: {} for t in targets}
-    for grade, monomials in state.items():
-        for (xs, zs), c in monomials.items():
-            out = tables.get(xs)
-            if out is None:
-                continue
-            for vi, g, inv in dressed:
-                c *= inv[g - zs[vi] // 2]
-            s = out.get(grade, 0) + c
-            if s == 0:
-                out.pop(grade, None)
-            else:
-                out[grade] = s
-    if not by_multidegree:
-        return tables
-    for t, out in tables.items():
-        table: dict[Multidegree, Coeff] = {}
-        for prefix, c in out.items():
-            a = [0] * graph.num_edges
-            for idx, a_k in zip(edge_order, prefix):
-                a[idx] = a_k
-            table[tuple(a)] = c
-        tables[t] = table
-    return tables
+    dressed = [(vi, _vertex_prefactors(g)) for vi, g in enumerate(gf_t) if g]
+    sums: dict[LeakVector, dict[int, Coeff]] = {t: {} for t in targets}
+    for (xs, zs), grades in state.items():
+        out = sums.get(xs)
+        if out is None:
+            continue
+        scale: Coeff = 1
+        for vi, prefactors in dressed:
+            scale *= prefactors[zs[vi] // 2]
+        for g, c in grades.items():
+            out[g] = out.get(g, 0) + c * scale
+
+    def multidegree(code: int) -> Multidegree:
+        a = [0] * graph.num_edges
+        for idx, _, _ in plan:
+            code, a[idx] = divmod(code, radix)
+        return tuple(a)
+
+    if by_multidegree:
+        return {
+            t: dict(sorted((multidegree(g % unit), c) for g, c in out.items() if c != 0))
+            for t, out in sums.items()
+        }
+    return {t: {d: out[d] for d in sorted(out) if out[d] != 0} for t, out in sums.items()}
 
 
 def refined_sweep(

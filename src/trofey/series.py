@@ -2,9 +2,12 @@
 
 A series is its coefficient list ``[c_0, c_1, ..., c_order]``.
 Coefficients are exact: ``int`` where integral, ``fractions.Fraction``
-otherwise (:func:`normalize` collapses denominators of one), so
-integer-only computations never touch rational arithmetic.  The
-operations return new lists truncated at the requested order.
+otherwise (:func:`normalize` collapses denominators of one).  The
+operations return new lists truncated at the requested order.  The
+coefficients s_m of S are rational for m >= 1; the integral DP in
+:mod:`trofey.integrals` does not multiply by them but by integer
+multiples K^m s_m, so it stays in ``int`` at every genus and divides once
+per monomial, at extraction.
 """
 
 from __future__ import annotations

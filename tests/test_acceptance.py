@@ -26,6 +26,7 @@ from trofey.fock import (
 from trofey.graphs import FeynmanGraph, all_orders, enumerate_graphs, identity_order
 from trofey.integrals import (
     integral_series_q,
+    integral_series_refined,
     mirror_total_series,
     multidegrees,
     refined_coeff,
@@ -174,14 +175,21 @@ def test_criterion_07_bijection_sweep():
 
 
 def test_criterion_08_mirror_sweep():
+    # one dressed integral table per (graph, order), read at every
+    # multidegree; tests/test_integrals.py ties the table to refined_coeff
+    checked = 0
     for k in SWEEP_KS:
         for rep in enumerate_graphs(k):
             graph, gf = rep.graph, rep.gf
+            degrees = list(multidegrees(graph, 4))
             for order in all_orders(graph.n):
-                for a in multidegrees(graph, 4):
-                    dressed = refined_coeff(graph, order, a, gf=gf)
+                table = integral_series_refined(graph, order, 4, gf=gf)
+                assert set(table) <= set(degrees), (k, graph.edges, gf, order)
+                for a in degrees:
                     covers = descendant_contribution(graph, gf, order, a, k)
-                    assert dressed == covers, (k, graph.edges, gf, order, a)
+                    assert table.get(a, 0) == covers, (k, graph.edges, gf, order, a)
+                    checked += 1
+    assert checked == 22608
 
 
 def test_criterion_09_operator_route():

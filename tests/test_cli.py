@@ -17,8 +17,8 @@ import trofey
 from trofey import cli, fock
 from trofey.cli import main
 from trofey.covers import cover_count, descendant_contribution
-from trofey.graphs import FeynmanGraph, orientation_classes
-from trofey.integrals import multidegrees
+from trofey.graphs import FeynmanGraph, all_orders, orientation_classes
+from trofey.integrals import multidegrees, refined_coeff
 from trofey.quasimodular import fit as quasimodular_fit
 
 
@@ -29,6 +29,8 @@ def graphs(tmp_path):
         "triangle": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "genus": [1, 0, 0]},
         "right": {"n": 3, "edges": [[1, 1], [1, 2], [2, 3], [1, 3]]},
         "theta": {"n": 2, "edges": [[1, 2], [1, 2], [1, 2]]},
+        "k4": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
+        "dbl_dbl": {"n": 4, "edges": [[1, 2], [1, 2], [1, 3], [2, 4], [3, 4], [3, 4]]},
         "unsorted": {"n": 3, "edges": [[1, 2], [1, 1], [2, 3], [1, 3]]},
     }
     for name, payload in specs.items():
@@ -117,6 +119,73 @@ def test_integral_negative_q_order_is_validation_error(graphs, capsys):
         assert code == 3
         assert out == ""
         assert err == "error: q-order must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize(
+    "name, leak_vectors",
+    [
+        ("theta", [None, (1, -1), (2, -2)]),
+        ("k4", [None, (1, -1, 0, 0), (1, -1, 1, -1)]),
+        # on dbl_dbl some orientation classes hold 2 or 4 orders; these
+        # leaks reach them at sum(a) <= 2
+        ("dbl_dbl", [None, (1, -1, 1, -1), (1, -1, -1, 1)]),
+    ],
+    ids=["theta", "k4", "dbl_dbl"],
+)
+def test_integral_all_orders_is_the_sum_over_orders(graphs, capsys, name, leak_vectors):
+    # --order all reads one representative per orientation class, weighted
+    # by its size; the output equals the sum over every vertex order
+    path = graphs[name]
+    data = json.loads(Path(path).read_text())
+    graph = FeynmanGraph(data["n"], tuple(map(tuple, data["edges"])))
+    nonzero = 0
+    for a in multidegrees(graph, 2):
+        for l in leak_vectors:
+            total = sum(refined_coeff(graph, order, a, l=l) for order in all_orders(graph.n))
+            argv = ["integral", "--graph", path, "--order", "all", "--a", ",".join(map(str, a))]
+            if l is not None:
+                argv += ["--l", ",".join(map(str, l))]
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (0, f"{cli._format_rational(total)}\n", ""), (a, l)
+            nonzero += total != 0
+    assert nonzero >= 10
+
+
+def test_one_row_queries_print_a_bare_value(graphs, capsys):
+    # a single result row prints its value alone, with no labels
+    code, out, err = run(capsys, "invariant", "--k", "1,1", "--dmax", "1")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run(
+        capsys, "integral", "--graph", graphs["triangle"], "--order", "id", "--q-order", "0"
+    )
+    assert (code, out, err) == (0, "0\n", "")
+
+
+def test_one_row_queries_in_json(graphs, capsys):
+    code, out, err = run(capsys, "--format", "json", "invariant", "--k", "1,1", "--dmax", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "meta": {\n    "edge_relabeling": null,\n    "version": "%s"\n  },\n'
+        '  "query": {\n    "command": "invariant",\n    "dmax": 1,\n'
+        '    "k": [\n      1,\n      1\n    ],\n    "route": "covers"\n  },\n'
+        '  "results": [\n    {\n      "labels": {\n        "d": 1\n      },\n'
+        '      "value": "0"\n    }\n  ]\n}\n' % trofey.__version__
+    )
+    path = graphs["triangle"]
+    code, out, err = run(
+        capsys, "--format", "json", "integral", "--graph", path, "--order", "id",
+        "--q-order", "0",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "meta": {\n    "edge_relabeling": null,\n    "version": "%s"\n  },\n'
+        '  "query": {\n    "a": null,\n    "command": "integral",\n'
+        '    "gf": [\n      1,\n      0,\n      0\n    ],\n    "graph": %s,\n'
+        '    "l": null,\n    "order": "id",\n    "q_order": 0\n  },\n'
+        '  "results": [\n    {\n      "labels": {\n        "d": 0,\n'
+        '        "order": "id"\n      },\n      "value": "0"\n    }\n  ]\n}\n'
+        % (trofey.__version__, json.dumps(path))
+    )
 
 
 def test_missing_graph_file_is_parse_error(capsys, tmp_path):

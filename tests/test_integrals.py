@@ -196,6 +196,36 @@ def test_dressed_leak_sweeps_match_reference():
     assert nonzero >= 10
 
 
+# (graph, order, multidegree, leak targets); genus 3 at the first vertex,
+# which on RIGHT carries the loop, so the z-dressing runs to z^6 there
+GENUS_THREE_CASES = [
+    (TRIANGLE, (2, 3, 1), (1, 0, 0), [(0, 0, 0), (0, 1, -1)]),
+    (TRIANGLE, (2, 3, 1), (0, 1, 1), [(0, 0, 0)]),
+    (TRIANGLE, (2, 3, 1), (2, 0, 0), [(0, 0, 0), (0, 1, -1)]),
+    (TRIANGLE, (2, 3, 1), (1, 1, 1), [(0, 0, 0)]),
+    (TRIANGLE, (2, 3, 1), (3, 0, 0), [(0, 0, 0)]),
+    (RIGHT, (2, 3, 1), (1, 1, 0, 0), [(0, 0, 0), (0, 1, -1)]),
+]
+
+
+def test_genus_three_mixed_genera_match_reference():
+    # every scale K_g^m of the integer dressing in play at once: genus 3,
+    # 1 and 0 in one graph, with and without leaks, through sum(a) <= 3;
+    # the single-multidegree sweep and the series table share the DP, the
+    # oracle shares no code with it
+    gf = (3, 1, 0)
+    nonzero = 0
+    for graph, order, a, targets in GENUS_THREE_CASES:
+        sweep = refined_sweep(graph, order, a, targets, gf=gf)
+        for l in targets:
+            expected = refined_coeff_reference(graph, order, a, l=l, gf=gf)
+            table = integral_series_refined(graph, order, 3, l=l, gf=gf)
+            assert sweep[l] == expected, (graph.edges, order, a, l)
+            assert table.get(a, 0) == expected, (graph.edges, order, a, l)
+            nonzero += expected != 0
+    assert nonzero >= 8
+
+
 def test_series_q_sums_multidegrees():
     series = integral_series_q(TRIANGLE, (1, 0, 0), ID3, 2)
     by_hand = {}
@@ -310,6 +340,29 @@ def test_mirror_total_series_frozen_values():
 def test_mirror_total_series_four_points():
     # the cover route gives the same d=4 value
     assert mirror_total_series((1, 1, 1, 1), 4) == {2: 48, 3: 3840, 4: 58752}
+
+
+# the two series of the benchmark's quasimodularity workload
+SERIES_200 = (
+    "1/4 27 279 1372 8775/2 11988 25382 54000 372357/4 171450 258093 442512 "
+    "1207843/2 963144 1267650 1906624"
+).split()
+SERIES_TRIANGLE = (
+    "0 1/4 15 117 556 3075/2 4428 8330 18480 121581/4 56250 80223 146160 "
+    "370279/2 302232 395550 597184 1417545/2 1100547 1236425 1835400"
+).split()
+
+
+def pinned(values, first_d):
+    return {d: Fraction(v) for d, v in enumerate(values, first_d) if v != "0"}
+
+
+def test_mirror_total_series_through_q16():
+    assert mirror_total_series((2, 0, 0), 16) == pinned(SERIES_200, 1)
+
+
+def test_triangle_all_orders_through_q20():
+    assert integral_series_all_orders(TRIANGLE, (1, 0, 0), 20) == pinned(SERIES_TRIANGLE, 0)
 
 
 def test_by_degree_series_ascend():

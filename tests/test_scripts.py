@@ -12,6 +12,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# per script, the weights line it documents under each fit's name
+CLAIMS = {
+    "scripts/quasimodular_fits.py": {
+        "triangle": "weights [6, 8] (mixed)",
+        "middle": "weights [8] (homogeneous)",
+        "tri+right": "weights [8] (homogeneous)",
+    },
+}
+
+
+def verdicts(stdout):
+    """name -> the weights line printed under that name's fit."""
+    lines = stdout.splitlines()
+    return {
+        line.split(":")[0].strip(): lines[i + 1].strip()
+        for i, line in enumerate(lines[:-1])
+        if not line.startswith(" " * 9)
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -26,6 +46,9 @@ def test_script_exits_cleanly(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    printed = verdicts(proc.stdout)
+    for name, verdict in CLAIMS.get(argv[0], {}).items():
+        assert printed.get(name) == verdict, (name, proc.stdout)
 
 
 def test_tracer_names_resolve():
