@@ -15,7 +15,6 @@ query runs on the calling thread.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -172,6 +171,8 @@ def _emit(report: dict[str, Any], fmt: str) -> None:
         return
     results = report["results"]
     if fmt == "csv":
+        import csv  # only this format needs it: keep it out of every other run
+
         keys = sorted({key for row in results for key in row["labels"]})
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -399,12 +400,14 @@ def _series_from_json(path: str) -> dict[int, Fraction]:
     except json.JSONDecodeError as exc:
         raise CliError(PARSE_ERROR, f"series file is not valid JSON: {exc}") from exc
     try:
-        rows = data["results"]
         series: dict[int, Fraction] = {}
-        for row in rows:
-            if "d" not in row["labels"]:
-                raise KeyError("d")
-            series[int(row["labels"]["d"])] = _parse_rational(row["value"])
+        for row in data["results"]:
+            d, value = row["labels"]["d"], row["value"]
+            if type(d) is not int or not isinstance(value, str):  # bool is no label
+                raise TypeError(d, value)
+            series[d] = _parse_rational(value)
+        if not series:
+            raise KeyError("d")
     except (KeyError, TypeError) as exc:
         raise CliError(
             PARSE_ERROR,
@@ -422,7 +425,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         known_order = None  # a finite polynomial: exact at every order
     else:
         series = _series_from_json(args.series)
-        known_order = max(series) if series else 0
+        known_order = max(series)
+        if args.q_order is not None and args.q_order > known_order:
+            raise CliError(
+                VALIDATION_ERROR,
+                f"--q-order {args.q_order} is past the series file's last coefficient, "
+                f"q^{known_order}",
+            )
 
     from .quasimodular import OVERDETERMINATION_MARGIN, basis
 

@@ -40,11 +40,10 @@ The route shares no code with :mod:`trofey.integrals`, which it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import (
     FeynmanGraph,
@@ -69,8 +68,7 @@ DIRECT = "direct"
 Cover = tuple[Multidegree, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class CoverTuple:
+class CoverTuple(NamedTuple):
     """Windings and directions of one cover.
 
     ``windings[k]`` is the winding of edge k+1; ``arrows[k]`` is the

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 GenusFunction = tuple[int, ...]
@@ -33,20 +32,24 @@ VertexOrder = tuple[int, ...]  # the vertex sequence, smallest first
 Multidegree = tuple[int, ...]  # a_k per edge, in edge-index order
 
 
-@dataclass(frozen=True)
 class FeynmanGraph:
-    """Connected multigraph with 1-based vertices and loops-first edges."""
+    """Connected multigraph with 1-based vertices and loops-first edges.
 
+    Immutable: assigning an attribute raises AttributeError, and graphs
+    are equal (and hash equal) exactly when ``(n, edges)`` are.
+    """
+
+    __slots__ = ("n", "edges")
     n: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, edges: Sequence[Edge]) -> None:
+        if n < 2:
             raise ValueError("graphs need at least two vertices")
         seen_nonloop = False
         norm: list[Edge] = []
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
+        for u, v in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of vertex range")
             if u > v:
                 u, v = v, u
@@ -56,7 +59,25 @@ class FeynmanGraph:
             else:
                 seen_nonloop = True
             norm.append((u, v))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"FeynmanGraph(n={self.n!r}, edges={self.edges!r})"
 
     # -- basic invariants ----------------------------------------------
 
@@ -248,8 +269,7 @@ def automorphism_count(graph: FeynmanGraph) -> int:
 # -- enumeration -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphAssignment:
+class GraphAssignment(NamedTuple):
     """A graph together with a compatible genus function."""
 
     graph: FeynmanGraph

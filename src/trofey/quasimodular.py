@@ -6,13 +6,18 @@ algebra.  The monomials are linearly independent as q-series, so when a
 solution exists it is unique; the solve uses more coefficients than
 monomials so that wrong normalizations or too small weight bounds fail
 loudly instead of producing a spurious polynomial.
+
+The solve runs in integers: the basis q-expansions are integral, the
+target is scaled by the lcm of its denominators, and fraction-free
+(Bareiss) elimination keeps every entry an exact integer minor.  Only
+back-substitution makes one ``Fraction`` per unknown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import FeynmanGraph
 from .propagators import eisenstein_coefficients
@@ -68,8 +73,7 @@ def weight_bound(graph: FeynmanGraph, gf: Sequence[int]) -> int:
     return 2 * (graph.num_edges + sum(gf))
 
 
-@dataclass(frozen=True)
-class QuasimodularFit:
+class QuasimodularFit(NamedTuple):
     """An exact polynomial in E2, E4, E6 matched to a q-series.
 
     ``coefficients`` holds only nonzero entries.  ``residual_ok`` is False
@@ -153,39 +157,46 @@ def fit(series: Mapping[int, Coeff], max_weight: int, q_order: int) -> Quasimodu
     if any(d < 0 for d in series):
         raise ValueError("q-exponents must be nonnegative")
     target = [series.get(d, 0) for d in range(q_order + 1)]
+    scale = lcm(*(c.denominator for c in target))
 
-    # augmented matrix over Fraction: one row per q-coefficient
+    # integer augmented matrix: one row per q-coefficient, the target
+    # scaled by ``scale`` in the last column
     rows = [
-        [Fraction(row[d]) for _, row in bas] + [Fraction(target[d])]
+        [row[d] for _, row in bas] + [target[d].numerator * (scale // target[d].denominator)]
         for d in range(q_order + 1)
     ]
     ncols = len(bas)
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
+    # Bareiss: after step col every entry below the pivots is a minor of
+    # the (row-permuted) matrix, so each division by the previous pivot
+    # is exact
+    previous = 1
     for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
-        )
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
-    if rank < ncols:
-        # cannot happen for independent Eisenstein monomials at this order
-        raise ValueError("basis q-expansions are not independent at this order")
-    consistent = all(row[ncols] == 0 for row in rows[rank:])
-    if not consistent:
+            # cannot happen for independent Eisenstein monomials at this order
+            raise ValueError("basis q-expansions are not independent at this order")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
+        for r in range(col + 1, len(rows)):
+            row = rows[r]
+            factor = row[col]
+            rows[r] = [0] * (col + 1) + [
+                (p * x - factor * y) // previous
+                for x, y in zip(row[col + 1 :], top[col + 1 :])
+            ]
+        previous = p
+    if any(row[ncols] != 0 for row in rows[ncols:]):
         return QuasimodularFit({}, max_weight, False)
+    # back-substitution for y = det * x, integral by Cramer's rule
+    det = previous
+    scaled: list[int] = [0] * ncols
+    for i in range(ncols - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[ncols] - sum(row[j] * scaled[j] for j in range(i + 1, ncols))
+        scaled[i] = acc // row[i]
     solution: dict[EisensteinMonomial, Coeff] = {}
-    for col, (monomial, _) in enumerate(bas):
-        value = rows[pivot_of_col[col]][ncols]
-        if value != 0:
-            solution[monomial] = normalize(value)
+    for (monomial, _), y in zip(bas, scaled):
+        if y != 0:
+            solution[monomial] = normalize(Fraction(y, det * scale))
     return QuasimodularFit(solution, max_weight, True)

@@ -6,7 +6,10 @@ This module keeps the original general definitions they replaced -- a
 sparse truncated series in x/q/z variables, the four edge-factor builders
 and a coefficient extraction from their full product -- so tests can pin
 the fast paths against them.  It imports nothing from ``trofey.series``:
-the reference shares no series arithmetic with production.
+the reference shares no series arithmetic with production.  It also keeps
+the ``Fraction`` Gauss--Jordan solve (:func:`fit_reference`) that the
+integer elimination of :func:`trofey.quasimodular.fit` replaced; that
+solve shares only the basis with production.
 
 Series in three families of variables:
 
@@ -31,6 +34,12 @@ from typing import Iterable, Mapping, Sequence, Union
 from trofey.graphs import FeynmanGraph, VertexOrder, edge_orientation
 from trofey.integrals import _normalize_query
 from trofey.propagators import divisors, sigma
+from trofey.quasimodular import (
+    OVERDETERMINATION_MARGIN,
+    EisensteinMonomial,
+    QuasimodularFit,
+    basis,
+)
 
 Coeff = Union[int, Fraction]
 Variable = tuple[str, int]  # (kind, index) with kind in {"x", "q", "z"}
@@ -537,3 +546,56 @@ def refined_coeff_reference(
         if dressed and gf_t[v - 1]:
             exponents[("z", v)] = 2 * gf_t[v - 1]
     return product.coefficient(exponents)
+
+
+# -- the Eisenstein fit over Fraction --------------------------------------
+
+
+def fit_reference(
+    series: Mapping[int, Coeff], max_weight: int, q_order: int
+) -> QuasimodularFit:
+    """:func:`trofey.quasimodular.fit` by Gauss--Jordan elimination over
+    ``Fraction``: the same checks, errors and result, by the plain route."""
+    bas = basis(max_weight, q_order)
+    if q_order < len(bas) + OVERDETERMINATION_MARGIN:
+        raise ValueError(
+            f"underdetermined: q_order {q_order} < {len(bas)} basis monomials "
+            f"+ margin {OVERDETERMINATION_MARGIN}"
+        )
+    if any(d < 0 for d in series):
+        raise ValueError("q-exponents must be nonnegative")
+    target = [series.get(d, 0) for d in range(q_order + 1)]
+
+    # augmented matrix over Fraction: one row per q-coefficient
+    rows = [
+        [Fraction(row[d]) for _, row in bas] + [Fraction(target[d])]
+        for d in range(q_order + 1)
+    ]
+    ncols = len(bas)
+    pivot_of_col: dict[int, int] = {}
+    rank = 0
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        pivot_of_col[col] = rank
+        rank += 1
+    if rank < ncols:
+        raise ValueError("basis q-expansions are not independent at this order")
+    if not all(row[ncols] == 0 for row in rows[rank:]):
+        return QuasimodularFit({}, max_weight, False)
+    solution: dict[EisensteinMonomial, Coeff] = {}
+    for col, (monomial, _) in enumerate(bas):
+        value = rows[pivot_of_col[col]][ncols]
+        if value != 0:
+            solution[monomial] = _norm_coeff(value)
+    return QuasimodularFit(solution, max_weight, True)

@@ -616,6 +616,54 @@ def test_fit_needs_exactly_one_source(capsys):
     assert code == 2
 
 
+SERIES_FILE_ERROR = (
+    "error: series file must be a prior integral/invariant JSON output with d-labeled rows"
+)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"labels": {"d": "x"}, "value": "1"}],
+        [{"labels": {"d": 0.5}, "value": "1"}],
+        [{"labels": {"d": 0.0}, "value": "1"}],
+        [{"labels": {"d": True}, "value": "1"}],
+        [{"labels": {"d": 0}, "value": 1}],
+        [{"labels": {"d": 0}, "value": None}],
+        [{"labels": {"e": 0}, "value": "1"}],
+        [{"labels": ["d"], "value": "1"}],
+        [],
+    ],
+)
+def test_fit_rejects_malformed_series_rows(capsys, tmp_path, rows):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"results": rows}))
+    code, out, err = run(capsys, "fit", "--from", str(path), "--max-weight", "0")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [SERIES_FILE_ERROR]
+
+
+def test_fit_q_order_past_the_file_is_validation_error(capsys, tmp_path):
+    # the file holds E2 through q^7; q^8 on is unknown, not 0
+    e2 = ["1", "-24", "-72", "-96", "-168", "-144", "-288", "-192"]
+    path = tmp_path / "series.json"
+    rows = [{"labels": {"d": d}, "value": v} for d, v in enumerate(e2)]
+    path.write_text(json.dumps({"results": rows}))
+    argv = ("fit", "--from", str(path), "--max-weight", "2")
+    assert run(capsys, *argv) == (0, "E2\nweights {2} homogeneous\n", "")
+    assert run(capsys, *argv, "--q-order", "7")[0] == 0
+    code, out, err = run(capsys, *argv, "--q-order", "8")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: --q-order 8 is past the series file's last coefficient, q^7"
+    ]
+    # --coeffs is a finite polynomial: the terms it omits are 0
+    code, out, _ = run(capsys, "fit", "--coeffs", "1", "--max-weight", "2", "--q-order", "8")
+    assert (code, out) == (0, "1\nweights {0} homogeneous\n")
+
+
 def test_threads_flag_does_not_change_output(graphs, capsys):
     # both commands that hand out tasks, at two thread counts
     for argv in (
@@ -719,6 +767,11 @@ def fuzz_files(tmp_path_factory):
         "series.json": json.dumps(
             {"results": [{"labels": {"d": d}, "value": v} for d, v in enumerate(["1", "-24", "-72"])]}
         ),
+        "series_d_text.json": '{"results": [{"labels": {"d": "x"}, "value": "1"}]}',
+        "series_d_float.json": '{"results": [{"labels": {"d": 0.5}, "value": "1"}]}',
+        "series_d_bool.json": '{"results": [{"labels": {"d": true}, "value": "1"}]}',
+        "series_value_number.json": '{"results": [{"labels": {"d": 0}, "value": 1}]}',
+        "series_no_rows.json": '{"results": []}',
     }
     for name, text in payloads.items():
         (root / name).write_text(text)

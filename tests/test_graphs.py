@@ -64,6 +64,21 @@ def test_endpoints_normalized():
     assert g.edges == ((1, 2), (2, 3), (1, 3))
 
 
+def test_graph_is_frozen_and_compares_by_value():
+    g = FeynmanGraph(3, ((2, 1), (3, 2), (3, 1)))
+    for name, value in (("n", 4), ("edges", ()), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    with pytest.raises(AttributeError):
+        del g.n
+    assert (g.n, g.edges) == (3, ((1, 2), (2, 3), (1, 3)))
+    assert g == TRIANGLE and hash(g) == hash(TRIANGLE)
+    assert g != RIGHT and g != (3, TRIANGLE.edges)
+    assert len({g, TRIANGLE, RIGHT}) == 2
+    assert repr(g) == "FeynmanGraph(n=3, edges=((1, 2), (2, 3), (1, 3)))"
+    assert FeynmanGraph(n=2, edges=[(1, 2)]).edges == ((1, 2),)
+
+
 def test_edge_order_is_preserved():
     # Parallel data (multidegrees, windings) is per-edge, so the caller's
     # edge order is meaningful and must survive construction.

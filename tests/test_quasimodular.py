@@ -1,6 +1,8 @@
 """Tests for the exact fit into the quasimodular polynomial ring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trofey.graphs import FeynmanGraph, identity_order
 from trofey.integrals import integral_series_q
@@ -13,6 +15,7 @@ from trofey.quasimodular import (
     monomial_weight,
     weight_bound,
 )
+from series_oracle import fit_reference
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -141,3 +144,45 @@ def test_fit_result_is_frozen():
     assert isinstance(result, QuasimodularFit)
     with pytest.raises(AttributeError):
         result.max_weight = 4
+
+
+@st.composite
+def eisenstein_polynomials(draw):
+    """(max_weight, q_order, coefficient per basis monomial): weights up to
+    10, q_order from the smallest the fit accepts to 6 beyond it."""
+    max_weight = draw(st.sampled_from(range(0, 12, 2)))
+    size = len(basis(max_weight, 0))
+    smallest = size + OVERDETERMINATION_MARGIN
+    q_order = draw(st.integers(smallest, smallest + 6))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return max_weight, q_order, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=eisenstein_polynomials(), data=st.data())
+def test_integer_fit_matches_fraction_reference(poly, data):
+    max_weight, q_order, coeffs = poly
+    rows = basis(max_weight, q_order)
+    series = {
+        d: sum(c * row[d] for c, (_, row) in zip(coeffs, rows)) for d in range(q_order + 1)
+    }
+    result = fit(series, max_weight, q_order)
+    assert result.residual_ok
+    assert result.coefficients == {m: c for c, (m, _) in zip(coeffs, rows) if c != 0}
+    reference = fit_reference(series, max_weight, q_order)
+    assert result == reference
+    assert repr(result) == repr(reference)  # ints where integral, in both
+    # q^0 is the basis monomial 1, but no single q^d with d >= 1 lies in
+    # the span at these orders: changing one such coefficient breaks the fit
+    d = data.draw(st.integers(1, q_order))
+    delta = data.draw(st.fractions(min_value=-5, max_value=5).filter(bool))
+    perturbed = {**series, d: series[d] + delta}
+    failed = QuasimodularFit({}, max_weight, False)
+    assert fit(perturbed, max_weight, q_order) == failed
+    assert fit_reference(perturbed, max_weight, q_order) == failed

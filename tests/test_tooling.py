@@ -1,6 +1,9 @@
 """Source checks over ``src/trofey`` that need only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "trofey"
@@ -59,3 +62,17 @@ def test_no_module_reads_the_environment():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 reads += [f"{path.name}:{node.lineno}" for a in node.names if a.name in env_names]
     assert reads == []
+
+
+def test_cli_import_stays_light():
+    # every trofey command pays for what importing the CLI pulls in:
+    # dataclasses drags in inspect (and ast, dis, tokenize), and csv serves
+    # one output format only.  -S keeps site .pth files from adding modules.
+    probe = "import sys, trofey.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "trofey.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "csv"} == set()
