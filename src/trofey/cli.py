@@ -426,6 +426,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         series = _series_from_json(args.series)
         known_order = max(series)
+        gap = next((d for d in range(min(series), known_order) if d not in series), None)
+        if gap is not None:
+            raise CliError(
+                VALIDATION_ERROR,
+                f"series file has no row for q^{gap} (its rows run from q^{min(series)} "
+                f"to q^{known_order})",
+            )
         if args.q_order is not None and args.q_order > known_order:
             raise CliError(
                 VALIDATION_ERROR,

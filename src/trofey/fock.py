@@ -21,27 +21,32 @@ Labeled mode: one Heisenberg generator alpha^{(k,j)}_n per (edge k,
 germ label j); generators with different (k, j) commute.  A trivalent
 loop-free graph with a vertex order and a multidegree a gives one
 three-germ operator per vertex, and each germ move m at vertex v also
-multiplies by x_v^m.  There is one operator body: states are (basis key,
-exponent vector) pairs, and each vertex keeps only the moves that land
-x_v in a window |x_v| <= x_bound.  The operator product, sandwiched
-between explicit bra/ket states, is the product of the edge factors; its
+multiplies by x_v^m.  Generators of different edges commute and only the
+two endpoints of an edge move its labels, so a basis state is one record
+(a_k, w_k, labels) per edge: its degree, its winding and the sorted
+labels of its germs.  States map such records to {exponent vector:
+coefficient}, and each vertex keeps only the moves that land x_v in a
+window |x_v| <= x_bound.  The operator product, sandwiched between
+explicit bra/ket states, is the product of the edge factors; its
 exponent-zero coefficient at x_bound = 0, where every vertex balances, is
 the labeled matrix element, and it reproduces the weighted cover count
 winding by winding.
 
 One pass, :func:`_operator_pass`, runs the product at every multidegree
-and winding choice at once.  It walks the vertices in acting order; each
-vertex opens the edges it heads (choosing a_k from a degree set and
-w | a_k, and adding that edge's ket labels), applies its operator, and
-closes the edges it tails (their labels must now be the bra's, and are
-dropped).  What a vertex does depends only on which of its neighbours have
-already acted, so one depth-first walk over the shared suffixes of a list
-of vertex orders serves them all; the weight caps of the a_k = 0 edges
-are shared by the walked orders and never exceed the flow bound
-sum(a) + n * x_bound.  ``fock check`` reads one walk over every order as
-one table per order, keyed by multidegree; :func:`fock_cover_count` and
-the ``labeled_*`` functions are one-order views with one degree (and one
-winding) per edge.
+and winding choice at once.  It walks the vertices in acting order, and
+each vertex is one fused step (:func:`_vertex_step`): its head germs open
+their edges (choosing a_k from a degree set and w | a_k, with that edge's
+ket labels) and move, and its tail germs make the one move that leaves
+their edge's bra labels, which closes the edge.  x_v is 0 before v acts,
+so a step's moves depend only on the records it closes and the budget
+left, and are found once for all states that share them.  What a vertex
+does depends only on which of its neighbours have already acted, so one
+depth-first walk over the shared suffixes of a list of vertex orders
+serves them all; the weight caps of the a_k = 0 edges are shared by the
+walked orders and never exceed the flow bound sum(a) + n * x_bound.
+``fock check`` reads one walk over every order as one table per order,
+keyed by multidegree; :func:`fock_cover_count` and the ``labeled_*``
+functions are one-order views with one degree (and one winding) per edge.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .graphs import (
     FeynmanGraph,
@@ -302,7 +307,9 @@ def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
 # -- labeled mode --------------------------------------------------------
 
 Triple = tuple[int, int, int]  # (edge index, germ label, weight)
-Plan = tuple[str, int, int]  # (kind, edge index, parameter); built in _operator_pass
+Record = tuple[int, int, tuple[int, ...]]  # one edge in the pass: (a_k, w_k, labels)
+Move = tuple[int, int, Record, int]  # (m, a_k it opens, new record, factor)
+Opened = tuple[tuple[Record, ...], int, int]  # (new records, sum of moves, factor)
 
 
 def _edge_triples(k: int, a_k: int, w: int, first: int) -> tuple[Triple, ...]:
@@ -363,16 +370,15 @@ def _check_query(
     return order, a
 
 
+@lru_cache(maxsize=None)
 def _order_setup(
     graph: FeynmanGraph, order: VertexOrder
-) -> tuple[list[int], dict[int, list[int]]]:
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     """What a vertex order fixes: the tail (order-earlier endpoint) of every
-    edge, and every vertex's incident edges (its germs) in index order."""
-    tails = [edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges)]
-    germs: dict[int, list[int]] = {v: [] for v in order}
-    for idx, (u, v) in enumerate(graph.edges):
-        germs[u].append(idx)
-        germs[v].append(idx)
+    edge, and every vertex's incident edges (its germs) in index order.
+    Cached: the one-order views ask for it once per call."""
+    tails = tuple(edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges))
+    germs = {v: tuple(idx for idx, edge in enumerate(graph.edges) if v in edge) for v in order}
     return tails, germs
 
 
@@ -412,171 +418,111 @@ def _edge_caps(
     return caps
 
 
-def _moves_for_key(
-    plans: Sequence[Plan], windings: Mapping[int, int], key: tuple[Triple, ...]
-) -> list[list[tuple[int, Triple]]]:
-    """Per germ plan, the moves that can act on this basis key without
-    dying, in ascending m (a key is sorted, so its triples are too).
+def _opening_moves(
+    germs: Sequence[Sequence[Move]], budget: int, targets: range
+) -> list[Opened]:
+    """Every way the germs that open edges at one vertex can act together,
+    as (new records in germ order, sum of their moves, factor), keeping the
+    sums in ``targets`` and the degrees they open within the budget.
 
-    A plan is (kind, edge, parameter):
-
-    * ("marked", k, a_k): edge with a_k > 0 and winding w -- either
-      m = +w (consume the ket-side end label (k, a_k/w + 1, w)) or m = -w
-      (produce the bra-side end label (k, 1, w));
-    * ("annihilate", k, cap): a_k = 0 and this vertex is the tail (the
-      order-earlier endpoint, whose operator acts second) -- it must
-      consume whatever the partner germ created under label (k, 1);
-    * ("create", k, cap): a_k = 0, this vertex is the head and acts
-      first -- it must create (k, 1, m), m = 1..cap.
+    The other germs are combined first, and the widest germ's moves are
+    looked up by the m that lands the sum in ``targets``.
     """
-    options: list[list[tuple[int, Triple]]] = []
-    for kind, k, par in plans:
-        if kind == "marked":
-            w = windings[k]
-            moves: list[tuple[int, Triple]] = [(-w, (k, 1, w))]
-            end = (k, par // w + 1, w)
-            if end in key:
-                moves.append((w, end))
-        elif kind == "annihilate":
-            moves = [
-                (t[2], t)
-                for t in dict.fromkeys(key)
-                if t[0] == k and t[1] == 1 and t[2] <= par
+    if not germs:
+        return [((), 0, 1)] if 0 in targets else []
+    widest = max(range(len(germs)), key=lambda i: len(germs[i]))
+    by_move: dict[int, list[Move]] = {}
+    for move in germs[widest]:
+        by_move.setdefault(move[0], []).append(move)
+    partial = [(0, 0, (), 1)]  # (sum of moves, degrees opened, records, factor)
+    for i, moves in enumerate(germs):
+        if i != widest:
+            partial = [
+                (base + m, spent + a_k, records + (record,), factor * f)
+                for base, spent, records, factor in partial
+                for m, a_k, record, f in moves
+                if spent + a_k <= budget
             ]
-        else:
-            moves = [(-m, (k, 1, m)) for m in range(par, 0, -1)]
-        if not moves:
-            return []
-        options.append(moves)
-    return options
+    found = []
+    for base, spent, records, factor in partial:
+        for total in targets:
+            for _, a_k, record, f in by_move.get(total - base, ()):
+                if spent + a_k <= budget:
+                    found.append(
+                        (records[:widest] + (record,) + records[widest:], total, factor * f)
+                    )
+    return found
 
 
-def _apply_moves(
-    key: tuple[Triple, ...], coeff: int, moves: Sequence[tuple[int, Triple]]
-) -> tuple[tuple[Triple, ...], int] | None:
-    """Apply a germ combination (annihilations then creations) to a basis key."""
-    cur = list(key)
-    c = coeff
-    for m, triple in moves:
-        if m > 0:
-            count = cur.count(triple)
-            if count == 0:
-                return None
-            c = c * m * count
-            cur.remove(triple)
-    for m, triple in moves:
-        if m < 0:
-            cur.append(triple)
-    return tuple(sorted(cur)), c
+def _closing_moves(ended: Sequence[Record]) -> tuple[tuple[Record, ...], int, int] | None:
+    """The tail germs' moves on the edges a vertex closes, as (closed
+    records, sum of the moves, factor), or None if some edge cannot reach
+    its bra labels 1..c (none when a_k = 0).
 
-
-def _vertex_operator(
-    state: dict,
-    vertex: int,
-    plans: Sequence[Plan],
-    windings: Mapping[int, int],
-    x_bound: int,
-) -> dict:
-    """The three-germ operator of one vertex on (basis key, exponent vector)
-    states; each germ move m multiplies by x_vertex^m.
-
-    This is the only operator that changes x_vertex, so only moves that
-    land it in the window |x_vertex| <= x_bound are kept: a germ keeps a
-    move only if the other germs can still bring x_vertex into the window,
-    the product runs over all germs but the last, and the last germ's move
-    is looked up by each m that lands x_vertex in the window (within one
-    germ the moves have distinct m).  At x_bound = 0 the moves must
-    balance.  The moves depend on a state only through its key and
-    x_vertex, so they are found once per such pair.
+    A tail germ either produces label 1 (m = -w) or consumes the end label
+    c + 1 (m = +w, factor w times its multiplicity); after the head's one
+    move, exactly one of the two leaves the bra labels.  The edge then
+    closes to (a_k, 0, ()), so states of different windings merge.
     """
-    rows: dict = {}
-    vi = vertex - 1
-    for (key, xvec), coeff in state.items():
-        rows.setdefault((key, xvec[vi]), []).append((xvec, coeff))
-    out: dict = {}
-    for (key, x0), group in rows.items():
-        options = _moves_for_key(plans, windings, key)
-        if not options:
-            continue
-        low = high = x0
-        for moves in options:  # moves ascend in m
-            low += moves[0][0]
-            high += moves[-1][0]
-        if low > x_bound or high < -x_bound:
-            continue
-        for i, moves in enumerate(options):
-            least, most = moves[-1][0] - high - x_bound, moves[0][0] - low + x_bound
-            if least > moves[0][0] or most < moves[-1][0]:
-                options[i] = [mv for mv in moves if least <= mv[0] <= most]
-        options.sort(key=len)  # the widest germ closes; an empty one yields nothing
-        closing = {m: (m, t) for m, t in options[-1]}
-        for combo in itertools.product(*options[:-1]):
-            base = x0 + sum(m for m, _ in combo)
-            for xv in range(-x_bound, x_bound + 1):
-                last = closing.get(xv - base)
-                if last is None:
-                    continue
-                res = _apply_moves(key, 1, combo + (last,))
-                if res is None:
-                    continue
-                new_key, factor = res
-                for xvec, coeff in group:
-                    nk = (new_key, xvec[:vi] + (xv,) + xvec[vi + 1 :])
-                    out[nk] = out.get(nk, 0) + coeff * factor
-    return {k: c for k, c in out.items() if c != 0}
+    closed, total, factor = [], 0, 1
+    for a_k, w, labels in ended:
+        end = a_k // w + 1
+        bra = tuple(range(1, end))
+        if end in labels:
+            pos = labels.index(end)
+            if labels[:pos] + labels[pos + 1 :] != bra:
+                return None
+            total, factor = total + w, factor * w * labels.count(end)
+        elif (1, *labels) == bra:
+            total -= w
+        else:
+            return None
+        closed.append((a_k, 0, ()))
+    return tuple(closed), total, factor
 
 
-def _open_edge(
+def _vertex_step(
     groups: dict,
-    idx: int,
-    degrees: Sequence[int],
+    vertex: int,
+    opens: tuple[int, ...],
+    closes: Sequence[int],
+    opening: Callable[[tuple[int, ...], int, int], list[Opened]],
     total_cap: int,
-    windings: Mapping[int, int] | None,
 ) -> dict:
-    """Give edge idx a degree a_k (ascending, within each group's remaining
-    budget) and a winding w | a_k, and put its ket triples (k, 2..c+1, w),
-    c = a_k / w, into every key."""
-    k = idx + 1
+    """One vertex acting on {records: {exponent vector: coefficient}}: it
+    opens the edges ``opens``, moves its germs, and closes the edges
+    ``closes``.
+
+    The tail germs' moves are fixed by the records they close
+    (:func:`_closing_moves`), so the head germs' moves depend on a state
+    only through the remaining budget and that fixed sum of moves:
+    ``opening(opens, budget, sum)`` returns them, with x_vertex (0 before
+    the vertex acts) inside the window.  Each is applied to every state of
+    a group by replacing the vertex's records and setting slot ``vertex``
+    of each exponent vector.
+    """
+    vi = vertex - 1
+    slots = [*opens, *closes]
+    closing: dict = {}
     out: dict = {}
-    for (a, wind), states in groups.items():
-        budget = total_cap - sum(a)
-        for a_k in degrees:
-            if a_k > budget:
-                break
-            if a_k == 0:
-                out[a, wind] = states
-                continue
-            marked = a[:idx] + (a_k,) + a[idx + 1 :]
-            for w in divisors(a_k) if windings is None else (windings[k],):
-                ket = _edge_triples(k, a_k, w, 2)
-                opened = {key: tuple(sorted(key + ket)) for key, _ in states}
-                out[marked, wind[:idx] + (w,) + wind[idx + 1 :]] = {
-                    (opened[key], xvec): c for (key, xvec), c in states.items()
-                }
+    for records, states in groups.items():
+        ended = tuple(records[idx] for idx in closes)
+        if ended not in closing:
+            closing[ended] = _closing_moves(ended)
+        if closing[ended] is None:
+            continue
+        closed, m_close, f_close = closing[ended]
+        budget = total_cap - sum([rec[0] for rec in records]) if opens else 0
+        for opened, m_open, f_open in opening(opens, budget, m_close):
+            new = list(records)
+            for idx, record in zip(slots, opened + closed):
+                new[idx] = record
+            target = out.setdefault(tuple(new), {})
+            xv, factor = m_open + m_close, f_open * f_close
+            for xvec, c in states.items():
+                nx = xvec[:vi] + (xv,) + xvec[vi + 1 :]
+                target[nx] = target.get(nx, 0) + c * factor
     return out
-
-
-def _close_edges(groups: dict, idxs: Sequence[int]) -> dict:
-    """Keep the states whose triples on each edge in idxs are exactly the
-    bra's (k, 1..c, w), or none for a_k = 0, and drop those triples and
-    windings; states that differed only there merge."""
-    edges = {idx + 1 for idx in idxs}
-    out: dict = {}
-    for (a, wind), states in groups.items():
-        bra = tuple(
-            t for idx in idxs if a[idx] for t in _edge_triples(idx + 1, a[idx], wind[idx], 1)
-        )
-        closed = tuple(0 if idx in idxs else w for idx, w in enumerate(wind))
-        merged = out.setdefault((a, closed), {})
-        rests: dict = {}  # key -> key without the closed edges, or None
-        for (key, xvec), c in states.items():
-            if key not in rests:
-                mine = tuple(t for t in key if t[0] in edges)
-                rests[key] = tuple(t for t in key if t[0] not in edges) if mine == bra else None
-            rest = rests[key]
-            if rest is not None:
-                merged[rest, xvec] = merged.get((rest, xvec), 0) + c
-    return {group: states for group, states in out.items() if states}
 
 
 def _pass_caps(
@@ -622,63 +568,82 @@ def _operator_pass(
     (or at the one choice ``windings``), inside the window |x_v| <= x_bound.
 
     The vertices act in reverse order (the order-last vertex acts on the
-    ket first).  States are (multidegree so far, windings of the open
-    edges, basis key, exponent vector).  A vertex first opens the edges it
-    heads (:func:`_open_edge`), then applies its windowed operator
-    (:func:`_vertex_operator`), then closes the edges it tails
-    (:func:`_close_edges`).  This is exact for any window: vertex v's
-    operator is the only one that moves x_v; an edge's triples are
-    untouched until its head acts and cannot change after its tail acts;
-    and the bra's triples are distinct, so each coefficient is the bra
-    component of :func:`labeled_series_product`.  States of different
-    multidegrees share every step before the edges where they differ open.
+    ket first).  A state is one record (a_k, w_k, labels) per edge, mapped
+    to {exponent vector: coefficient}; ``labels`` is the sorted tuple of
+    the edge's germ labels, all of weight w_k.  An edge is (0, 0, ()) until
+    its head acts and (a_k, 0, ()) once its tail has.  Each vertex is one
+    :func:`_vertex_step`: the germ at its head opens the edge, choosing
+    a_k within the remaining budget and w | a_k (or the one given winding)
+    with ket labels 2..c+1, c = a_k / w, and producing label 1 (m = -w) or
+    consuming label c+1 (m = +w, factor w); an a_k = 0 edge is created as
+    label 1 of weight m <= its cap.  The germ at its tail keeps only the
+    moves that leave exactly the bra labels 1..c (:func:`_closing_moves`).
+    This is exact for any window: vertex v's operator is the only one that
+    moves x_v, an edge's labels change only at its two endpoints, and the
+    bra's labels are distinct, so each coefficient is the bra component of
+    :func:`labeled_series_product`.
 
-    Which edges a vertex heads or tails, and so its germ plans, depend only
-    on which of its neighbours have already acted, and the create caps are
-    shared (:func:`_pass_caps`).  So the states after a suffix of the order
-    has acted serve every order ending in it, and one depth-first walk over
-    the shared suffixes of ``orders`` serves them all: for the 24 orders of
+    Which edges a vertex heads or tails depends only on which of its
+    neighbours have already acted, and the create caps are shared
+    (:func:`_pass_caps`).  So the states after a suffix of the order has
+    acted serve every order ending in it, and one depth-first walk over the
+    shared suffixes of ``orders`` serves them all: for the 24 orders of
     four vertices, 4 + 12 + 24 + 24 vertex steps instead of 96.  The caller
     has checked the graph (:func:`_check_operator_graph`).
     """
     n, r = graph.n, graph.num_edges
     caps, germs = _pass_caps(graph, orders, degrees, total_cap, x_bound)
+    heads: dict[tuple[int, int], list[Move]] = {}
+    joint: dict[tuple[tuple[int, ...], int, int], list[Opened]] = {}
 
-    def act(groups: dict, vertex: int, acted: frozenset[int]) -> dict:
-        tailed = {idx for idx in germs[vertex] if sum(graph.edges[idx]) - vertex in acted}
-        for idx in germs[vertex]:
-            if idx not in tailed:
-                groups = _open_edge(groups, idx, degrees[idx], total_cap, windings)
-        stepped: dict = {}
-        for (a, wind), states in groups.items():
-            plans: list[Plan] = []
-            for idx in germs[vertex]:
-                if a[idx]:
-                    plans.append(("marked", idx + 1, a[idx]))
-                else:
-                    kind = "annihilate" if idx in tailed else "create"
-                    plans.append((kind, idx + 1, caps[idx + 1]))
-            here = {idx + 1: wind[idx] for idx in germs[vertex] if a[idx]}
-            states = _vertex_operator(states, vertex, plans, here, x_bound)
-            if states:
-                stepped[a, wind] = states
-        closes = [idx for idx in germs[vertex] if idx in tailed]
-        return _close_edges(stepped, closes) if closes else stepped
+    def head_moves(idx: int, budget: int) -> list[Move]:
+        """The head germ's moves on edge idx with a_k <= budget."""
+        found = heads.get((idx, budget))
+        if found is None:
+            found = heads[idx, budget] = []
+            for a_k in degrees[idx]:
+                if a_k > budget:
+                    break
+                if a_k == 0:
+                    found += [(-m, 0, (0, m, (1,)), 1) for m in range(1, caps[idx + 1] + 1)]
+                    continue
+                for w in divisors(a_k) if windings is None else (windings[idx + 1],):
+                    ket = tuple(range(2, a_k // w + 2))
+                    found.append((-w, a_k, (a_k, w, (1, *ket)), 1))
+                    found.append((w, a_k, (a_k, w, ket[:-1]), w))
+        return found
+
+    def opening(opens: tuple[int, ...], budget: int, m_close: int) -> list[Opened]:
+        """The head germs' joint moves at a vertex whose tail germs move by
+        m_close, so that x_vertex lands in the window."""
+        key = (opens, budget, m_close)
+        if key not in joint:
+            germs = [head_moves(idx, budget) for idx in opens]
+            targets = range(-x_bound - m_close, x_bound - m_close + 1)
+            joint[key] = _opening_moves(germs, budget, targets)
+        return joint[key]
 
     # depth first over the shared suffixes: with the orders sorted by their
     # acting sequence, each one reuses the states of the longest acting
     # prefix it shares with the one before
     tables: dict[VertexOrder, dict] = {}
-    stack = [{((0,) * r, (0,) * r): {((), (0,) * n): 1}}]  # groups after each step
+    stack = [{((0, 0, ()),) * r: {(0,) * n: 1}}]  # states after each step
     done: tuple[int, ...] = ()
     for acting in sorted({order[::-1] for order in orders}):
         shared = next((i for i, (u, v) in enumerate(zip(acting, done)) if u != v), len(done))
         del stack[shared + 1 :]
         for depth in range(shared, n):
-            groups = stack[depth]
-            stack.append(act(groups, acting[depth], frozenset(acting[:depth])) if groups else {})
+            vertex, groups = acting[depth], stack[depth]
+            if groups:  # else every later step is empty too
+                acted = acting[:depth]
+                opens = tuple(i for i in germs[vertex] if sum(graph.edges[i]) - vertex not in acted)
+                closes = [i for i in germs[vertex] if i not in opens]
+                groups = _vertex_step(groups, vertex, opens, closes, opening, total_cap)
+            stack.append(groups)
         tables[acting[::-1]] = {
-            (a, xvec): c for (a, _), states in stack[n].items() for (_, xvec), c in states.items()
+            (tuple(rec[0] for rec in records), xvec): c
+            for records, states in stack[n].items()
+            for xvec, c in states.items()
         }
         done = acting
     return {order: tables[order] for order in orders}

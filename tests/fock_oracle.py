@@ -1,14 +1,27 @@
-"""Test-only oracles for the operator route: the per-winding labeled product,
-and cut-and-join applied without cached rows.
+"""Test-only oracles for the operator route: the labeled operator pass on
+whole basis keys, the per-winding labeled product, and cut-and-join applied
+without cached rows.
 
-The labeled product is the one that ``trofey.fock`` ran before the
+:func:`operator_pass_reference` is the body ``trofey.fock._operator_pass``
+had before its states became per-edge records.  A state there is
+(multidegree so far, windings of the open edges) -> {(basis key, exponent
+vector): coefficient}, with one sorted basis key of (edge, label, weight)
+triples over all open edges.  Each vertex opens the edges it heads
+(:func:`_open_edge`), applies its windowed operator to whole keys
+(:func:`_vertex_operator`, moves from :func:`_moves_for_key` applied by
+:func:`_apply_moves`), then closes the edges it tails
+(:func:`_close_edges`).  It shares the create caps
+(``trofey.fock._pass_caps``) with the pass and nothing of its state or
+step.
+
+The per-winding product is the one that ``trofey.fock`` ran before the
 one-pass table.  For one (graph, order, multidegree, window) it builds the
 edge tails, the weight caps of the a_k = 0 edges and every vertex's germ
 plans, then, for each winding choice on its own, applies the vertex
 operators in acting order to the full ket of that choice and keeps the bra
-component.  It shares the windowed vertex operator with the pass (which has
-its own product-then-filter oracle in ``tests/test_fock.py``) but none of
-the pass's edge opening, closing or merging, so equal values check those.
+component.  It uses this module's windowed vertex operator (which has its
+own product-then-filter oracle in ``tests/test_fock.py``) and no code of
+the pass, so equal values check the pass's records, opening and closing.
 
 :func:`cut_join_reference` is the body ``trofey.fock.cut_join`` had before
 it read cached per-partition rows: it applies M to every key of a state on
@@ -17,17 +30,258 @@ the spot.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, Sequence
 
 from trofey.fock import (
-    Plan,
     State,
+    Triple,
     _check_operator_graph,
-    _vertex_operator,
+    _edge_triples,
+    _pass_caps,
     labeled_boundary_states,
     winding_choices,
 )
-from trofey.graphs import FeynmanGraph, VertexOrder, edge_orientation
+from trofey.graphs import FeynmanGraph, Multidegree, VertexOrder, edge_orientation
+from trofey.propagators import divisors
+
+Plan = tuple[str, int, int]  # (kind, edge index, parameter)
+
+
+def _moves_for_key(
+    plans: Sequence[Plan], windings: Mapping[int, int], key: tuple[Triple, ...]
+) -> list[list[tuple[int, Triple]]]:
+    """Per germ plan, the moves that can act on this basis key without
+    dying, in ascending m (a key is sorted, so its triples are too).
+
+    A plan is (kind, edge, parameter):
+
+    * ("marked", k, a_k): edge with a_k > 0 and winding w -- either
+      m = +w (consume the ket-side end label (k, a_k/w + 1, w)) or m = -w
+      (produce the bra-side end label (k, 1, w));
+    * ("annihilate", k, cap): a_k = 0 and this vertex is the tail (the
+      order-earlier endpoint, whose operator acts second) -- it must
+      consume whatever the partner germ created under label (k, 1);
+    * ("create", k, cap): a_k = 0, this vertex is the head and acts
+      first -- it must create (k, 1, m), m = 1..cap.
+    """
+    options: list[list[tuple[int, Triple]]] = []
+    for kind, k, par in plans:
+        if kind == "marked":
+            w = windings[k]
+            moves: list[tuple[int, Triple]] = [(-w, (k, 1, w))]
+            end = (k, par // w + 1, w)
+            if end in key:
+                moves.append((w, end))
+        elif kind == "annihilate":
+            moves = [
+                (t[2], t)
+                for t in dict.fromkeys(key)
+                if t[0] == k and t[1] == 1 and t[2] <= par
+            ]
+        else:
+            moves = [(-m, (k, 1, m)) for m in range(par, 0, -1)]
+        if not moves:
+            return []
+        options.append(moves)
+    return options
+
+
+def _apply_moves(
+    key: tuple[Triple, ...], coeff: int, moves: Sequence[tuple[int, Triple]]
+) -> tuple[tuple[Triple, ...], int] | None:
+    """Apply a germ combination (annihilations then creations) to a basis key."""
+    cur = list(key)
+    c = coeff
+    for m, triple in moves:
+        if m > 0:
+            count = cur.count(triple)
+            if count == 0:
+                return None
+            c = c * m * count
+            cur.remove(triple)
+    for m, triple in moves:
+        if m < 0:
+            cur.append(triple)
+    return tuple(sorted(cur)), c
+
+
+def _vertex_operator(
+    state: dict,
+    vertex: int,
+    plans: Sequence[Plan],
+    windings: Mapping[int, int],
+    x_bound: int,
+) -> dict:
+    """The three-germ operator of one vertex on (basis key, exponent vector)
+    states; each germ move m multiplies by x_vertex^m.
+
+    This is the only operator that changes x_vertex, so only moves that
+    land it in the window |x_vertex| <= x_bound are kept: a germ keeps a
+    move only if the other germs can still bring x_vertex into the window,
+    the product runs over all germs but the last, and the last germ's move
+    is looked up by each m that lands x_vertex in the window (within one
+    germ the moves have distinct m).  At x_bound = 0 the moves must
+    balance.  The moves depend on a state only through its key and
+    x_vertex, so they are found once per such pair.
+    """
+    rows: dict = {}
+    vi = vertex - 1
+    for (key, xvec), coeff in state.items():
+        rows.setdefault((key, xvec[vi]), []).append((xvec, coeff))
+    out: dict = {}
+    for (key, x0), group in rows.items():
+        options = _moves_for_key(plans, windings, key)
+        if not options:
+            continue
+        low = high = x0
+        for moves in options:  # moves ascend in m
+            low += moves[0][0]
+            high += moves[-1][0]
+        if low > x_bound or high < -x_bound:
+            continue
+        for i, moves in enumerate(options):
+            least, most = moves[-1][0] - high - x_bound, moves[0][0] - low + x_bound
+            if least > moves[0][0] or most < moves[-1][0]:
+                options[i] = [mv for mv in moves if least <= mv[0] <= most]
+        options.sort(key=len)  # the widest germ closes; an empty one yields nothing
+        closing = {m: (m, t) for m, t in options[-1]}
+        for combo in itertools.product(*options[:-1]):
+            base = x0 + sum(m for m, _ in combo)
+            for xv in range(-x_bound, x_bound + 1):
+                last = closing.get(xv - base)
+                if last is None:
+                    continue
+                res = _apply_moves(key, 1, combo + (last,))
+                if res is None:
+                    continue
+                new_key, factor = res
+                for xvec, coeff in group:
+                    nk = (new_key, xvec[:vi] + (xv,) + xvec[vi + 1 :])
+                    out[nk] = out.get(nk, 0) + coeff * factor
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _open_edge(
+    groups: dict,
+    idx: int,
+    degrees: Sequence[int],
+    total_cap: int,
+    windings: Mapping[int, int] | None,
+) -> dict:
+    """Give edge idx a degree a_k (ascending, within each group's remaining
+    budget) and a winding w | a_k, and put its ket triples (k, 2..c+1, w),
+    c = a_k / w, into every key."""
+    k = idx + 1
+    out: dict = {}
+    for (a, wind), states in groups.items():
+        budget = total_cap - sum(a)
+        for a_k in degrees:
+            if a_k > budget:
+                break
+            if a_k == 0:
+                out[a, wind] = states
+                continue
+            marked = a[:idx] + (a_k,) + a[idx + 1 :]
+            for w in divisors(a_k) if windings is None else (windings[k],):
+                ket = _edge_triples(k, a_k, w, 2)
+                opened = {key: tuple(sorted(key + ket)) for key, _ in states}
+                out[marked, wind[:idx] + (w,) + wind[idx + 1 :]] = {
+                    (opened[key], xvec): c for (key, xvec), c in states.items()
+                }
+    return out
+
+
+def _close_edges(groups: dict, idxs: Sequence[int]) -> dict:
+    """Keep the states whose triples on each edge in idxs are exactly the
+    bra's (k, 1..c, w), or none for a_k = 0, and drop those triples and
+    windings; states that differed only there merge."""
+    edges = {idx + 1 for idx in idxs}
+    out: dict = {}
+    for (a, wind), states in groups.items():
+        bra = tuple(
+            t for idx in idxs if a[idx] for t in _edge_triples(idx + 1, a[idx], wind[idx], 1)
+        )
+        closed = tuple(0 if idx in idxs else w for idx, w in enumerate(wind))
+        merged = out.setdefault((a, closed), {})
+        rests: dict = {}  # key -> key without the closed edges, or None
+        for (key, xvec), c in states.items():
+            if key not in rests:
+                mine = tuple(t for t in key if t[0] in edges)
+                rests[key] = tuple(t for t in key if t[0] not in edges) if mine == bra else None
+            rest = rests[key]
+            if rest is not None:
+                merged[rest, xvec] = merged.get((rest, xvec), 0) + c
+    return {group: states for group, states in out.items() if states}
+
+
+def operator_pass_reference(
+    graph: FeynmanGraph,
+    orders: Sequence[VertexOrder],
+    degrees: Sequence[Sequence[int]],
+    total_cap: int,
+    windings: Mapping[int, int] | None,
+    x_bound: int,
+) -> dict[VertexOrder, dict[tuple[Multidegree, tuple[int, ...]], int]]:
+    """Per vertex order, {(a, exponent vector): coefficient} of the labeled
+    operator product at every multidegree with a_k in degrees[k]
+    (ascending) and sum(a) <= total_cap, summed over every winding choice
+    (or at the one choice ``windings``), inside the window |x_v| <= x_bound.
+
+    The vertices act in reverse order (the order-last vertex acts on the
+    ket first).  States are (multidegree so far, windings of the open
+    edges, basis key, exponent vector).  A vertex first opens the edges it
+    heads (:func:`_open_edge`), then applies its windowed operator
+    (:func:`_vertex_operator`), then closes the edges it tails
+    (:func:`_close_edges`).  This is exact for any window: vertex v's
+    operator is the only one that moves x_v; an edge's triples are
+    untouched until its head acts and cannot change after its tail acts;
+    and the bra's triples are distinct, so each coefficient is the bra
+    component of ``labeled_series_product``.  It walks the shared suffixes
+    of ``orders`` with the create caps of ``trofey.fock._pass_caps``, as
+    the pass does.  The caller has checked the graph.
+    """
+    n, r = graph.n, graph.num_edges
+    caps, germs = _pass_caps(graph, orders, degrees, total_cap, x_bound)
+
+    def act(groups: dict, vertex: int, acted: frozenset[int]) -> dict:
+        tailed = {idx for idx in germs[vertex] if sum(graph.edges[idx]) - vertex in acted}
+        for idx in germs[vertex]:
+            if idx not in tailed:
+                groups = _open_edge(groups, idx, degrees[idx], total_cap, windings)
+        stepped: dict = {}
+        for (a, wind), states in groups.items():
+            plans: list[Plan] = []
+            for idx in germs[vertex]:
+                if a[idx]:
+                    plans.append(("marked", idx + 1, a[idx]))
+                else:
+                    kind = "annihilate" if idx in tailed else "create"
+                    plans.append((kind, idx + 1, caps[idx + 1]))
+            here = {idx + 1: wind[idx] for idx in germs[vertex] if a[idx]}
+            states = _vertex_operator(states, vertex, plans, here, x_bound)
+            if states:
+                stepped[a, wind] = states
+        closes = [idx for idx in germs[vertex] if idx in tailed]
+        return _close_edges(stepped, closes) if closes else stepped
+
+    # depth first over the shared suffixes: with the orders sorted by their
+    # acting sequence, each one reuses the states of the longest acting
+    # prefix it shares with the one before
+    tables: dict[VertexOrder, dict] = {}
+    stack = [{((0,) * r, (0,) * r): {((), (0,) * n): 1}}]  # groups after each step
+    done: tuple[int, ...] = ()
+    for acting in sorted({order[::-1] for order in orders}):
+        shared = next((i for i, (u, v) in enumerate(zip(acting, done)) if u != v), len(done))
+        del stack[shared + 1 :]
+        for depth in range(shared, n):
+            groups = stack[depth]
+            stack.append(act(groups, acting[depth], frozenset(acting[:depth])) if groups else {})
+        tables[acting[::-1]] = {
+            (a, xvec): c for (a, _), states in stack[n].items() for (_, xvec), c in states.items()
+        }
+        done = acting
+    return {order: tables[order] for order in orders}
 
 
 def _operator_setup(

@@ -664,6 +664,26 @@ def test_fit_q_order_past_the_file_is_validation_error(capsys, tmp_path):
     assert (code, out) == (0, "1\nweights {0} homogeneous\n")
 
 
+def test_fit_row_missing_inside_the_file_is_validation_error(capsys, tmp_path):
+    # the file holds E2 through q^7 without q^3: that coefficient is
+    # unknown, not 0; a file that starts past q^0 still reads q^0 as 0
+    e2 = ["1", "-24", "-72", "-96", "-168", "-144", "-288", "-192"]
+    path = tmp_path / "series.json"
+    rows = [{"labels": {"d": d}, "value": v} for d, v in enumerate(e2) if d not in (3, 5)]
+    path.write_text(json.dumps({"results": rows}))
+    for extra in ((), ("--q-order", "2")):
+        code, out, err = run(capsys, "fit", "--from", str(path), "--max-weight", "2", *extra)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "error: series file has no row for q^3 (its rows run from q^0 to q^7)"
+        ]
+    sigma = ["1", "3", "4", "7", "6", "12", "8"]  # (1 - E2) / 24 from q^1 on
+    rows = [{"labels": {"d": d}, "value": v} for d, v in enumerate(sigma, start=1)]
+    path.write_text(json.dumps({"results": rows}))
+    code, out, err = run(capsys, "fit", "--from", str(path), "--max-weight", "2")
+    assert (code, out, err) == (0, "1/24 - 1/24*E2\nweights {0,2} mixed\n", "")
+
+
 def test_threads_flag_does_not_change_output(graphs, capsys):
     # both commands that hand out tasks, at two thread counts
     for argv in (
@@ -772,6 +792,9 @@ def fuzz_files(tmp_path_factory):
         "series_d_bool.json": '{"results": [{"labels": {"d": true}, "value": "1"}]}',
         "series_value_number.json": '{"results": [{"labels": {"d": 0}, "value": 1}]}',
         "series_no_rows.json": '{"results": []}',
+        "series_gap.json": json.dumps(
+            {"results": [{"labels": {"d": d}, "value": "1"} for d in (0, 1, 3)]}
+        ),
     }
     for name, text in payloads.items():
         (root / name).write_text(text)

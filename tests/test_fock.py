@@ -13,10 +13,14 @@ from math import factorial, prod
 
 import pytest
 from fock_oracle import (
+    _apply_moves,
     _direct_edge_caps,
+    _moves_for_key,
     _operator_setup,
+    _vertex_operator,
     cut_join_reference,
     fock_cover_count_reference,
+    operator_pass_reference,
     series_product_reference,
 )
 
@@ -428,14 +432,14 @@ def _vertex_operator_oracle(state, vertex, plans, windings, x_bound):
     out = {}
     vi = vertex - 1
     for (key, xvec), coeff in state.items():
-        options = fock._moves_for_key(plans, windings, key)
+        options = _moves_for_key(plans, windings, key)
         if not options:
             continue
         for combo in itertools.product(*options):
             xv = xvec[vi] + sum(m for m, _ in combo)
             if abs(xv) > x_bound:
                 continue
-            res = fock._apply_moves(key, coeff, combo)
+            res = _apply_moves(key, coeff, combo)
             if res is None:
                 continue
             new_key, c = res
@@ -460,9 +464,7 @@ def test_balanced_operator_matches_product_filter_oracle():
                             want = _vertex_operator_oracle(
                                 state, vertex, germs, windings, x_bound
                             )
-                            got = fock._vertex_operator(
-                                state, vertex, germs, windings, x_bound
-                            )
+                            got = _vertex_operator(state, vertex, germs, windings, x_bound)
                             assert got == want, (x_bound, graph.edges, order, a, vertex)
                             state = want
                         nonzero += bool(state)
@@ -538,6 +540,44 @@ def test_fock_table_equals_oracle_and_cover_table():
                 assert fock_cover_count(graph, order, a) == want, (graph.edges, order, a)
 
 
+PRISM = FeynmanGraph(
+    6, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6))
+)
+
+
+@pytest.mark.parametrize("graph", [THETA, K4, DBL_DBL], ids=["theta", "k4", "dbl_dbl"])
+def test_pass_equals_basis_key_reference(graph):
+    # the per-edge records against whole basis keys, over every order at
+    # once: degree sets 0..amax in windows 0-2, a degree set with holes,
+    # a = 0 in a wide window, and one degree per edge with every winding
+    orders = list(all_orders(graph.n))
+    r = graph.num_edges
+    cases = [([range(amax + 1)] * r, amax, None, 0) for amax in range(5)]
+    cases += [([range(amax + 1)] * r, amax, None, x) for amax in range(3) for x in (1, 2)]
+    cases += [([(0, 2, 3)] * r, 6, None, 0), ([(0, 2, 3)] * r, 4, None, 1)]
+    cases.append(([(0,)] * r, 0, None, 6 if graph.n == 2 else 4))
+    for a in multidegrees(graph, 4 if graph.n == 2 else 3):
+        for windings in (None, *winding_choices(a)):
+            for x_bound in (0, 2) if graph.n == 2 else (0,):
+                cases.append(([(x,) for x in a], sum(a), windings, x_bound))
+    nonzero = 0
+    for case in cases:
+        want = operator_pass_reference(graph, orders, *case)
+        assert fock._operator_pass(graph, orders, *case) == want, case
+        nonzero += any(want.values())
+    assert nonzero > len(cases) // 3
+
+
+@pytest.mark.parametrize("amax, x_bound", [(3, 0), (1, 1)])
+def test_pass_equals_basis_key_reference_on_the_prism(amax, x_bound):
+    # six vertices and 720 orders: a deeper walk than the four-vertex graphs
+    orders = list(all_orders(6))
+    degrees = [range(amax + 1)] * PRISM.num_edges
+    want = operator_pass_reference(PRISM, orders, degrees, amax, None, x_bound)
+    assert sum(map(bool, want.values())) > 0
+    assert fock._operator_pass(PRISM, orders, degrees, amax, None, x_bound) == want
+
+
 def test_walk_equals_single_order_passes_in_a_window():
     # with a window the states carry exponent vectors that the suffix walk
     # must share exactly as the single-order pass builds them; at a = 0 in
@@ -558,17 +598,18 @@ def test_walk_equals_single_order_passes_in_a_window():
 
 
 def test_walk_makes_one_vertex_step_per_shared_suffix(monkeypatch):
-    # at a = 0 in window 3 every step keeps one group of live states, so
-    # each vertex step is one operator call: 4 + 12 + 24 + 24 for the 24
-    # orders of four vertices, against 4 * 24 for one pass per order
+    # at a = 0 in window 3 every step keeps live states, and each vertex
+    # step is one step call: 4 + 12 + 24 + 24 for the 24 orders of four
+    # vertices, against 4 * 24 for one pass per order
     steps = []
-    true_operator = fock._vertex_operator
+    true_step = fock._vertex_step
 
-    def counted(state, vertex, *args):
+    def counted(groups, vertex, *args):
+        assert groups
         steps.append(vertex)
-        return true_operator(state, vertex, *args)
+        return true_step(groups, vertex, *args)
 
-    monkeypatch.setattr(fock, "_vertex_operator", counted)
+    monkeypatch.setattr(fock, "_vertex_step", counted)
     for graph in (K4, DBL_DBL):
         orders = list(all_orders(4))
         steps.clear()
@@ -609,13 +650,22 @@ def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
     # the caps are shared by the orders of a walk; the oracle tests against
     # _direct_edge_caps and the any-window test show they are sufficient
     seen = []
-    true_operator = fock._vertex_operator
+    true_step = fock._vertex_step
 
-    def recording(state, vertex, plans, windings, x_bound):
-        seen.extend((k, cap) for kind, k, cap in plans if kind != "marked")
-        return true_operator(state, vertex, plans, windings, x_bound)
+    def recording(groups, vertex, opens, closes, opening, total_cap):
+        # the weight of every a_k = 0 edge a head germ creates or a tail
+        # germ annihilates
+        def spied(opens, budget, m_close):
+            moves = opening(opens, budget, m_close)
+            for opened, _, _ in moves:
+                seen.extend((i + 1, rec[1]) for i, rec in zip(opens, opened) if rec[0] == 0)
+            return moves
 
-    monkeypatch.setattr(fock, "_vertex_operator", recording)
+        for records in groups:
+            seen.extend((i + 1, records[i][1]) for i in closes if records[i][0] == 0)
+        return true_step(groups, vertex, opens, closes, spied, total_cap)
+
+    monkeypatch.setattr(fock, "_vertex_step", recording)
     for graph in (THETA, K4, DBL_DBL):
         for order in all_orders(graph.n):
             tails, germs = fock._order_setup(graph, order)
