@@ -55,6 +55,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -373,13 +374,13 @@ def _check_query(
 @lru_cache(maxsize=None)
 def _order_setup(
     graph: FeynmanGraph, order: VertexOrder
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+) -> tuple[tuple[int, ...], Mapping[int, tuple[int, ...]]]:
     """What a vertex order fixes: the tail (order-earlier endpoint) of every
     edge, and every vertex's incident edges (its germs) in index order.
-    Cached: the one-order views ask for it once per call."""
+    Cached, and so read-only: the one-order views ask for it once per call."""
     tails = tuple(edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges))
     germs = {v: tuple(idx for idx, edge in enumerate(graph.edges) if v in edge) for v in order}
-    return tails, germs
+    return tails, MappingProxyType(germs)
 
 
 def _edge_caps(
@@ -459,20 +460,17 @@ def _closing_moves(ended: Sequence[Record]) -> tuple[tuple[Record, ...], int, in
     records, sum of the moves, factor), or None if some edge cannot reach
     its bra labels 1..c (none when a_k = 0).
 
-    A tail germ either produces label 1 (m = -w) or consumes the end label
-    c + 1 (m = +w, factor w times its multiplicity); after the head's one
-    move, exactly one of the two leaves the bra labels.  The edge then
-    closes to (a_k, 0, ()), so states of different windings merge.
+    A record's labels are sorted and distinct: the head left either 1..c+1
+    or 2..c.  So the tail germ consumes the end label c + 1 (m = +w, factor
+    w) from the first or produces label 1 (m = -w) in the second.  The edge
+    then closes to (a_k, 0, ()), so states of different windings merge.
     """
     closed, total, factor = [], 0, 1
     for a_k, w, labels in ended:
         end = a_k // w + 1
         bra = tuple(range(1, end))
-        if end in labels:
-            pos = labels.index(end)
-            if labels[:pos] + labels[pos + 1 :] != bra:
-                return None
-            total, factor = total + w, factor * w * labels.count(end)
+        if labels == (*bra, end):
+            total, factor = total + w, factor * w
         elif (1, *labels) == bra:
             total -= w
         else:
@@ -531,7 +529,7 @@ def _pass_caps(
     degrees: Sequence[Sequence[int]],
     total_cap: int,
     x_bound: int,
-) -> tuple[dict[int, int], dict[int, list[int]]]:
+) -> tuple[dict[int, int], Mapping[int, tuple[int, ...]]]:
     """The create cap of every edge whose degree set holds 0, shared by all
     ``orders``, and every vertex's germs.
 
@@ -546,7 +544,7 @@ def _pass_caps(
     """
     flow_bound = total_cap + graph.n * x_bound
     caps: dict[int, int] = {}
-    germs: dict[int, list[int]] = {}
+    germs: Mapping[int, tuple[int, ...]] = {}
     for order in orders:
         tails, germs = _order_setup(graph, order)
         for k, cap in _edge_caps(order, tails, germs, degrees, total_cap, x_bound).items():
@@ -636,7 +634,9 @@ def _operator_pass(
             vertex, groups = acting[depth], stack[depth]
             if groups:  # else every later step is empty too
                 acted = acting[:depth]
-                opens = tuple(i for i in germs[vertex] if sum(graph.edges[i]) - vertex not in acted)
+                opens = tuple(
+                    i for i in germs[vertex] if sum(graph.edges[i]) - vertex not in acted
+                )
                 closes = [i for i in germs[vertex] if i not in opens]
                 groups = _vertex_step(groups, vertex, opens, closes, opening, total_cap)
             stack.append(groups)

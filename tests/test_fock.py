@@ -649,10 +649,16 @@ def test_edge_caps_of_one_multidegree_are_its_direct_caps():
 def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
     # the caps are shared by the orders of a walk; the oracle tests against
     # _direct_edge_caps and the any-window test show they are sufficient
-    seen = []
-    true_step = fock._vertex_step
+    given, seen = [], []
+    true_caps, true_step = fock._pass_caps, fock._vertex_step
 
-    def recording(groups, vertex, opens, closes, opening, total_cap):
+    def recording_caps(*args):
+        # the create caps the pass hands to its steps
+        caps, germs = true_caps(*args)
+        given.append(caps)
+        return caps, germs
+
+    def recording_step(groups, vertex, opens, closes, opening, total_cap):
         # the weight of every a_k = 0 edge a head germ creates or a tail
         # germ annihilates
         def spied(opens, budget, m_close):
@@ -665,7 +671,8 @@ def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
             seen.extend((i + 1, records[i][1]) for i in closes if records[i][0] == 0)
         return true_step(groups, vertex, opens, closes, spied, total_cap)
 
-    monkeypatch.setattr(fock, "_vertex_step", recording)
+    monkeypatch.setattr(fock, "_pass_caps", recording_caps)
+    monkeypatch.setattr(fock, "_vertex_step", recording_step)
     for graph in (THETA, K4, DBL_DBL):
         for order in all_orders(graph.n):
             tails, germs = fock._order_setup(graph, order)
@@ -673,16 +680,19 @@ def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
                 # every multidegree with sum(a) <= 2 in one pass of this order
                 degrees = [range(3)] * graph.num_edges
                 caps = fock._edge_caps(order, tails, germs, degrees, 2, x_bound)
+                given.clear()
                 seen.clear()
                 fock._operator_pass(graph, [order], degrees, 2, None, x_bound)
+                (used,) = given
+                assert used.keys() == caps.keys()
                 assert seen
-                for k, cap in seen:
+                for k, cap in [*used.items(), *seen]:
                     assert cap <= min(caps[k], 2 + graph.n * x_bound), (graph.edges, order, k)
                 # and the caps of one multidegree at a time, sum(a) <= 3
                 for a in multidegrees(graph, 3):
                     one = [(x,) for x in a]
                     caps = fock._edge_caps(order, tails, germs, one, sum(a), x_bound)
-                    used, _ = fock._pass_caps(graph, [order], one, sum(a), x_bound)
+                    used, _ = true_caps(graph, [order], one, sum(a), x_bound)
                     assert used.keys() == caps.keys()
                     bound = sum(a) + graph.n * x_bound
                     for k, cap in used.items():
