@@ -22,13 +22,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
-from .covers import _cover_table, invariant_series
-from .fock import (
-    _check_operator_graph,
-    _fock_tables,
-    double_hurwitz,
-    elliptic_hurwitz_disconnected,
-)
+from .covers import cover_table, invariant_series
+from .fock import double_hurwitz, elliptic_hurwitz_disconnected, fock_tables
 from .graphs import (
     FeynmanGraph,
     all_orders,
@@ -265,7 +260,7 @@ def _compare_tasks(
 
         def task(graph=graph, gf=gf, order=order, weight=weight):
             integral = integral_series_refined(graph, order, dmax, gf=gf)
-            covers = _cover_table(graph, order, dmax, k)
+            covers = cover_table(graph, order, dmax, k)
             mismatch = _first_mismatch(covers, integral)
             if mismatch is not None:
                 return {}, (graph.edges, gf, order) + mismatch
@@ -357,14 +352,15 @@ def cmd_fock(args: argparse.Namespace) -> int:
         if args.amax < 0:
             raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
         graph, _, relabeling = _load_graph(args.graph)
-        _check_operator_graph(graph)  # before any order: no vacuous "0" for a bad graph
-        orders = list(all_orders(graph.n))
         amax = args.amax
-        tables = _fock_tables(graph, amax)  # one operator walk serves every order
+        # one operator walk serves every order; it checks the graph first,
+        # so a bad graph gets no vacuous "0"
+        tables = fock_tables(graph, amax)
+        orders = list(all_orders(graph.n))
 
         def task(order):
             """One order's operator table against its cover pass."""
-            return order, _first_mismatch(tables[order], _cover_table(graph, order, amax))
+            return order, _first_mismatch(tables[order], cover_table(graph, order, amax))
 
         tasks = [lambda order=order: task(order) for order in orders]
         for order, mismatch in _run_tasks(tasks, args.threads):
@@ -405,6 +401,8 @@ def _series_from_json(path: str) -> dict[int, Fraction]:
             d, value = row["labels"]["d"], row["value"]
             if type(d) is not int or not isinstance(value, str):  # bool is no label
                 raise TypeError(d, value)
+            if d in series:  # neither row can be trusted over the other
+                raise CliError(PARSE_ERROR, f"series file has two rows for q^{d}")
             series[d] = _parse_rational(value)
         if not series:
             raise KeyError("d")

@@ -34,7 +34,7 @@ The per-multidegree functions (:func:`enumerate_tuples`,
 ``_by_windings`` variants) read the pass with the single degree a_k on
 edge k.  Callers that want many multidegrees (the invariant assemblies,
 ``invariant --compare`` and ``fock check``) read one pass per (graph,
-vertex order) over every multidegree as a table, :func:`_cover_table`.
+vertex order) over every multidegree as a table, :func:`cover_table`.
 The route shares no code with :mod:`trofey.integrals`, which it checks.
 """
 
@@ -334,7 +334,7 @@ def _contribution(
     return total
 
 
-def _cover_table(
+def cover_table(
     graph: FeynmanGraph, order: VertexOrder, q_cap: int, k: Sequence[int] | None = None
 ) -> dict[Multidegree, Coeff]:
     """Zero-leak values at every multidegree with sum(a) <= q_cap, from one
@@ -406,7 +406,7 @@ def fixed_order_series(
     order = check_order(order, graph.n)
     aut = automorphism_count(graph)
     out: dict[int, Coeff] = {}
-    for a, value in _cover_table(graph, order, q_order, k).items():
+    for a, value in cover_table(graph, order, q_order, k).items():
         d = sum(a)
         out[d] = out.get(d, 0) + value * Fraction(1, aut)
     return {d: out[d] for d in sorted(out) if out[d] != 0}
@@ -425,7 +425,7 @@ def invariant_fixed_order(
         graph, gf = assignment.graph, assignment.gf
         _check_assignment(graph, gf, k)
         aut = automorphism_count(graph)
-        for a, value in _cover_table(graph, order, d, k).items():
+        for a, value in cover_table(graph, order, d, k).items():
             if sum(a) == d:
                 total = total + value * Fraction(1, aut)
     return total
@@ -437,7 +437,7 @@ def _invariant_totals(k: Sequence[int], degrees: range) -> dict[int, Coeff]:
     totals: dict[int, Coeff] = {}
     cap = max(degrees, default=0)
     for graph, gf, order, weight in weighted_classes(k):
-        for a, value in _cover_table(graph, order, cap, k).items():
+        for a, value in cover_table(graph, order, cap, k).items():
             d = sum(a)
             if d in degrees:
                 totals[d] = totals.get(d, 0) + value * weight

@@ -44,9 +44,11 @@ does depends only on which of its neighbours have already acted, so one
 depth-first walk over the shared suffixes of a list of vertex orders
 serves them all; the weight caps of the a_k = 0 edges are shared by the
 walked orders and never exceed the flow bound sum(a) + n * x_bound.
-``fock check`` reads one walk over every order as one table per order,
-keyed by multidegree; :func:`fock_cover_count` and the ``labeled_*``
-functions are one-order views with one degree (and one winding) per edge.
+:func:`fock_tables` reads one walk over every order as one table per
+order, keyed by multidegree, which ``fock check`` compares with
+:func:`~trofey.covers.cover_table`.  :func:`fock_cover_count` and the
+``labeled_*`` functions are one-order views with one degree (and one
+winding) per edge.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -371,16 +372,14 @@ def _check_query(
     return order, a
 
 
-@lru_cache(maxsize=None)
 def _order_setup(
     graph: FeynmanGraph, order: VertexOrder
-) -> tuple[tuple[int, ...], Mapping[int, tuple[int, ...]]]:
+) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     """What a vertex order fixes: the tail (order-earlier endpoint) of every
-    edge, and every vertex's incident edges (its germs) in index order.
-    Cached, and so read-only: the one-order views ask for it once per call."""
+    edge, and every vertex's incident edges (its germs) in index order."""
     tails = tuple(edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges))
     germs = {v: tuple(idx for idx, edge in enumerate(graph.edges) if v in edge) for v in order}
-    return tails, MappingProxyType(germs)
+    return tails, germs
 
 
 def _edge_caps(
@@ -529,7 +528,7 @@ def _pass_caps(
     degrees: Sequence[Sequence[int]],
     total_cap: int,
     x_bound: int,
-) -> tuple[dict[int, int], Mapping[int, tuple[int, ...]]]:
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
     """The create cap of every edge whose degree set holds 0, shared by all
     ``orders``, and every vertex's germs.
 
@@ -544,7 +543,7 @@ def _pass_caps(
     """
     flow_bound = total_cap + graph.n * x_bound
     caps: dict[int, int] = {}
-    germs: Mapping[int, tuple[int, ...]] = {}
+    germs: dict[int, tuple[int, ...]] = {}
     for order in orders:
         tails, germs = _order_setup(graph, order)
         for k, cap in _edge_caps(order, tails, germs, degrees, total_cap, x_bound).items():
@@ -649,10 +648,11 @@ def _operator_pass(
     return {order: tables[order] for order in orders}
 
 
-def _fock_tables(graph: FeynmanGraph, amax: int) -> dict[VertexOrder, dict[Multidegree, int]]:
+def fock_tables(graph: FeynmanGraph, amax: int) -> dict[VertexOrder, dict[Multidegree, int]]:
     """:func:`fock_cover_count` at every multidegree with sum(a) <= amax, for
-    every vertex order, from one walk (zero entries dropped); the caller
-    has checked the graph."""
+    every vertex order, from one walk (zero entries dropped).  The graph is
+    checked once, before any order."""
+    _check_operator_graph(graph)
     degrees = [range(amax + 1)] * graph.num_edges
     tables = _operator_pass(graph, list(all_orders(graph.n)), degrees, amax, None, 0)
     return {

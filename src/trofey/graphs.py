@@ -445,6 +445,11 @@ def enumerate_graphs(k: Sequence[int]) -> list[GraphAssignment]:
 # -- JSON interchange --------------------------------------------------
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (true/false are no counts)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json_dict(
     data: dict,
 ) -> tuple[FeynmanGraph, GenusFunction | None, list[int] | None]:
@@ -457,9 +462,8 @@ def graph_from_json_dict(
     """
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
+    n = data.get("n")
+    if not _is_int(n):
         raise ValueError("graph JSON needs an integer field 'n'")
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list) or not raw_edges:
@@ -469,7 +473,7 @@ def graph_from_json_dict(
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+            or not all(_is_int(x) for x in item)
         ):
             raise ValueError(f"bad edge entry {item!r}")
         u, v = item
@@ -485,7 +489,7 @@ def graph_from_json_dict(
     gf: GenusFunction | None = None
     if "genus" in data:
         raw_gf = data["genus"]
-        if not isinstance(raw_gf, list) or not all(isinstance(x, int) for x in raw_gf):
+        if not isinstance(raw_gf, list) or not all(_is_int(x) for x in raw_gf):
             raise ValueError("'genus' must be a list of integers")
         if len(raw_gf) != n:
             raise ValueError("'genus' must list one value per vertex")

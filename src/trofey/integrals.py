@@ -22,7 +22,7 @@ z-exponents) to its coefficient at every grade: the total q-degree d, or
 the degrees of the edges done so far, packed into one integer.  An
 edge's slice terms are grouped by the exponent shift they apply, so the
 pass builds each new monomial once per (monomial, shift) and then walks
-the grades, and it extracts several leak targets at once.
+the grades.  A pass extracts one leak vector, so its result is one table.
 
 Genus dressing stays in integers.  A z^{2m} term at a vertex of genus g
 carries s_m = 1/(4^m (2m+1)!), m <= g; the pass scales it by K_g^m with
@@ -38,13 +38,12 @@ units between its endpoints; an uncurled edge (a_k = 0) carries w >= 1 in
 its orientation direction.  In any monomial contributing to x^l, the
 uncurled weights form a flow on the acyclic orientation whose sources are
 curled contributions and leaks, so each uncurled w is at most
-B = total cap + max over the targets of sum|l|.  Terms beyond these
-bounds are provably irrelevant and never built.  Partial products are
-pruned per vertex: an exponent x_v must stay within [min_t t_v - R_v,
-max_t t_v + R_v], where R_v sums the pruning caps of v's remaining edges.
-An edge's pruning cap is B if it may stay uncurled (0 in its degree set)
-and its largest degree otherwise.  Nothing is silently truncated: the
-bounds are sufficient.
+B = total cap + sum|l|.  Terms beyond these bounds are provably
+irrelevant and never built.  Partial products are pruned per vertex: an
+exponent x_v must stay within [l_v - R_v, l_v + R_v], where R_v sums the
+pruning caps of v's remaining edges.  An edge's pruning cap is B if it
+may stay uncurled (0 in its degree set) and its largest degree
+otherwise.  Nothing is silently truncated: the bounds are sufficient.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from .series import Coeff, invert, s_series
 LeakVector = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def _inv_s_even(g: int) -> tuple[Coeff, ...]:
     """z^{2m}-coefficients (m = 0..g) of 1/S(z), via series inversion."""
     return tuple(invert(s_series(1, 2 * g), 2 * g)[::2])
@@ -165,7 +163,6 @@ def _normalize_query(
     return order, a, leaks, gf
 
 
-@lru_cache(maxsize=None)
 def _edge_plan(graph: FeynmanGraph, order: VertexOrder) -> tuple[tuple[int, int, int], ...]:
     """(edge index, tail, head) with 0-based vertices, edges sorted so
     vertices finish as early as possible; a loop's tail is its head."""
@@ -187,12 +184,12 @@ def _winding_caps(
     graph: FeynmanGraph,
     degrees: Sequence[Sequence[int]],
     total_cap: int,
-    targets: Sequence[LeakVector],
+    leaks: LeakVector,
 ) -> tuple[int, list[int]]:
-    """The uncurled winding cap B = total_cap + max_t sum|t|, and per edge
-    the pruning cap on |winding|: 0 for a loop, the largest allowed degree
-    for an edge that must curl, B for one that may stay uncurled."""
-    winding_cap = total_cap + max(sum(abs(x) for x in t) for t in targets)
+    """The uncurled winding cap B = total_cap + sum|l|, and per edge the
+    pruning cap on |winding|: 0 for a loop, the largest allowed degree for
+    an edge that must curl, B for one that may stay uncurled."""
+    winding_cap = total_cap + sum(abs(x) for x in leaks)
     return winding_cap, [
         0 if u == v else winding_cap if 0 in degs else max(degs, default=0)
         for (u, v), degs in zip(graph.edges, degrees)
@@ -205,12 +202,12 @@ def _graded_pass(
     order: VertexOrder,
     degrees: Sequence[Sequence[int]],
     total_cap: int,
-    targets: Sequence[LeakVector],
+    leaks: LeakVector,
     by_multidegree: bool,
-) -> dict[LeakVector, dict]:
-    """Coefficients of x^t z^{2g}, for each leak target t, at every
-    multidegree with a_k in degrees[k] and sum(a) <= total_cap: one table
-    per target, in one DP over the edges.
+) -> dict:
+    """Coefficients of x^l z^{2g} at every multidegree with a_k in
+    degrees[k] and sum(a) <= total_cap, as one table, in one DP over the
+    edges.
 
     The state maps a monomial (x-exponents, z-exponents) to {grade:
     coefficient}.  A grade is the integer d * U + code, d the total
@@ -218,28 +215,26 @@ def _graded_pass(
     grade is d.  With it, U = R^r for radix R = total_cap + 1 and r edges,
     and the code holds the degree of the p-th edge done as its base-R
     digit p.  No digit exceeds total_cap, so nothing carries: sum(a) <=
-    total_cap holds exactly when the grade is below R * U.  Each table is
+    total_cap holds exactly when the grade is below R * U.  The table is
     keyed by d, or by the multidegree in edge-index order, ascending.
 
     Per edge, each monomial builds one new monomial per shift group
     (:func:`_shift_groups`), after the pruning checks; then each of its
     grades takes the group's terms in ascending degree until the grade
     reaches R * U.  Every uncurled winding is capped once, at
-    total_cap + max_t sum|t|; a vertex exponent is pruned once it leaves
-    [min_t t_v - remaining, max_t t_v + remaining], with the remaining
-    edges at their pruning caps (:func:`_winding_caps`).  Every scaled
-    slice coefficient is a positive integer, so the pass never cancels;
-    zero sums are dropped at extraction.
+    total_cap + sum|l|; a vertex exponent is pruned once it leaves
+    [l_v - remaining, l_v + remaining], with the remaining edges at their
+    pruning caps (:func:`_winding_caps`).  Every scaled slice coefficient
+    is a positive integer, so the pass never cancels; zero sums are
+    dropped at extraction.
     """
     n = graph.n
     plan = _edge_plan(graph, order)
-    winding_cap, caps = _winding_caps(graph, degrees, total_cap, targets)
+    winding_cap, caps = _winding_caps(graph, degrees, total_cap, leaks)
     remaining_cap = [0] * n  # loops have cap 0
     for (u, v), cap in zip(graph.edges, caps):
         remaining_cap[u - 1] += cap
         remaining_cap[v - 1] += cap
-    target_lo = [min(column) for column in zip(*targets)]
-    target_hi = [max(column) for column in zip(*targets)]
     radix = total_cap + 1
     unit = radix ** len(plan) if by_multidegree else 1
     limit = radix * unit
@@ -250,10 +245,8 @@ def _graded_pass(
         remaining_cap[t_idx] -= caps[idx]
         remaining_cap[h_idx] -= caps[idx]
         zt_max, zh_max = 2 * gf_t[t_idx], 2 * gf_t[h_idx]
-        t_lo = target_lo[t_idx] - remaining_cap[t_idx]
-        t_hi = target_hi[t_idx] + remaining_cap[t_idx]
-        h_lo = target_lo[h_idx] - remaining_cap[h_idx]
-        h_hi = target_hi[h_idx] + remaining_cap[h_idx]
+        t_lo, t_hi = leaks[t_idx] - remaining_cap[t_idx], leaks[t_idx] + remaining_cap[t_idx]
+        h_lo, h_hi = leaks[h_idx] - remaining_cap[h_idx], leaks[h_idx] + remaining_cap[h_idx]
         groups = _shift_groups(
             t_idx == h_idx, degrees[idx], winding_cap, gf_t[t_idx], gf_t[h_idx],
             unit + radix**p if by_multidegree else 1,
@@ -300,10 +293,9 @@ def _graded_pass(
 
     # the vertex prefactors 1/S(z_i) supply the missing z-degree 2g_i - zs_i
     dressed = [(vi, _vertex_prefactors(g)) for vi, g in enumerate(gf_t) if g]
-    sums: dict[LeakVector, dict[int, Coeff]] = {t: {} for t in targets}
+    out: dict[int, Coeff] = {}
     for (xs, zs), grades in state.items():
-        out = sums.get(xs)
-        if out is None:
+        if xs != leaks:
             continue
         scale: Coeff = 1
         for vi, prefactors in dressed:
@@ -318,11 +310,8 @@ def _graded_pass(
         return tuple(a)
 
     if by_multidegree:
-        return {
-            t: dict(sorted((multidegree(g % unit), c) for g, c in out.items() if c != 0))
-            for t, out in sums.items()
-        }
-    return {t: {d: out[d] for d in sorted(out) if out[d] != 0} for t, out in sums.items()}
+        return dict(sorted((multidegree(g % unit), c) for g, c in out.items() if c != 0))
+    return {d: out[d] for d in sorted(out) if out[d] != 0}
 
 
 def refined_sweep(
@@ -332,30 +321,28 @@ def refined_sweep(
     leak_targets: Sequence[Sequence[int]],
     gf: Sequence[int] | None = None,
 ) -> dict[LeakVector, Coeff]:
-    """Coefficients at one multidegree for several leak vectors at once.
-
-    One :func:`_graded_pass` with the single degree a_k on edge k: the
-    edge-factor product is independent of the leak target, so a whole
-    family of leak extractions shares one product.
-    """
+    """Coefficients at one multidegree for several leak vectors: the
+    :func:`refined_coeff` pass, once per leak vector."""
     order, a_t, _, gf_t = _normalize_query(graph, order, a, None, gf)
     targets = [check_leaks(t, graph.n) for t in leak_targets]
     if not targets:
         raise ValueError("refined_sweep needs at least one leak target")
-    return _sweep(graph, order, a_t, targets, gf_t)
+    return {t: _coeff(graph, order, a_t, t, gf_t) for t in targets}
 
 
-def _sweep(
+def _coeff(
     graph: FeynmanGraph,
     order: VertexOrder,
     a_t: Multidegree,
-    targets: Sequence[LeakVector],
+    leaks: LeakVector,
     gf_t: tuple[int, ...],
-) -> dict[LeakVector, Coeff]:
-    """:func:`refined_sweep` on an already normalized query."""
+) -> Coeff:
+    """:func:`refined_coeff` on an already normalized query: the pass with
+    the single degree a_k on edge k."""
+    if sum(leaks) != 0:
+        return 0  # every edge term moves weight between vertices, net zero
     d = sum(a_t)
-    tables = _graded_pass(graph, gf_t, order, [(a_k,) for a_k in a_t], d, targets, False)
-    return {t: tables[t].get(d, 0) for t in targets}
+    return _graded_pass(graph, gf_t, order, [(a_k,) for a_k in a_t], d, leaks, False).get(d, 0)
 
 
 def refined_coeff(
@@ -368,9 +355,7 @@ def refined_coeff(
     """Single coefficient of the dressed edge-factor product; with no genus
     function, of the plain one (genus 0 everywhere)."""
     order, a_t, leaks, gf_t = _normalize_query(graph, order, a, l, gf)
-    if sum(leaks) != 0:
-        return 0  # every edge term moves weight between vertices, net zero
-    return _sweep(graph, order, a_t, [leaks], gf_t)[leaks]
+    return _coeff(graph, order, a_t, leaks, gf_t)
 
 
 def multidegrees(graph: FeynmanGraph, amax: int) -> Iterator[Multidegree]:
@@ -412,7 +397,7 @@ def integral_series_refined(
     if sum(leaks) != 0:
         return {}
     degrees = [range(q_order + 1)] * graph.num_edges
-    return _graded_pass(graph, gf_t, order, degrees, q_order, [leaks], True)[leaks]
+    return _graded_pass(graph, gf_t, order, degrees, q_order, leaks, True)
 
 
 def integral_series_q(
@@ -430,8 +415,7 @@ def integral_series_q(
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
     degrees = [range(q_order + 1)] * graph.num_edges
-    zero = (0,) * graph.n
-    return _graded_pass(graph, gf_t, order, degrees, q_order, [zero], False)[zero]
+    return _graded_pass(graph, gf_t, order, degrees, q_order, (0,) * graph.n, False)
 
 
 def _weighted_total(parts: Iterable[tuple[dict[int, Coeff], Coeff]]) -> dict[int, Coeff]:

@@ -4,13 +4,18 @@ Every assertion is exact rational equality — no tolerances anywhere.
 Each test prints nothing and passes or fails as a single line under
 ``pytest -v``.  Criterion 6 carries its own witnesses: 36 = 2!·18, and
 18 is the content-sum/monodromy count of degree-3 genus-2 covers.
+Criteria 7 and 8 read one table per route and query; a last test ties
+the per-multidegree views to those tables.
 """
 
 from fractions import Fraction
+from math import prod
 
 from trofey.covers import (
+    _cover_pass,
     cover_count,
     cover_count_by_windings,
+    cover_table,
     descendant_contribution,
     descendant_contribution_by_windings,
     invariant,
@@ -55,6 +60,16 @@ def _leak_vectors(n: int) -> list[tuple[int, ...]]:
                 v[i], v[j] = 1, -1
                 vecs.append(tuple(v))
     return vecs
+
+
+def _leak_cover_table(graph, order, q_cap, l):
+    """cover_count with leak vector l at every multidegree with
+    sum(a) <= q_cap, from one cover pass."""
+    table = {}
+    degrees = [range(q_cap + 1)] * graph.num_edges
+    for a, windings, _ in _cover_pass(graph, order, degrees, q_cap, l):
+        table[a] = table.get(a, 0) + prod(windings)
+    return table
 
 
 def test_criterion_01_invariant_279_by_both_routes():
@@ -162,34 +177,69 @@ def test_criterion_06_fock_route_values():
 
 
 def test_criterion_07_bijection_sweep():
+    # per (graph, order, leak vector): one integral table and one cover
+    # pass, compared at every multidegree with sum(a) <= 4
+    checked = 0
     for k in SWEEP_KS:
         for rep in enumerate_graphs(k):
             graph = rep.graph
-            targets = _leak_vectors(graph.n)
+            degrees = list(multidegrees(graph, 4))
+            allowed = set(degrees)
             for order in all_orders(graph.n):
-                for a in multidegrees(graph, 4):
-                    table = refined_sweep(graph, order, a, targets)
-                    for l in targets:
-                        covers = cover_count(graph, order, a, l=l)
-                        assert table.get(l, 0) == covers, (k, graph.edges, order, a, l)
+                for l in _leak_vectors(graph.n):
+                    integral = integral_series_refined(graph, order, 4, l=l)
+                    covers = _leak_cover_table(graph, order, 4, l)
+                    assert set(integral) | set(covers) <= allowed, (graph.edges, order, l)
+                    for a in degrees:
+                        assert integral.get(a, 0) == covers.get(a, 0), (
+                            k, graph.edges, order, a, l
+                        )
+                        checked += 1
+    assert checked == 282864
 
 
 def test_criterion_08_mirror_sweep():
-    # one dressed integral table per (graph, order), read at every
-    # multidegree; tests/test_integrals.py ties the table to refined_coeff
+    # per (graph, order): one dressed integral table and one descendant
+    # cover table, compared at every multidegree with sum(a) <= 4
     checked = 0
     for k in SWEEP_KS:
         for rep in enumerate_graphs(k):
             graph, gf = rep.graph, rep.gf
             degrees = list(multidegrees(graph, 4))
+            allowed = set(degrees)
             for order in all_orders(graph.n):
-                table = integral_series_refined(graph, order, 4, gf=gf)
-                assert set(table) <= set(degrees), (k, graph.edges, gf, order)
+                integral = integral_series_refined(graph, order, 4, gf=gf)
+                covers = cover_table(graph, order, 4, k)
+                assert set(integral) | set(covers) <= allowed, (graph.edges, gf, order)
                 for a in degrees:
-                    covers = descendant_contribution(graph, gf, order, a, k)
-                    assert table.get(a, 0) == covers, (k, graph.edges, gf, order, a)
+                    assert integral.get(a, 0) == covers.get(a, 0), (k, graph.edges, gf, order, a)
                     checked += 1
     assert checked == 22608
+
+
+def test_views_equal_the_sweep_tables():
+    # the per-multidegree views that criteria 07 and 08 no longer call read
+    # the same values as the tables they compare: refined_sweep and
+    # cover_count with every leak vector, descendant_contribution with k
+    for graph, orders in (
+        (THETA, list(all_orders(2))),
+        (K4, [(1, 2, 3, 4), (3, 1, 4, 2)]),
+        (DBL_DBL, [(1, 2, 3, 4), (4, 2, 1, 3)]),
+    ):
+        gf, k = (0,) * graph.n, (1,) * graph.n
+        leaks = _leak_vectors(graph.n)
+        for order in orders:
+            integral = {l: integral_series_refined(graph, order, 3, l=l) for l in leaks}
+            covers = {l: _leak_cover_table(graph, order, 3, l) for l in leaks}
+            descendants = cover_table(graph, order, 3, k)
+            for a in multidegrees(graph, 3):
+                sweep = refined_sweep(graph, order, a, leaks)
+                for l in leaks:
+                    where = (graph.edges, order, a, l)
+                    assert sweep[l] == integral[l].get(a, 0), where
+                    assert cover_count(graph, order, a, l=l) == covers[l].get(a, 0), where
+                value = descendant_contribution(graph, gf, order, a, k)
+                assert value == descendants.get(a, 0), (graph.edges, order, a)
 
 
 def test_criterion_09_operator_route():

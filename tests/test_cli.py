@@ -213,6 +213,27 @@ def test_json_report_schema(graphs, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 3.7, "edges": [[1, 2], [2, 3], [1, 3]]}, "graph JSON needs an integer field 'n'"),
+        ({"n": "3", "edges": [[1, 2], [2, 3], [1, 3]]}, "graph JSON needs an integer field 'n'"),
+        ({"n": 3, "edges": [[True, 2], [2, 3], [1, 3]]}, "bad edge entry [True, 2]"),
+        (
+            {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "genus": [True, False, False]},
+            "'genus' must be a list of integers",
+        ),
+    ],
+)
+def test_graph_file_takes_only_json_integers(capsys, tmp_path, payload, message):
+    # 3.7 is not read as 3, "3" not as 3, true not as 1
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "integral", "--graph", str(path), "--a", "0,0,3")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: bad graph file: {message}"]
+
+
 def test_loop_resort_warns_and_records_permutation(graphs, capsys):
     code, out, err = run(
         capsys,
@@ -350,7 +371,7 @@ def test_fock_check_passes(graphs, capsys):
 
 
 def test_fock_check_mismatch_prints_one_witness(graphs, capsys, monkeypatch):
-    true_tables = cli._fock_tables
+    true_tables = cli.fock_tables
 
     def off_by_one(graph, amax):
         tables = true_tables(graph, amax)
@@ -358,7 +379,7 @@ def test_fock_check_mismatch_prints_one_witness(graphs, capsys, monkeypatch):
             table[2, 0, 0] = table.get((2, 0, 0), 0) + 1
         return tables
 
-    monkeypatch.setattr(cli, "_fock_tables", off_by_one)
+    monkeypatch.setattr(cli, "fock_tables", off_by_one)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
@@ -396,8 +417,8 @@ def test_run_tasks_is_serial_in_task_order():
 def test_fock_check_stops_at_the_first_mismatch(graphs, capsys, monkeypatch):
     # every order mismatches at a = (2, 0, 0); the operator side is one walk
     # over every order, and only the first order's cover pass may run
-    true_tables = cli._fock_tables
-    true_cover = cli._cover_table
+    true_tables = cli.fock_tables
+    true_cover = cli.cover_table
     walks, cover_orders = [], []
 
     def off_by_one(graph, amax):
@@ -411,8 +432,8 @@ def test_fock_check_stops_at_the_first_mismatch(graphs, capsys, monkeypatch):
         cover_orders.append(order)
         return true_cover(graph, order, *args)
 
-    monkeypatch.setattr(cli, "_fock_tables", off_by_one)
-    monkeypatch.setattr(cli, "_cover_table", counted_cover)
+    monkeypatch.setattr(cli, "fock_tables", off_by_one)
+    monkeypatch.setattr(cli, "cover_table", counted_cover)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
@@ -429,7 +450,7 @@ def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, mon
     first, later = (0, 1, 1), (2, 0, 0)
     yielded = list(multidegrees(theta, 2))
     assert yielded.index(first) < yielded.index(later)
-    true_tables = cli._fock_tables
+    true_tables = cli.fock_tables
 
     def two_off(graph, amax):
         tables = true_tables(graph, amax)
@@ -439,7 +460,7 @@ def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, mon
             tables[order] = wrong
         return tables
 
-    monkeypatch.setattr(cli, "_fock_tables", two_off)
+    monkeypatch.setattr(cli, "fock_tables", two_off)
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
@@ -503,15 +524,15 @@ def test_invariant_compare_stops_at_the_first_mismatch(capsys, monkeypatch):
 
 
 def test_fock_check_guards_the_graph_once(graphs, capsys, monkeypatch):
-    # the tables run no guard of their own: the one check precedes every order
+    # the operator tables check the graph once, before any order, and the
+    # command runs no check of its own
     calls = []
-    true_guard = cli._check_operator_graph
+    true_guard = fock._check_operator_graph
 
     def counted(graph):
         calls.append(graph)
         true_guard(graph)
 
-    monkeypatch.setattr(cli, "_check_operator_graph", counted)
     monkeypatch.setattr(fock, "_check_operator_graph", counted)
     code, out, _ = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 0
@@ -684,6 +705,24 @@ def test_fit_row_missing_inside_the_file_is_validation_error(capsys, tmp_path):
     assert (code, out, err) == (0, "1/24 - 1/24*E2\nweights {0,2} mixed\n", "")
 
 
+def test_fit_rejects_two_rows_for_one_exponent(capsys, tmp_path):
+    # E2 through q^10 plus a wrong second q^3 row: whichever row comes
+    # first, neither is taken over the other
+    e2 = ["1", "-24", "-72", "-96", "-168", "-144", "-288", "-192", "-360", "-312", "-432"]
+    rows = [{"labels": {"d": d}, "value": v} for d, v in enumerate(e2)]
+    wrong = {"labels": {"d": 3}, "value": "5"}
+    path = tmp_path / "series.json"
+    for results in (rows[:3] + [wrong] + rows[3:], rows + [wrong]):
+        path.write_text(json.dumps({"results": results}))
+        code, out, err = run(capsys, "fit", "--from", str(path), "--max-weight", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: series file has two rows for q^3"]
+    path.write_text(json.dumps({"results": rows}))
+    assert run(capsys, "fit", "--from", str(path), "--max-weight", "2")[:2] == (
+        0, "E2\nweights {2} homogeneous\n"
+    )
+
+
 def test_threads_flag_does_not_change_output(graphs, capsys):
     # both commands that hand out tasks, at two thread counts
     for argv in (
@@ -795,6 +834,13 @@ def fuzz_files(tmp_path_factory):
         "series_gap.json": json.dumps(
             {"results": [{"labels": {"d": d}, "value": "1"} for d in (0, 1, 3)]}
         ),
+        "series_two_rows.json": json.dumps(
+            {"results": [{"labels": {"d": d}, "value": "1"} for d in (0, 1, 2, 1)]}
+        ),
+        "n_float.json": '{"n": 3.7, "edges": [[1, 2], [2, 3], [1, 3]]}',
+        "n_text.json": '{"n": "3", "edges": [[1, 2], [2, 3], [1, 3]]}',
+        "edge_bool.json": '{"n": 3, "edges": [[true, 2], [2, 3], [1, 3]]}',
+        "genus_bool.json": '{"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "genus": [true, false, false]}',
     }
     for name, text in payloads.items():
         (root / name).write_text(text)

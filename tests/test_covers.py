@@ -15,9 +15,9 @@ from trofey.covers import (
     CURLED,
     DIRECT,
     LOOP,
-    _cover_table,
     cover_count,
     cover_count_by_windings,
+    cover_table,
     descendant_contribution,
     descendant_contribution_by_windings,
     enumerate_tuples,
@@ -167,7 +167,7 @@ def test_cover_table_equals_integral_table(k):
     for assignment in enumerate_labeled_graphs(k):
         graph, gf = assignment.graph, assignment.gf
         for order, _ in orientation_classes(graph):
-            covers = _cover_table(graph, order, 3, k)
+            covers = cover_table(graph, order, 3, k)
             integral = integral_series_refined(graph, order, 3, gf=gf)
             assert 0 not in covers.values() and 0 not in integral.values()
             for a in set(covers) | set(integral):
@@ -177,7 +177,7 @@ def test_cover_table_equals_integral_table(k):
 @pytest.mark.parametrize("graph", [THETA, RIGHT, DUMBBELL, TRIANGLE])
 def test_cover_table_reads_cover_count(graph):
     for order in all_orders(graph.n):
-        table = _cover_table(graph, order, 4)
+        table = cover_table(graph, order, 4)
         assert all(sum(a) <= 4 for a in table)
         for a in set(table) | {tuple(0 for _ in graph.edges)}:
             assert table.get(a, 0) == cover_count(graph, order, a), (order, a)

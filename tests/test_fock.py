@@ -25,7 +25,7 @@ from fock_oracle import (
 )
 
 from trofey import fock
-from trofey.covers import _cover_table, cover_count, cover_count_by_windings, invariant
+from trofey.covers import cover_count, cover_count_by_windings, cover_table, invariant
 from trofey.fock import (
     apply_alpha,
     cut_join,
@@ -526,14 +526,14 @@ def test_fock_table_equals_oracle_and_cover_table():
         orders = list(all_orders(graph.n))
         degrees = [range(amax + 1)] * graph.num_edges
         walk = fock._operator_pass(graph, orders, degrees, amax, None, 0)
-        tables = fock._fock_tables(graph, amax)
+        tables = fock.fock_tables(graph, amax)
         assert list(walk) == list(tables) == orders
         for order in orders:
             single = fock._operator_pass(graph, [order], degrees, amax, None, 0)
             assert walk[order] == single[order], (graph.edges, order)
             table = tables[order]
             assert table == {a: c for (a, _), c in walk[order].items()}
-            assert table == _cover_table(graph, order, amax), (graph.edges, order)
+            assert table == cover_table(graph, order, amax), (graph.edges, order)
             for a in multidegrees(graph, amax):
                 want = fock_cover_count_reference(graph, order, a)
                 assert table.get(a, 0) == want, (graph.edges, order, a)

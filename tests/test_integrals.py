@@ -127,7 +127,7 @@ def test_x_bound_boundary(graph, a, l, bound):
     # the largest pruning cap on |x-exponent| a one-multidegree pass builds to
     l = l or (0,) * graph.n
     assert refined_coeff(graph, ID3, a, l=l) != 0
-    _, caps = integrals._winding_caps(graph, [(a_k,) for a_k in a], sum(a), [l])
+    _, caps = integrals._winding_caps(graph, [(a_k,) for a_k in a], sum(a), l)
     assert max(caps) == bound
 
 
@@ -172,9 +172,8 @@ def test_refined_sweep_matches_single_calls():
 def test_dressed_leak_sweeps_match_reference():
     # refined_sweep, refined_coeff and integral_series_refined share one DP;
     # the full-series oracle shares no code with it.  Every order, two genus
-    # functions (entries <= 1) per order, Σa <= 2, and all balanced ±1 leaks
-    # in one sweep, so the leak window spans several targets and uncurled
-    # edges wind beyond Σa.
+    # functions (entries <= 1) per order, Σa <= 2, and all balanced ±1 leaks,
+    # one pass per leak vector, so uncurled edges wind beyond Σa.
     cases = [
         (TRIANGLE, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
         (THETA, [(0, 0), (1, 0), (0, 1), (1, 1)]),

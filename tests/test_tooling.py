@@ -1,12 +1,17 @@
-"""Source checks over ``src/trofey`` that need only the standard library."""
+"""Source checks over ``src/trofey``, and the names ``perfbench`` reads from it,
+that need only the standard library."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "trofey"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "trofey"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _referenced_names(node: ast.AST) -> set[str]:
@@ -38,7 +43,8 @@ def test_every_private_def_is_used_in_the_package():
         and node.name.startswith("_")
         and not node.name.startswith("__")
     ]
-    assert len(private) >= 50
+    # the scan is not vacuous: it sees the package's private helpers
+    assert len(private) >= 48
     # a reference from the def's own body (recursion) does not count
     unused = [
         f"{module}:{name}"
@@ -64,15 +70,68 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
-def test_cli_import_stays_light():
-    # every trofey command pays for what importing the CLI pulls in:
-    # dataclasses drags in inspect (and ast, dis, tokenize), and csv serves
-    # one output format only.  -S keeps site .pth files from adding modules.
+def _loaded_by_cli_import() -> set[str]:
+    """The modules a fresh ``import trofey.cli`` loads (-S: no site .pth files)."""
     probe = "import sys, trofey.cli; print(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_cli_import_stays_light():
+    # every trofey command pays for what importing the CLI pulls in:
+    # dataclasses drags in inspect (and ast, dis, tokenize), and csv serves
+    # one output format only
+    loaded = _loaded_by_cli_import()
     assert "trofey.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "csv"} == set()
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/spans.py wraps each TRACED name in its module after
+    # ``import trofey.cli``, and patches cli._run_tasks; perfbench/child.py
+    # imports library names for its product query.  Read both by ast, so
+    # that no simplification of trofey can break ``run.py --trace 1``.
+    spans = ast.parse((PERFBENCH / "spans.py").read_text())
+    [traced] = [
+        node.value
+        for node in spans.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED"
+    ]
+    traced = ast.literal_eval(traced)
+    assert len(traced) >= 7
+    loaded = _loaded_by_cli_import()
+    missing = []
+    for layer, funcs in traced.items():
+        assert f"trofey.{layer}" in loaded, layer
+        module = importlib.import_module(f"trofey.{layer}")
+        missing += [
+            f"{layer}.{name}" for name in funcs if not inspect.isfunction(getattr(module, name, None))
+        ]
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse((PERFBENCH / "child.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("trofey")
+        for alias in node.names
+    ]
+    assert imported
+    missing += [
+        f"{module}.{name}"
+        for module, name in imported + [("trofey.cli", "_run_tasks")]
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
+
+
+def test_cli_imports_no_private_name():
+    # the CLI reads each route through its public interface
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("trofey"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
