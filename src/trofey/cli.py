@@ -401,6 +401,11 @@ def _series_from_json(path: str) -> dict[int, Fraction]:
             d, value = row["labels"]["d"], row["value"]
             if type(d) is not int or not isinstance(value, str):  # bool is no label
                 raise TypeError(d, value)
+            if d < 0:
+                raise CliError(
+                    PARSE_ERROR,
+                    f"series file has a row for q^{d}: q-exponents must be nonnegative",
+                )
             if d in series:  # neither row can be trusted over the other
                 raise CliError(PARSE_ERROR, f"series file has two rows for q^{d}")
             series[d] = _parse_rational(value)
@@ -437,6 +442,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 f"--q-order {args.q_order} is past the series file's last coefficient, "
                 f"q^{known_order}",
             )
+
+    if args.q_order is not None and args.q_order < 0:
+        raise CliError(VALIDATION_ERROR, f"--q-order must be >= 0, got {args.q_order}")
 
     from .quasimodular import OVERDETERMINATION_MARGIN, basis
 

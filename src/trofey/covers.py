@@ -30,11 +30,11 @@ v by splitting its residual over its direct out-edges.  Loops move no
 winding, so they are chosen last.
 
 The per-multidegree functions (:func:`enumerate_tuples`,
-:func:`cover_count`, :func:`descendant_contribution` and their
-``_by_windings`` variants) read the pass with the single degree a_k on
-edge k.  Callers that want many multidegrees (the invariant assemblies,
-``invariant --compare`` and ``fock check``) read one pass per (graph,
-vertex order) over every multidegree as a table, :func:`cover_table`.
+:func:`cover_count` and :func:`descendant_contribution`) read the pass
+with the single degree a_k on edge k.  Callers that want many
+multidegrees (the invariant assemblies, ``invariant --compare`` and
+``fock check``) read one pass per (graph, vertex order) over every
+multidegree as a table, :func:`cover_table`.
 The route shares no code with :mod:`trofey.integrals`, which it checks.
 """
 
@@ -55,6 +55,7 @@ from .graphs import (
     check_multidegree,
     check_order,
     enumerate_labeled_graphs,
+    orientation,
     weighted_classes,
 )
 from .propagators import divisors
@@ -124,19 +125,16 @@ def _cover_pass(
     n, r = graph.n, graph.num_edges
     if sum(leaks) != 0:
         return  # every edge moves winding between vertices, net zero
-    pos = {v: i for i, v in enumerate(order)}
     outs: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
     loops: list[tuple[int, int, int]] = []  # (edge, vertex, least degree)
-    for idx, (x, y) in enumerate(graph.edges):
-        if x == y:
+    for idx, (tail, head) in enumerate(orientation(graph, order)):
+        if tail == head:
             least = min((a_k for a_k in degrees[idx] if a_k > 0), default=None)
             if least is None:
                 return  # a loop must wrap at least once
-            loops.append((idx, x, least))
-        elif pos[x] < pos[y]:
-            outs[x].append((idx, y))
+            loops.append((idx, tail, least))
         else:
-            outs[y].append((idx, x))
+            outs[tail].append((idx, head))
     free = total_cap - sum(least for _, _, least in loops)
     if free < 0:
         return
@@ -256,26 +254,6 @@ def cover_count(
     return sum(prod(windings) for _, windings, _ in _single(graph, order, a, l))
 
 
-def cover_count_by_windings(
-    graph: FeynmanGraph,
-    order: VertexOrder,
-    a: Sequence[int],
-    l: Sequence[int] | None = None,
-) -> dict[tuple[int, ...], int]:
-    """Counts grouped by the windings of the edges with a_k > 0.
-
-    Keys are tuples of w_k over those edges in index order -- the
-    decomposition the Fock route produces summand by summand.
-    """
-    covers = _single(graph, order, a, l)
-    marked = [idx for idx, a_k in enumerate(a) if a_k > 0]
-    out: dict[tuple[int, ...], int] = {}
-    for _, windings, _ in covers:
-        key = tuple(windings[idx] for idx in marked)
-        out[key] = out.get(key, 0) + prod(windings)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _one_point_cached(ends: tuple[int, ...], k: int) -> Coeff:
     two_g = k + 2 - len(ends)
@@ -323,23 +301,12 @@ def _descendant_weight(
     return term
 
 
-def _contribution(
-    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int], k: Sequence[int]
-) -> Coeff:
-    """Body of :func:`descendant_contribution`, for callers that validated
-    (graph, gf, k) once."""
-    total: Coeff = 0
-    for _, windings, arrows in _single(graph, order, a, None):
-        total = total + _descendant_weight(graph.n, windings, arrows, k)
-    return total
-
-
 def cover_table(
     graph: FeynmanGraph, order: VertexOrder, q_cap: int, k: Sequence[int] | None = None
 ) -> dict[Multidegree, Coeff]:
     """Zero-leak values at every multidegree with sum(a) <= q_cap, from one
-    pass (zero entries dropped): :func:`cover_count`, or with ``k`` the
-    descendant contribution :func:`_contribution`."""
+    pass (zero entries dropped): :func:`cover_count`, or with ``k``
+    :func:`descendant_contribution`."""
     table: dict[Multidegree, Coeff] = {}
     degrees = [range(q_cap + 1)] * graph.num_edges
     for a, windings, arrows in _cover_pass(graph, order, degrees, q_cap, (0,) * graph.n):
@@ -364,52 +331,10 @@ def descendant_contribution(
 ) -> Coeff:
     """Sum over covers of prod w_k times the per-vertex one-point multiplicities."""
     _check_assignment(graph, gf, k)
-    return _contribution(graph, order, a, k)
-
-
-def descendant_contribution_by_windings(
-    graph: FeynmanGraph,
-    gf: Sequence[int],
-    order: VertexOrder,
-    a: Sequence[int],
-    k: Sequence[int],
-) -> dict[tuple[int, ...], Coeff]:
-    """Per-cover breakdown of descendant_contribution, keyed like
-    :func:`cover_count_by_windings`."""
-    _check_assignment(graph, gf, k)
-    covers = _single(graph, order, a, None)
-    marked = [idx for idx, a_k in enumerate(a) if a_k > 0]
-    out: dict[tuple[int, ...], Coeff] = {}
-    for _, windings, arrows in covers:
-        term = _descendant_weight(graph.n, windings, arrows, k)
-        if term == 0:
-            continue
-        key = tuple(windings[idx] for idx in marked)
-        out[key] = out.get(key, 0) + term
-    return out
-
-
-def fixed_order_series(
-    graph: FeynmanGraph,
-    gf: Sequence[int],
-    order: VertexOrder,
-    k: Sequence[int],
-    q_order: int,
-) -> dict[int, Coeff]:
-    """Cover-count series for one vertex order, weighted 1/|Aut_vertex-labeled|.
-
-    This is the unlabeled-cover generating series: forgetting the edge
-    labels of covers divides the labeled count by the vertex-labeled
-    automorphism count of the graph.
-    """
-    _check_assignment(graph, gf, k)
-    order = check_order(order, graph.n)
-    aut = automorphism_count(graph)
-    out: dict[int, Coeff] = {}
-    for a, value in cover_table(graph, order, q_order, k).items():
-        d = sum(a)
-        out[d] = out.get(d, 0) + value * Fraction(1, aut)
-    return {d: out[d] for d in sorted(out) if out[d] != 0}
+    total: Coeff = 0
+    for _, windings, arrows in _single(graph, order, a, None):
+        total = total + _descendant_weight(graph.n, windings, arrows, k)
+    return total
 
 
 def invariant_fixed_order(
@@ -431,30 +356,24 @@ def invariant_fixed_order(
     return total
 
 
-def _invariant_totals(k: Sequence[int], degrees: range) -> dict[int, Coeff]:
-    """Nonzero invariant values at the given degrees >= 1: one cover pass per
-    class of :func:`~trofey.graphs.weighted_classes`, its table bucketed by d."""
-    totals: dict[int, Coeff] = {}
-    cap = max(degrees, default=0)
-    for graph, gf, order, weight in weighted_classes(k):
-        for a, value in cover_table(graph, order, cap, k).items():
-            d = sum(a)
-            if d in degrees:
-                totals[d] = totals.get(d, 0) + value * weight
-    return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
-
-
 def invariant(k: Sequence[int], d: int) -> Coeff:
     """The degree-d descendant invariant: sum over all vertex orders and
     graph classes, weighted as in :func:`~trofey.graphs.weighted_classes`."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return _invariant_totals(k, range(d, d + 1)).get(d, 0)
+    return invariant_series(k, d).get(d, 0)
 
 
 def invariant_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
     """Invariant values for all degrees 1..q_order (zero values dropped),
-    from one cover pass per class of :func:`~trofey.graphs.weighted_classes`."""
+    from one cover pass per class of :func:`~trofey.graphs.weighted_classes`,
+    its table bucketed by d."""
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
-    return _invariant_totals(k, range(1, q_order + 1))
+    totals: dict[int, Coeff] = {}
+    for graph, gf, order, weight in weighted_classes(k):
+        for a, value in cover_table(graph, order, q_order, k).items():
+            d = sum(a)
+            if d >= 1:
+                totals[d] = totals.get(d, 0) + value * weight
+    return {d: totals[d] for d in sorted(totals) if totals[d] != 0}

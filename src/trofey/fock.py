@@ -46,9 +46,9 @@ serves them all; the weight caps of the a_k = 0 edges are shared by the
 walked orders and never exceed the flow bound sum(a) + n * x_bound.
 :func:`fock_tables` reads one walk over every order as one table per
 order, keyed by multidegree, which ``fock check`` compares with
-:func:`~trofey.covers.cover_table`.  :func:`fock_cover_count` and the
-``labeled_*`` functions are one-order views with one degree (and one
-winding) per edge.
+:func:`~trofey.covers.cover_table`.  :func:`fock_cover_count`,
+:func:`labeled_series_product` and :func:`labeled_matrix_element` are
+one-order views with one degree (and one winding) per edge.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .graphs import (
     all_orders,
     check_multidegree,
     check_order,
-    edge_orientation,
+    orientation,
 )
 from .propagators import divisors
 from .series import Coeff, invert, mul, normalize
@@ -116,10 +116,6 @@ def partition_aut(mu: Partition) -> int:
 # -- states and generators ---------------------------------------------
 
 
-def vacuum() -> State:
-    return {(): 1}
-
-
 def state_from_partition(mu: Sequence[int]) -> State:
     return {partition_tuple(mu): 1}
 
@@ -133,24 +129,6 @@ def inner_product(u: State, v: State) -> Coeff:
         if cv is not None:
             total = total + cu * cv * partition_aut(key) * prod(key)
     return total
-
-
-def apply_alpha(state: State, n: int) -> State:
-    """alpha_n (creation for n < 0) applied to a state vector."""
-    if n == 0:
-        raise ValueError("alpha_0 is not a generator here")
-    out: State = {}
-    for key, coeff in state.items():
-        if n < 0:
-            new = tuple(sorted(key + (-n,), reverse=True))
-            out[new] = out.get(new, 0) + coeff
-        else:
-            count = key.count(n)
-            if count:
-                pos = key.index(n)
-                new = key[:pos] + key[pos + 1 :]
-                out[new] = out.get(new, 0) + coeff * n * count
-    return {k: c for k, c in out.items() if c != 0}
 
 
 @lru_cache(maxsize=None)
@@ -308,40 +286,9 @@ def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
 
 # -- labeled mode --------------------------------------------------------
 
-Triple = tuple[int, int, int]  # (edge index, germ label, weight)
 Record = tuple[int, int, tuple[int, ...]]  # one edge in the pass: (a_k, w_k, labels)
 Move = tuple[int, int, Record, int]  # (m, a_k it opens, new record, factor)
 Opened = tuple[tuple[Record, ...], int, int]  # (new records, sum of moves, factor)
-
-
-def _edge_triples(k: int, a_k: int, w: int, first: int) -> tuple[Triple, ...]:
-    """Edge k's c = a_k / w triples of weight w, labeled first..first+c-1:
-    first = 1 on the bra side, 2 on the ket side."""
-    return tuple((k, j, w) for j in range(first, a_k // w + first))
-
-
-def labeled_boundary_states(
-    a: Sequence[int], windings: Mapping[int, int]
-) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
-    """(bra key, ket key) for a multidegree and a choice of windings.
-
-    Edge k with a_k > 0 and winding w contributes c = a_k / w triples of
-    weight w (c base-point crossings): labels 1..c on the bra side and
-    2..c+1 on the ket side, so labels 2..c interleave and the two end
-    labels are consumed/produced by the vertex operators.
-    """
-    bra: list[Triple] = []
-    ket: list[Triple] = []
-    for idx, ak in enumerate(a):
-        if ak == 0:
-            continue
-        k = idx + 1
-        w = windings.get(k)
-        if w is None or w < 1 or ak % w != 0:
-            raise ValueError(f"edge {k}: winding must divide a_k = {ak}")
-        bra.extend(_edge_triples(k, ak, w, 1))
-        ket.extend(_edge_triples(k, ak, w, 2))
-    return tuple(sorted(bra)), tuple(sorted(ket))
 
 
 def winding_choices(a: Sequence[int]) -> Iterator[dict[int, int]]:
@@ -377,7 +324,7 @@ def _order_setup(
 ) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     """What a vertex order fixes: the tail (order-earlier endpoint) of every
     edge, and every vertex's incident edges (its germs) in index order."""
-    tails = tuple(edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges))
+    tails = tuple(tail for tail, _ in orientation(graph, order))
     germs = {v: tuple(idx for idx, edge in enumerate(graph.edges) if v in edge) for v in order}
     return tails, germs
 
@@ -693,7 +640,10 @@ def labeled_series_product(
     :func:`_operator_pass` with one degree and one winding per edge.
     """
     order, a = _check_query(graph, order, a, x_bound)
-    labeled_boundary_states(a, windings)  # every winding must divide its a_k
+    for k, a_k in enumerate(a, start=1):
+        w = windings.get(k)
+        if a_k and (w is None or w < 1 or a_k % w != 0):
+            raise ValueError(f"edge {k}: winding must divide a_k = {a_k}")
     return _series(graph, order, a, windings, x_bound)
 
 

@@ -13,7 +13,8 @@ with ``sum(k) = 2 g - 2`` fixing the total genus ``g``; the first Betti
 number of the graph then satisfies ``h1 + sum(g_v) = g`` automatically.
 
 Vertex orders (total orders on the vertex set) orient the non-loop edges:
-every edge points from its earlier endpoint to its later endpoint.
+every edge points from its earlier endpoint to its later endpoint
+(:func:`orientation`).
 :func:`check_order`, :func:`check_multidegree` and :func:`check_leaks`
 are the query checks every route's entry points share.
 """
@@ -94,17 +95,14 @@ class FeynmanGraph:
         """h1 = #edges - #vertices + 1 for a connected graph."""
         return self.num_edges - self.n + 1
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
-
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(v) for v in range(1, self.n + 1))
+        """Degree of each vertex 1..n, from one pass over the edges; a loop
+        counts twice."""
+        counts = [0] * (self.n + 1)
+        for u, v in self.edges:
+            counts[u] += 1
+            counts[v] += 1
+        return tuple(counts[1:])
 
     def is_connected(self) -> bool:
         reached = {1}
@@ -134,11 +132,6 @@ def genus_from_descendants(k: Sequence[int]) -> int:
     return g
 
 
-def derived_k(graph: FeynmanGraph, gf: Sequence[int]) -> tuple[int, ...]:
-    """The descendant vector forced by valencies: k_v = deg(v) - 2 + 2 g_v."""
-    return tuple(graph.degree(v) - 2 + 2 * gf[v - 1] for v in range(1, graph.n + 1))
-
-
 def validate_assignment(
     graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]
 ) -> list[str]:
@@ -161,9 +154,8 @@ def validate_assignment(
         reasons.append("sum of descendant exponents must be even")
     if reasons:
         return reasons
-    for v in range(1, graph.n + 1):
+    for v, got in enumerate(graph.degrees(), start=1):
         want = k[v - 1] + 2 - 2 * gf[v - 1]
-        got = graph.degree(v)
         if got != want:
             reasons.append(
                 f"vertex {v}: degree {got} != k+2-2g = {want}"
@@ -185,18 +177,12 @@ def all_orders(n: int) -> Iterator[VertexOrder]:
     return itertools.permutations(range(1, n + 1))
 
 
-def edge_orientation(graph: FeynmanGraph, edge_index: int, order: VertexOrder) -> Edge:
-    """(tail, head) of edge ``edge_index`` (0-based) under a vertex order.
-
-    The tail is the endpoint earlier in the order; loops raise, they have
-    no orientation.
-    """
-    u, v = graph.edges[edge_index]
-    if u == v:
-        raise ValueError("loop edges are not oriented")
-    if order.index(u) < order.index(v):
-        return (u, v)
-    return (v, u)
+def orientation(graph: FeynmanGraph, order: VertexOrder) -> tuple[Edge, ...]:
+    """(tail, head) of every edge under a vertex order: the tail is the
+    endpoint earlier in the order, and a loop at v is (v, v).  The three
+    routes and :func:`orientation_classes` read edge directions here."""
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple((u, v) if pos[u] <= pos[v] else (v, u) for u, v in graph.edges)
 
 
 def check_order(order: Sequence[int], n: int) -> VertexOrder:
@@ -223,17 +209,6 @@ def check_leaks(l: Sequence[int] | None, n: int) -> tuple[int, ...]:
     return leaks
 
 
-def _orientation_signature(graph: FeynmanGraph, order: VertexOrder) -> tuple:
-    """Edgewise (tail, head) data -- everything order-dependent computations see."""
-    sig = []
-    for idx, (u, v) in enumerate(graph.edges):
-        if u == v:
-            sig.append((u, u))
-        else:
-            sig.append(edge_orientation(graph, idx, order))
-    return tuple(sig)
-
-
 def orientation_classes(graph: FeynmanGraph) -> list[tuple[VertexOrder, int]]:
     """The n! vertex orders grouped by the edge directions they induce.
 
@@ -244,7 +219,7 @@ def orientation_classes(graph: FeynmanGraph) -> list[tuple[VertexOrder, int]]:
     """
     classes: dict[tuple, list] = {}
     for order in all_orders(graph.n):
-        sig = _orientation_signature(graph, order)
+        sig = orientation(graph, order)
         if sig in classes:
             classes[sig][1] += 1
         else:
@@ -314,7 +289,7 @@ def enumerate_labeled_graphs(k: Sequence[int]) -> list[GraphAssignment]:
     counts, identical pair multiplicities, and identical genus functions
     -- i.e. classes are distinct decorated adjacency data on the labeled
     vertex set.  Relabeling vertices can map one class to another;
-    :func:`enumerate_graphs` quotients by that, this function does not.
+    :func:`weighted_classes` quotients by that, this function does not.
 
     Deterministic order: by genus function, then loop counts, then pair
     multiplicities, each lexicographically.
@@ -366,18 +341,6 @@ def _relabeled_code(
     return (tuple(edges), tuple(new_gf))
 
 
-def canonical_code(graph: FeynmanGraph, gf: Sequence[int]) -> tuple:
-    """Minimal code over all vertex relabelings; equal codes = isomorphic.
-
-    Isomorphisms carry the genus function along, and therefore also the
-    derived descendant vector (k_v is determined by degree and genus).
-    """
-    return min(
-        _relabeled_code(graph, gf, perm)
-        for perm in itertools.permutations(range(1, graph.n + 1))
-    )
-
-
 def _orbit_codes(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> set[tuple]:
     """Codes of the assignment under the vertex relabelings preserving k."""
     return {
@@ -385,12 +348,6 @@ def _orbit_codes(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> se
         for perm in itertools.permutations(range(1, graph.n + 1))
         if all(k[p - 1] == kv for p, kv in zip(perm, k))
     }
-
-
-def labeled_copy_count(graph: FeynmanGraph, gf: Sequence[int]) -> int:
-    """How many times :func:`enumerate_labeled_graphs` lists this class for
-    its own k: the orbit under the relabelings preserving k."""
-    return len(_orbit_codes(graph, gf, derived_k(graph, gf)))
 
 
 def _orbit_walk(k: Sequence[int]) -> Iterator[tuple[GraphAssignment, int]]:
@@ -429,17 +386,6 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
         aut = automorphism_count(graph)
         for order, size in orientation_classes(graph):
             yield graph, gf, order, Fraction(size * copies, aut)
-
-
-def enumerate_graphs(k: Sequence[int]) -> list[GraphAssignment]:
-    """One representative per isomorphism class of valid (graph, gf) pairs.
-
-    Isomorphism = vertex relabeling respecting the genus function (and
-    hence the descendant vector).  Representatives are sorted by their
-    canonical codes, so the output order is deterministic.
-    """
-    reps = [assignment for assignment, _ in _orbit_walk(k)]
-    return sorted(reps, key=lambda a: canonical_code(a.graph, a.gf))
 
 
 # -- JSON interchange --------------------------------------------------
@@ -495,10 +441,3 @@ def graph_from_json_dict(
             raise ValueError("'genus' must list one value per vertex")
         gf = tuple(raw_gf)
     return graph, gf, relabeling
-
-
-def graph_to_json_dict(graph: FeynmanGraph, gf: GenusFunction | None = None) -> dict:
-    out: dict = {"n": graph.n, "edges": [list(e) for e in graph.edges]}
-    if gf is not None:
-        out["genus"] = list(gf)
-    return out

@@ -60,7 +60,7 @@ from .graphs import (
     check_leaks,
     check_multidegree,
     check_order,
-    edge_orientation,
+    orientation,
     orientation_classes,
     weighted_classes,
 )
@@ -166,18 +166,12 @@ def _normalize_query(
 def _edge_plan(graph: FeynmanGraph, order: VertexOrder) -> tuple[tuple[int, int, int], ...]:
     """(edge index, tail, head) with 0-based vertices, edges sorted so
     vertices finish as early as possible; a loop's tail is its head."""
-    pos = {v: order.index(v) for v in range(1, graph.n + 1)}
-
-    def key(idx: int) -> tuple[int, int, int]:
-        u, v = graph.edges[idx]
-        return (max(pos[u], pos[v]), min(pos[u], pos[v]), idx)
-
-    plan = []
-    for idx in sorted(range(graph.num_edges), key=key):
-        u, v = graph.edges[idx]
-        tail, head = edge_orientation(graph, idx, order) if u != v else (u, v)
-        plan.append((idx, tail - 1, head - 1))
-    return tuple(plan)
+    pos = {v: i for i, v in enumerate(order)}
+    plan = sorted(  # the head is the order-later endpoint
+        (pos[head], pos[tail], idx, tail - 1, head - 1)
+        for idx, (tail, head) in enumerate(orientation(graph, order))
+    )
+    return tuple(step[2:] for step in plan)
 
 
 def _winding_caps(

@@ -8,6 +8,11 @@ product element solves the balance condition for the direct windings
 vertex by vertex.  It shares no enumeration code with the pass (the
 composition helper is copied here), so equal cover multisets check the
 pass's edge ownership and pruning.
+
+``split_by_windings`` groups the covers of one multidegree by the windings
+of the edges with a_k > 0: the split that the operator route produces one
+winding choice at a time, and the split the pinned criteria 02 and 03
+state.
 """
 
 from __future__ import annotations
@@ -15,9 +20,17 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from trofey.covers import CURLED, DIRECT, LOOP, CoverTuple
-from trofey.graphs import FeynmanGraph, VertexOrder, edge_orientation
+from trofey.covers import (
+    CURLED,
+    DIRECT,
+    LOOP,
+    CoverTuple,
+    _descendant_weight,
+    enumerate_tuples,
+)
+from trofey.graphs import FeynmanGraph, VertexOrder
 from trofey.propagators import divisors
+from trofey.series import Coeff
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -63,7 +76,7 @@ def enumerate_tuples_reference(
             loop_idx.append(idx)
             orient.append((u, u))
         else:
-            tail, head = edge_orientation(graph, idx, order)
+            tail, head = (u, v) if order.index(u) < order.index(v) else (v, u)
             orient.append((tail, head))
             (curled_idx if a[idx] > 0 else direct_idx).append(idx)
 
@@ -135,3 +148,23 @@ def enumerate_tuples_reference(
     return tuples
 
 
+def split_by_windings(
+    graph: FeynmanGraph,
+    order: VertexOrder,
+    a: Sequence[int],
+    l: Sequence[int] | None = None,
+    k: Sequence[int] | None = None,
+) -> dict[tuple[int, ...], Coeff]:
+    """Covers grouped by the windings of the edges with a_k > 0 (keys in
+    edge-index order), each cover counting prod w, or with ``k`` its
+    descendant weight; groups that sum to 0 are dropped."""
+    marked = [idx for idx, a_k in enumerate(a) if a_k > 0]
+    out: dict[tuple[int, ...], Coeff] = {}
+    for cover in enumerate_tuples(graph, order, a, l):
+        key = tuple(cover.windings[idx] for idx in marked)
+        if k is None:
+            value = cover.weight()
+        else:
+            value = _descendant_weight(graph.n, cover.windings, cover.arrows, k)
+        out[key] = out.get(key, 0) + value
+    return {key: value for key, value in out.items() if value != 0}

@@ -19,9 +19,10 @@ one-pass table.  For one (graph, order, multidegree, window) it builds the
 edge tails, the weight caps of the a_k = 0 edges and every vertex's germ
 plans, then, for each winding choice on its own, applies the vertex
 operators in acting order to the full ket of that choice and keeps the bra
-component.  It uses this module's windowed vertex operator (which has its
-own product-then-filter oracle in ``tests/test_fock.py``) and no code of
-the pass, so equal values check the pass's records, opening and closing.
+component (:func:`labeled_boundary_states` builds both).  It uses this
+module's windowed vertex operator (which has its own product-then-filter
+oracle in ``tests/test_fock.py``) and no code of the pass, so equal
+values check the pass's records, opening and closing.
 
 :func:`cut_join_reference` is the body ``trofey.fock.cut_join`` had before
 it read cached per-partition rows: it applies M to every key of a state on
@@ -33,19 +34,42 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from trofey.fock import (
-    State,
-    Triple,
-    _check_operator_graph,
-    _edge_triples,
-    _pass_caps,
-    labeled_boundary_states,
-    winding_choices,
-)
-from trofey.graphs import FeynmanGraph, Multidegree, VertexOrder, edge_orientation
+from trofey.fock import State, _check_operator_graph, _pass_caps, winding_choices
+from trofey.graphs import FeynmanGraph, Multidegree, VertexOrder
 from trofey.propagators import divisors
 
 Plan = tuple[str, int, int]  # (kind, edge index, parameter)
+Triple = tuple[int, int, int]  # (edge index, germ label, weight)
+
+
+def _edge_triples(k: int, a_k: int, w: int, first: int) -> tuple[Triple, ...]:
+    """Edge k's c = a_k / w triples of weight w, labeled first..first+c-1:
+    first = 1 on the bra side, 2 on the ket side."""
+    return tuple((k, j, w) for j in range(first, a_k // w + first))
+
+
+def labeled_boundary_states(
+    a: Sequence[int], windings: Mapping[int, int]
+) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
+    """(bra key, ket key) for a multidegree and a choice of windings.
+
+    Edge k with a_k > 0 and winding w contributes c = a_k / w triples of
+    weight w (c base-point crossings): labels 1..c on the bra side and
+    2..c+1 on the ket side, so labels 2..c interleave and the two end
+    labels are consumed/produced by the vertex operators.
+    """
+    bra: list[Triple] = []
+    ket: list[Triple] = []
+    for idx, ak in enumerate(a):
+        if ak == 0:
+            continue
+        k = idx + 1
+        w = windings.get(k)
+        if w is None or w < 1 or ak % w != 0:
+            raise ValueError(f"edge {k}: winding must divide a_k = {ak}")
+        bra.extend(_edge_triples(k, ak, w, 1))
+        ket.extend(_edge_triples(k, ak, w, 2))
+    return tuple(sorted(bra)), tuple(sorted(ket))
 
 
 def _moves_for_key(
@@ -297,7 +321,7 @@ def _operator_setup(
         raise ValueError("bad multidegree")
     if x_bound < 0:
         raise ValueError(f"x_bound must be >= 0, got {x_bound}")
-    tails = [edge_orientation(graph, idx, order)[0] for idx in range(graph.num_edges)]
+    tails = [u if order.index(u) < order.index(v) else v for u, v in graph.edges]
     caps = _direct_edge_caps(graph, order, a, tails, x_bound)
     plans = [
         (vertex, _germ_plans(graph, a, tails, caps, vertex)) for vertex in reversed(order)

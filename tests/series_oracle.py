@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence, Union
 
-from trofey.graphs import FeynmanGraph, VertexOrder, edge_orientation
+from trofey.graphs import FeynmanGraph, VertexOrder
 from trofey.integrals import _normalize_query
 from trofey.propagators import divisors, sigma
 from trofey.quasimodular import (
@@ -399,8 +399,9 @@ class EdgeContext:
         u, v = graph.edges[edge_index - 1]
         if u == v:
             return EdgeContext(edge_index, u, u)
-        tail, head = edge_orientation(graph, edge_index - 1, order)
-        return EdgeContext(edge_index, tail, head)
+        if order.index(u) < order.index(v):
+            return EdgeContext(edge_index, u, v)
+        return EdgeContext(edge_index, v, u)
 
 
 def s_at_weight(spec: TruncationSpec, z_var: Variable, w: int) -> TruncatedSeries:

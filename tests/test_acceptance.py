@@ -8,16 +8,16 @@ Criteria 7 and 8 read one table per route and query; a last test ties
 the per-multidegree views to those tables.
 """
 
+import itertools
 from fractions import Fraction
 from math import prod
 
+from covers_oracle import split_by_windings
 from trofey.covers import (
     _cover_pass,
     cover_count,
-    cover_count_by_windings,
     cover_table,
     descendant_contribution,
-    descendant_contribution_by_windings,
     invariant,
     invariant_fixed_order,
     one_point_mult,
@@ -28,7 +28,7 @@ from trofey.fock import (
     fock_cover_count,
     labeled_series_product_check,
 )
-from trofey.graphs import FeynmanGraph, all_orders, enumerate_graphs, identity_order
+from trofey.graphs import FeynmanGraph, all_orders, identity_order, weighted_classes
 from trofey.integrals import (
     integral_series_q,
     integral_series_refined,
@@ -48,6 +48,27 @@ K4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
 ID3 = identity_order(3)
 
 SWEEP_KS = [(1, 1), (2, 0, 0), (1, 1, 1, 1), (2, 2), (3, 1)]
+
+
+def canonical_code(graph, gf):
+    """The least (sorted edges, genus function) over all n! vertex
+    relabelings: two (graph, gf) are isomorphic exactly when their codes
+    are equal."""
+    codes = []
+    for perm in itertools.permutations(range(1, graph.n + 1)):
+        edges = sorted(tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in graph.edges)
+        genus = [0] * graph.n
+        for v, g in zip(perm, gf):
+            genus[v - 1] = g
+        codes.append((tuple(edges), tuple(genus)))
+    return min(codes)
+
+
+def class_representatives(k):
+    """The distinct (graph, gf) that weighted_classes(k) visits, one per
+    isomorphism class, sorted by canonical code."""
+    reps = dict.fromkeys((graph, gf) for graph, gf, *_ in weighted_classes(k))
+    return sorted(reps, key=lambda rep: canonical_code(*rep))
 
 
 def _leak_vectors(n: int) -> list[tuple[int, ...]]:
@@ -81,15 +102,13 @@ def test_criterion_01_invariant_279_by_both_routes():
 def test_criterion_02_triangle_coefficient_115_over_6():
     assert refined_coeff(TRIANGLE, ID3, (0, 0, 3), gf=(1, 0, 0)) == Fraction(115, 6)
     # winding decomposition: w=1 and w=3 classes of the degree-3 edge
-    split = descendant_contribution_by_windings(
-        TRIANGLE, (1, 0, 0), ID3, (0, 0, 3), (2, 0, 0)
-    )
+    split = split_by_windings(TRIANGLE, ID3, (0, 0, 3), k=(2, 0, 0))
     assert split == {(1,): Fraction(1, 24), (3,): Fraction(153, 8)}
 
 
 def test_criterion_03_right_graph_coefficient_3():
     assert refined_coeff(RIGHT, ID3, (2, 0, 0, 1), gf=(0, 0, 0)) == 3
-    split = cover_count_by_windings(RIGHT, ID3, (2, 0, 0, 1))
+    split = split_by_windings(RIGHT, ID3, (2, 0, 0, 1))
     assert split == {(2, 1): 2, (1, 1): 1}
 
 
@@ -181,8 +200,7 @@ def test_criterion_07_bijection_sweep():
     # pass, compared at every multidegree with sum(a) <= 4
     checked = 0
     for k in SWEEP_KS:
-        for rep in enumerate_graphs(k):
-            graph = rep.graph
+        for graph, _ in class_representatives(k):
             degrees = list(multidegrees(graph, 4))
             allowed = set(degrees)
             for order in all_orders(graph.n):
@@ -203,8 +221,7 @@ def test_criterion_08_mirror_sweep():
     # cover table, compared at every multidegree with sum(a) <= 4
     checked = 0
     for k in SWEEP_KS:
-        for rep in enumerate_graphs(k):
-            graph, gf = rep.graph, rep.gf
+        for graph, gf in class_representatives(k):
             degrees = list(multidegrees(graph, 4))
             allowed = set(degrees)
             for order in all_orders(graph.n):

@@ -723,6 +723,31 @@ def test_fit_rejects_two_rows_for_one_exponent(capsys, tmp_path):
     )
 
 
+def test_fit_negative_q_order_is_validation_error(capsys, tmp_path):
+    # as for integral: a negative --q-order is a bad query, not a failed fit
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"results": [{"labels": {"d": 0}, "value": "1"}]}))
+    for source in (("--coeffs", "1,2"), ("--from", str(path))):
+        code, out, err = run(capsys, "fit", *source, "--max-weight", "2", "--q-order", "-1")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: --q-order must be >= 0, got -1"]
+
+
+def test_fit_rejects_a_negative_q_exponent_row(capsys, tmp_path):
+    # a malformed row, named by its exponent, wherever it sits in the file
+    e2 = ["1", "-24", "-72", "-96", "-168", "-144", "-288", "-192"]
+    rows = [{"labels": {"d": d}, "value": v} for d, v in enumerate(e2)]
+    negative = {"labels": {"d": -1}, "value": "0"}
+    path = tmp_path / "series.json"
+    for results in ([negative] + rows, rows + [negative]):
+        path.write_text(json.dumps({"results": results}))
+        code, out, err = run(capsys, "fit", "--from", str(path), "--max-weight", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: series file has a row for q^-1: q-exponents must be nonnegative"
+        ]
+
+
 def test_threads_flag_does_not_change_output(graphs, capsys):
     # both commands that hand out tasks, at two thread counts
     for argv in (
@@ -836,6 +861,9 @@ def fuzz_files(tmp_path_factory):
         ),
         "series_two_rows.json": json.dumps(
             {"results": [{"labels": {"d": d}, "value": "1"} for d in (0, 1, 2, 1)]}
+        ),
+        "series_negative_d.json": json.dumps(
+            {"results": [{"labels": {"d": d}, "value": "1"} for d in (-1, 0, 1, 2)]}
         ),
         "n_float.json": '{"n": 3.7, "edges": [[1, 2], [2, 3], [1, 3]]}',
         "n_text.json": '{"n": "3", "edges": [[1, 2], [2, 3], [1, 3]]}',

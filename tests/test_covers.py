@@ -10,18 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covers_oracle import enumerate_tuples_reference
+from covers_oracle import enumerate_tuples_reference, split_by_windings
+from test_acceptance import class_representatives
 from trofey.covers import (
     CURLED,
     DIRECT,
     LOOP,
     cover_count,
-    cover_count_by_windings,
     cover_table,
     descendant_contribution,
-    descendant_contribution_by_windings,
     enumerate_tuples,
-    fixed_order_series,
     invariant,
     invariant_fixed_order,
     invariant_series,
@@ -30,7 +28,6 @@ from trofey.covers import (
 from trofey.graphs import (
     FeynmanGraph,
     all_orders,
-    enumerate_graphs,
     enumerate_labeled_graphs,
     identity_order,
     orientation_classes,
@@ -106,7 +103,7 @@ def test_loop_winding_divides_degree():
 
 
 def test_cover_count_by_windings_keys_marked_edges():
-    table = cover_count_by_windings(RIGHT, ID3, (2, 0, 0, 1))
+    table = split_by_windings(RIGHT, ID3, (2, 0, 0, 1))
     assert table == {(1, 1): 1, (2, 1): 2}
     assert sum(table.values()) == cover_count(RIGHT, ID3, (2, 0, 0, 1))
 
@@ -146,8 +143,8 @@ def test_enumerate_tuples_matches_oracle_on_every_small_case():
     # every graph of k = (1,1) and (2,0,0) (loops included), every order,
     # every a with sum(a) <= 4, zero leaks and every (+w, -w) pair, w <= 2
     for k in ((1, 1), (2, 0, 0)):
-        for assignment in enumerate_graphs(k):
-            graph, n = assignment.graph, assignment.graph.n
+        for graph, _ in class_representatives(k):
+            n = graph.n
             leaks = [None] + [
                 tuple(w if v == i else -w if v == j else 0 for v in range(n))
                 for i in range(n) for j in range(n) if i != j for w in (1, 2)
@@ -238,9 +235,7 @@ def test_one_point_rejects_garbage():
 
 def test_triangle_contribution_by_windings():
     # q_3-degree 3 splits into a w=1 and a w=3 cover class
-    table = descendant_contribution_by_windings(
-        TRIANGLE, (1, 0, 0), ID3, (0, 0, 3), (2, 0, 0)
-    )
+    table = split_by_windings(TRIANGLE, ID3, (0, 0, 3), k=(2, 0, 0))
     assert table == {(1,): Fraction(1, 24), (3,): Fraction(153, 8)}
     assert sum(table.values()) == Fraction(115, 6)
     assert descendant_contribution(
@@ -251,14 +246,6 @@ def test_triangle_contribution_by_windings():
 def test_contribution_requires_valid_assignment():
     with pytest.raises(ValueError):
         descendant_contribution(TRIANGLE, (0, 0, 0), ID3, (0, 0, 3), (2, 0, 0))
-
-
-def test_fixed_order_series_divides_vertex_labeled_aut():
-    # the doubled-pair graph has 4 vertex-labeled automorphisms; its raw
-    # id-order series starts 4 q^2, so the class series starts q^2
-    middle = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
-    series = fixed_order_series(middle, (0, 0, 0), ID3, (2, 0, 0), 2)
-    assert series == {2: 1}
 
 
 # -- assembled invariants ---------------------------------------------------
@@ -304,30 +291,10 @@ QUERY_ENTRY_POINTS = [
     ("enumerate_tuples", TRIANGLE, "al", lambda o, a, l: enumerate_tuples(TRIANGLE, o, a, l)),
     ("cover_count", TRIANGLE, "al", lambda o, a, l: cover_count(TRIANGLE, o, a, l)),
     (
-        "cover_count_by_windings",
-        TRIANGLE,
-        "al",
-        lambda o, a, l: cover_count_by_windings(TRIANGLE, o, a, l),
-    ),
-    (
         "descendant_contribution",
         TRIANGLE,
         "a",
         lambda o, a, l: descendant_contribution(TRIANGLE, (0, 0, 0), o, a, (0, 0, 0)),
-    ),
-    (
-        "descendant_contribution_by_windings",
-        TRIANGLE,
-        "a",
-        lambda o, a, l: descendant_contribution_by_windings(
-            TRIANGLE, (0, 0, 0), o, a, (0, 0, 0)
-        ),
-    ),
-    (
-        "fixed_order_series",
-        TRIANGLE,
-        "",
-        lambda o, a, l: fixed_order_series(TRIANGLE, (0, 0, 0), o, (0, 0, 0), 2),
     ),
     ("refined_coeff", TRIANGLE, "al", lambda o, a, l: refined_coeff(TRIANGLE, o, a, l)),
     ("refined_sweep", TRIANGLE, "al", lambda o, a, l: refined_sweep(TRIANGLE, o, a, [l])),

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from covers_oracle import split_by_windings
 from fock_oracle import (
     _apply_moves,
     _direct_edge_caps,
@@ -20,21 +21,20 @@ from fock_oracle import (
     _vertex_operator,
     cut_join_reference,
     fock_cover_count_reference,
+    labeled_boundary_states,
     operator_pass_reference,
     series_product_reference,
 )
 
 from trofey import fock
-from trofey.covers import cover_count, cover_count_by_windings, cover_table, invariant
+from trofey.covers import cover_count, cover_table, invariant
 from trofey.fock import (
-    apply_alpha,
     cut_join,
     double_hurwitz,
     elliptic_hurwitz_connected,
     elliptic_hurwitz_disconnected,
     fock_cover_count,
     inner_product,
-    labeled_boundary_states,
     labeled_matrix_element,
     labeled_series_product,
     labeled_series_product_check,
@@ -42,7 +42,6 @@ from trofey.fock import (
     partition_counts,
     partitions,
     state_from_partition,
-    vacuum,
     winding_choices,
 )
 from trofey.graphs import FeynmanGraph, all_orders, identity_order
@@ -69,25 +68,6 @@ def test_basis_norms():
     assert inner_product(state_from_partition((2, 1)), state_from_partition((2, 1))) == 2
     # distinct partitions are orthogonal
     assert inner_product(state_from_partition((2,)), state_from_partition((1, 1))) == 0
-
-
-def test_alpha_creation_annihilation():
-    assert apply_alpha(vacuum(), -2) == state_from_partition((2,))
-    # annihilating a missing part kills the state
-    assert apply_alpha(state_from_partition((2,)), 1) == {}
-    # alpha_2 alpha_{-2} |0> = [alpha_2, alpha_{-2}] |0> = 2 |0>
-    assert apply_alpha(apply_alpha(vacuum(), -2), 2) == {(): 2}
-
-
-def test_commutator_on_random_state():
-    state = {(2, 1): Fraction(1, 3), (1, 1): 2}
-    n = 2
-    ab = apply_alpha(apply_alpha(state, -n), n)
-    ba = apply_alpha(apply_alpha(state, n), -n)
-    # [alpha_n, alpha_{-n}] = n
-    diff = {k: ab.get(k, 0) - ba.get(k, 0) for k in set(ab) | set(ba)}
-    diff = {k: c for k, c in diff.items() if c != 0}
-    assert diff == {k: n * c for k, c in state.items()}
 
 
 def test_cut_join_actions():
@@ -366,7 +346,7 @@ def test_winding_choices_are_divisor_products():
 
 
 def test_labeled_matrix_element_splits_cover_count():
-    by_windings = cover_count_by_windings(THETA, ID2, (2, 0, 0))
+    by_windings = split_by_windings(THETA, ID2, (2, 0, 0))
     assert by_windings == {(2,): 2}
     assert labeled_matrix_element(THETA, ID2, (2, 0, 0), {1: 2}) == 2
     assert labeled_matrix_element(THETA, ID2, (2, 0, 0), {1: 1}) == 0
@@ -400,7 +380,7 @@ def test_fock_route_equals_cover_route_sweep():
 
 def test_fock_route_per_winding_equals_cover_route():
     for a in multidegrees(THETA, 3):
-        table = cover_count_by_windings(THETA, ID2, a)
+        table = split_by_windings(THETA, ID2, a)
         marked = [idx for idx in range(3) if a[idx] > 0]
         for windings in winding_choices(a):
             key = tuple(windings[idx + 1] for idx in marked)

@@ -12,22 +12,16 @@ from trofey.graphs import (
     FeynmanGraph,
     all_orders,
     automorphism_count,
-    canonical_code,
-    derived_k,
-    edge_orientation,
-    enumerate_graphs,
     enumerate_labeled_graphs,
     genus_from_descendants,
     graph_from_json_dict,
-    graph_to_json_dict,
     identity_order,
-    _orientation_signature,
-    labeled_copy_count,
+    orientation,
     orientation_classes,
     validate_assignment,
     weighted_classes,
 )
-from test_acceptance import SWEEP_KS
+from test_acceptance import SWEEP_KS, canonical_code, class_representatives
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -46,7 +40,7 @@ def test_basic_counts():
     assert RIGHT.first_betti == 2
     assert THETA.first_betti == 2
     assert DUMBBELL.degrees() == (3, 3)
-    assert RIGHT.degree(1) == 4  # the loop counts twice
+    assert RIGHT.degrees() == (4, 2, 2)  # the loop counts twice
 
 
 def test_single_vertex_rejected():
@@ -95,6 +89,9 @@ def test_genus_from_descendants():
 
 def test_derived_k_inverts_valence_relation():
     # val(v) = k_v + 2 - 2 gf_v on admissible assignments
+    def derived_k(graph, gf):
+        return tuple(d - 2 + 2 * g for d, g in zip(graph.degrees(), gf))
+
     assert derived_k(TRIANGLE, (1, 0, 0)) == (2, 0, 0)
     assert derived_k(RIGHT, (0, 0, 0)) == (2, 0, 0)
     assert derived_k(MIDDLE, (0, 0, 0)) == (2, 0, 0)
@@ -122,10 +119,9 @@ def test_orders():
 
 def test_edge_orientation_follows_order():
     # tail = endpoint earlier in the order, head = later
-    assert edge_orientation(TRIANGLE, 0, (1, 2, 3)) == (1, 2)
-    assert edge_orientation(TRIANGLE, 0, (2, 1, 3)) == (2, 1)
-    with pytest.raises(ValueError):
-        edge_orientation(RIGHT, 0, (1, 2, 3))  # loops have no orientation
+    assert orientation(TRIANGLE, (1, 2, 3)) == ((1, 2), (2, 3), (1, 3))
+    assert orientation(TRIANGLE, (2, 1, 3)) == ((2, 1), (2, 3), (1, 3))
+    assert orientation(RIGHT, (3, 2, 1)) == ((1, 1), (2, 1), (3, 2), (3, 1))  # a loop is (v, v)
 
 
 def test_vertex_labeled_automorphisms():
@@ -189,36 +185,6 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
-def test_canonical_code_identifies_isomorphs():
-    g1 = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-    g2 = FeynmanGraph(3, ((1, 3), (2, 3), (1, 2)))  # same triangle, edges permuted
-    assert canonical_code(g1, (1, 0, 0)) == canonical_code(g2, (1, 0, 0))
-    # moving the genus mark is a vertex relabeling, hence still isomorphic
-    assert canonical_code(g1, (1, 0, 0)) == canonical_code(g1, (0, 1, 0))
-    assert canonical_code(g1, (1, 0, 0)) != canonical_code(g1, (1, 1, 0))
-
-
-def test_labeled_copy_count():
-    # distinct labeled forms reachable by relabelings that preserve the
-    # derived descendant vector; for the triangle k = (2,0,0) pins the
-    # genus-carrying vertex, so there is a single labeled copy
-    assert labeled_copy_count(TRIANGLE, (1, 0, 0)) == 1
-    assert labeled_copy_count(THETA, (0, 0)) == 1
-    # loop-plus-edge with k = (1,1): the loop may sit at either vertex
-    assert labeled_copy_count(FeynmanGraph(2, ((1, 1), (1, 2))), (0, 1)) == 2
-
-
-def test_enumerate_graphs_reps_cover_all_labeled_classes():
-    for k in ((1, 1), (2, 0, 0), (2, 2)):
-        labeled = enumerate_labeled_graphs(k)
-        reps = enumerate_graphs(k)
-        rep_codes = {canonical_code(a.graph, a.gf) for a in reps}
-        assert len(rep_codes) == len(reps)  # reps are pairwise non-isomorphic
-        assert {canonical_code(a.graph, a.gf) for a in labeled} == rep_codes
-        # copy counts partition the labeled classes
-        assert sum(labeled_copy_count(a.graph, a.gf) for a in reps) == len(labeled)
-
-
 @pytest.mark.parametrize("k", SWEEP_KS)
 def test_weighted_classes_visit_each_orbit_once(k):
     labeled = enumerate_labeled_graphs(k)
@@ -227,34 +193,37 @@ def test_weighted_classes_visit_each_orbit_once(k):
     assert sum(weight for *_, weight in classes) == sum(
         Fraction(factorial(len(k)), automorphism_count(a.graph)) for a in labeled
     )
-    # representatives: the first labeled member of each isomorphism class,
-    # in enumeration order, with every orientation class weighted by its
-    # size * labeled copies / |Aut_vl|
+    # representatives: the first labeled member of each isomorphism class
+    # (equal canonical codes), in enumeration order, with every orientation
+    # class weighted by its size * labeled copies / |Aut_vl|, where the
+    # labeled copies are the members that share the representative's code
+    codes = [canonical_code(a.graph, a.gf) for a in labeled]
     first: dict[tuple, int] = {}
-    for i, a in enumerate(labeled):
-        first.setdefault(canonical_code(a.graph, a.gf), i)
+    for i, code in enumerate(codes):
+        first.setdefault(code, i)
     expected = []
     for i in sorted(first.values()):
         graph, gf = labeled[i].graph, labeled[i].gf
-        copies, aut = labeled_copy_count(graph, gf), automorphism_count(graph)
+        copies, aut = codes.count(codes[i]), automorphism_count(graph)
         for order, size in orientation_classes(graph):
             expected.append((graph, gf, order, Fraction(size * copies, aut)))
     assert classes == expected
-    # enumerate_graphs keeps its old output: those members, by canonical code
-    assert enumerate_graphs(k) == [labeled[i] for _, i in sorted(first.items())]
+    # the criteria sweeps read those members, by canonical code
+    assert class_representatives(k) == [
+        (labeled[i].graph, labeled[i].gf) for _, i in sorted(first.items())
+    ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(list(range(1, 4))))
 def test_orientation_consistent_with_positions(perm):
     order = tuple(perm)
-    for idx in range(TRIANGLE.num_edges):
-        tail, head = edge_orientation(TRIANGLE, idx, order)
+    for tail, head in orientation(TRIANGLE, order):
         assert order.index(tail) < order.index(head)
 
 
 def test_json_round_trip():
-    data = graph_to_json_dict(RIGHT, (0, 0, 0))
+    data = {"n": 3, "edges": [[1, 1], [1, 2], [2, 3], [1, 3]], "genus": [0, 0, 0]}
     graph, gf, relabeling = graph_from_json_dict(data)
     assert graph == RIGHT
     assert gf == (0, 0, 0)
@@ -286,7 +255,7 @@ def test_json_rejects_garbage():
 def test_orientation_classes_match_signature_grouping(graph, n_classes):
     groups: dict[tuple, list] = {}
     for order in all_orders(graph.n):
-        groups.setdefault(_orientation_signature(graph, order), []).append(order)
+        groups.setdefault(orientation(graph, order), []).append(order)
     classes = orientation_classes(graph)
     assert len(classes) == n_classes
     assert sum(count for _, count in classes) == len(list(all_orders(graph.n)))
