@@ -79,7 +79,10 @@ def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
 def _parse_orders(text: str, graph: FeynmanGraph) -> list[tuple[tuple[int, ...], int]]:
     """The orders ``--order`` names, as (order, multiplicity) pairs: ``all``
     is one representative per orientation class, weighted by its size,
-    since the integrals see an order only through the edge directions."""
+    since the integrals see an order only through the edge directions.
+    These serve per-edge queries (``--a``, any leaks); the zero-leak
+    q-series over all orders also groups by the symmetries of (graph, gf)
+    and order reversal (:func:`~trofey.integrals.integral_series_all_orders`)."""
     n = graph.n
     if text == "id":
         return [(identity_order(n), 1)]
@@ -201,6 +204,8 @@ def cmd_integral(args: argparse.Namespace) -> int:
     leaks = _parse_int_vector(args.l, "--l") if args.l else None
     if args.a is None and args.q_order is None:
         raise CliError(PARSE_ERROR, "need --a or --q-order")
+    if args.a is not None and args.q_order is not None:
+        raise CliError(PARSE_ERROR, "use one of --a or --q-order")
 
     query = {
         "command": "integral",
@@ -248,12 +253,15 @@ def cmd_integral(args: argparse.Namespace) -> int:
 def _compare_tasks(
     k: tuple[int, ...], dmax: int
 ) -> list[Callable[[], tuple[dict[int, Fraction], tuple | None]]]:
-    """One task per (isomorphism class, orientation class) of
+    """One task per (isomorphism class, orbit of vertex orders) of
     :func:`~trofey.graphs.weighted_classes`, carrying its weight.
 
     A task reads each side at every multidegree from one pass (the
-    integral DP and the cover pass) and compares the two tables over the
-    union of their keys.
+    integral DP and the cover pass) at the orbit's first order and
+    compares the two full tables over the union of their keys.  The other
+    orders of the orbit are relabelings by a symmetry of the class, or
+    reversals, whose tables at zero leaks are the same up to a permutation
+    of the edges.
     """
     tasks = []
     for graph, gf, order, weight in weighted_classes(k):

@@ -34,7 +34,12 @@ The per-multidegree functions (:func:`enumerate_tuples`,
 with the single degree a_k on edge k.  Callers that want many
 multidegrees (the invariant assemblies, ``invariant --compare`` and
 ``fock check``) read one pass per (graph, vertex order) over every
-multidegree as a table, :func:`cover_table`.
+multidegree as a table, :func:`cover_table`.  The assemblies and
+``--compare`` read it at one order per orbit of
+:func:`~trofey.graphs.weighted_classes`: a symmetry of the graph permutes
+a table's multidegrees, and reversing the order reverses every cover's
+arrows, which keeps each table at zero leaks (with leaks l it would
+need -l); so one orbit's orders give equal totals by degree.
 The route shares no code with :mod:`trofey.integrals`, which it checks.
 """
 
@@ -366,8 +371,8 @@ def invariant(k: Sequence[int], d: int) -> Coeff:
 
 def invariant_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
     """Invariant values for all degrees 1..q_order (zero values dropped),
-    from one cover pass per class of :func:`~trofey.graphs.weighted_classes`,
-    its table bucketed by d."""
+    from one cover pass per (isomorphism class, orbit of vertex orders) of
+    :func:`~trofey.graphs.weighted_classes`, its table bucketed by d."""
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
     totals: dict[int, Coeff] = {}

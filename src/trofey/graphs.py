@@ -209,22 +209,41 @@ def check_leaks(l: Sequence[int] | None, n: int) -> tuple[int, ...]:
     return leaks
 
 
-def orientation_classes(graph: FeynmanGraph) -> list[tuple[VertexOrder, int]]:
-    """The n! vertex orders grouped by the edge directions they induce.
+def orientation_classes(
+    graph: FeynmanGraph, symmetries: Sequence[VertexOrder] | None = None
+) -> list[tuple[VertexOrder, int]]:
+    """The n! vertex orders grouped by the edge directions they induce, and
+    with ``symmetries`` also under those symmetries and order reversal.
 
-    Returns (representative, class size) pairs; the representative is the
-    first order of its class in :func:`all_orders`.  Integrals and covers
-    see an order only through these directions, so one computation per
-    class, weighted by its size, stands for the sum over all orders.
+    Returns (representative, orbit size) pairs; the representative is the
+    first order of its orbit in :func:`all_orders`.  An order is keyed by
+    the sorted (tail, head) pairs of :func:`orientation`: parallel edges
+    always point the same way, so the key fixes every edge's direction.
+    When an order opens an orbit, the keys of its images are marked: a
+    symmetry pi (:func:`symmetries`) sends (t, h) to (pi(t), pi(h)), and
+    reversal sends it to (h, t).
+
+    Without symmetries the orbits are the orientation classes.  Integrals
+    and covers see an order only through the edge directions, so one
+    computation per class, weighted by its size, stands for the sum over
+    all orders; per-edge queries (one multidegree, any leaks) group orders
+    this way.  The orbits under the symmetries and reversal keep only the
+    zero-leak totals by degree (:func:`weighted_classes` says why).
     """
-    classes: dict[tuple, list] = {}
+    orbit_of: dict[tuple, list] = {}
+    orbits: list[list] = []
     for order in all_orders(graph.n):
-        sig = orientation(graph, order)
-        if sig in classes:
-            classes[sig][1] += 1
-        else:
-            classes[sig] = [order, 1]
-    return [(rep, count) for rep, count in classes.values()]
+        key = tuple(sorted(orientation(graph, order)))
+        orbit = orbit_of.get(key)
+        if orbit is None:
+            orbit = orbit_of[key] = [order, 0]
+            orbits.append(orbit)
+            for pi in symmetries or ():
+                image = sorted((pi[t - 1], pi[h - 1]) for t, h in key)
+                orbit_of[tuple(image)] = orbit
+                orbit_of[tuple(sorted((h, t) for t, h in image))] = orbit
+        orbit[1] += 1
+    return [(rep, size) for rep, size in orbits]
 
 
 # -- automorphisms -----------------------------------------------------
@@ -341,25 +360,45 @@ def _relabeled_code(
     return (tuple(edges), tuple(new_gf))
 
 
-def _orbit_codes(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> set[tuple]:
-    """Codes of the assignment under the vertex relabelings preserving k."""
-    return {
-        _relabeled_code(graph, gf, perm)
-        for perm in itertools.permutations(range(1, graph.n + 1))
-        if all(k[p - 1] == kv for p, kv in zip(perm, k))
-    }
+def _relabelings(
+    graph: FeynmanGraph, gf: Sequence[int], labels: Sequence
+) -> tuple[set[tuple], list[VertexOrder]]:
+    """Codes of the assignment under the vertex relabelings that keep the
+    vertex labels, and those relabelings that keep its own code: its
+    symmetries, identity first."""
+    own = _relabeled_code(graph, gf, identity_order(graph.n))
+    codes: set[tuple] = set()
+    syms: list[VertexOrder] = []
+    for perm in itertools.permutations(range(1, graph.n + 1)):
+        if all(labels[p - 1] == label for p, label in zip(perm, labels)):
+            code = _relabeled_code(graph, gf, perm)
+            codes.add(code)
+            if code == own:
+                syms.append(perm)
+    return codes, syms
 
 
-def _orbit_walk(k: Sequence[int]) -> Iterator[tuple[GraphAssignment, int]]:
-    """(first labeled member, orbit size) per isomorphism class, in the
-    order of :func:`enumerate_labeled_graphs`; later members are skipped."""
+def symmetries(graph: FeynmanGraph, gf: Sequence[int]) -> list[VertexOrder]:
+    """The vertex maps v -> pi[v-1] that keep the edges and the genus
+    function, identity first.  They keep every degree, so they keep k too:
+    deg(v) = k_v + 2 - 2 g_v."""
+    return _relabelings(graph, gf, tuple(zip(graph.degrees(), gf)))[1]
+
+
+def _orbit_walk(
+    k: Sequence[int],
+) -> Iterator[tuple[GraphAssignment, int, list[VertexOrder]]]:
+    """(first labeled member, orbit size, its symmetries) per isomorphism
+    class, in the order of :func:`enumerate_labeled_graphs`; later members
+    are skipped.  One pass over the relabelings that keep k gives both the
+    orbit and the symmetries."""
     seen: set[tuple] = set()
     for assignment in enumerate_labeled_graphs(k):
         graph, gf = assignment.graph, assignment.gf
         if _relabeled_code(graph, gf, identity_order(graph.n)) not in seen:
-            orbit = _orbit_codes(graph, gf, k)
+            orbit, syms = _relabelings(graph, gf, k)
             seen |= orbit
-            yield assignment, len(orbit)
+            yield assignment, len(orbit), syms
 
 
 def _check_assignment(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> None:
@@ -370,21 +409,39 @@ def _check_assignment(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) 
 
 def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
     """(graph, gf, order, Fraction weight) once per (isomorphism class,
-    orientation class): the graph sum of the cover and integral routes.
+    orbit of vertex orders): the graph sum of the cover and integral
+    routes at zero leaks.
 
     An invariant sums a per-order value / |Aut_vl| over all labeled
     (graph, gf) for k and all n! vertex orders.  Relabeling permutes the
     orders and keeps |Aut_vl|, so each isomorphism class is visited (and
-    validated) once, at its first labeled member, with weight class size
-    (:func:`orientation_classes`) * labeled copies / |Aut_vl|.  The bare
+    validated) once, at its first labeled member.  Its orders are grouped
+    into orbits under its symmetries and order reversal
+    (:func:`orientation_classes`), and each orbit is visited at its first
+    order, with weight orbit size * labeled copies / |Aut_vl|.  The bare
     unlabeled 1/|Aut| misses the pinned values; one vertex order is not
     relabeling-invariant, so its slice sums labeled graphs.
+
+    Both moves keep every total by degree d:
+
+    * a symmetry pi permutes the edges, so the table at the order pi(sigma)
+      is the table at sigma with every multidegree permuted;
+    * reversal flips every edge.  Reversing a cover's arrows gives a cover
+      of the reversed order: balance holds because there are no leaks, and
+      a one-point multiplicity reads only the multiset of windings at its
+      vertex.  The integrand maps to itself under x_v -> 1/x_v, and S is
+      even, so its constant term in x does not change.
+
+    With a leak vector l, reversal trades l for -l, and the totals differ
+    (on the triangle with gf (1,0,0), a = (1,0,0) and l = (1,-1,0), the
+    coefficient is 2/3 at order (1,3,2) and 0 at its reverse): only the
+    zero-leak sums may use these orbits.
     """
-    for assignment, copies in _orbit_walk(k):
+    for assignment, copies, syms in _orbit_walk(k):
         graph, gf = assignment.graph, assignment.gf
         _check_assignment(graph, gf, k)
         aut = automorphism_count(graph)
-        for order, size in orientation_classes(graph):
+        for order, size in orientation_classes(graph, syms):
             yield graph, gf, order, Fraction(size * copies, aut)
 
 

@@ -60,8 +60,10 @@ from .graphs import (
     check_leaks,
     check_multidegree,
     check_order,
+    identity_order,
     orientation,
     orientation_classes,
+    symmetries,
     weighted_classes,
 )
 from .propagators import divisors
@@ -427,12 +429,16 @@ def integral_series_all_orders(
 ) -> dict[int, Coeff]:
     """Sum of integral_series_q over all n! vertex orders.
 
-    Orders inducing the same edge orientations give identical series, so
-    the sum is computed once per orientation class and multiplied.
+    The series is summed at zero leaks, so orders in one orbit under the
+    symmetries of (graph, gf) and order reversal give the same series
+    (:func:`~trofey.graphs.weighted_classes` says why); it is computed
+    once per orbit (:func:`~trofey.graphs.orientation_classes`) and
+    multiplied by the orbit size.
     """
+    _, _, _, gf_t = _normalize_query(graph, identity_order(graph.n), None, None, gf)
+    orbits = orientation_classes(graph, symmetries(graph, gf_t))
     return _weighted_total(
-        (integral_series_q(graph, gf, rep, q_order), count)
-        for rep, count in orientation_classes(graph)
+        (integral_series_q(graph, gf_t, rep, q_order), size) for rep, size in orbits
     )
 
 

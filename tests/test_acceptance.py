@@ -9,8 +9,9 @@ the per-multidegree views to those tables.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 from covers_oracle import split_by_windings
 from trofey.covers import (
@@ -28,7 +29,14 @@ from trofey.fock import (
     fock_cover_count,
     labeled_series_product_check,
 )
-from trofey.graphs import FeynmanGraph, all_orders, identity_order, weighted_classes
+from trofey.graphs import (
+    FeynmanGraph,
+    all_orders,
+    automorphism_count,
+    enumerate_labeled_graphs,
+    identity_order,
+    weighted_classes,
+)
 from trofey.integrals import (
     integral_series_q,
     integral_series_refined,
@@ -62,6 +70,46 @@ def canonical_code(graph, gf):
             genus[v - 1] = g
         codes.append((tuple(edges), tuple(genus)))
     return min(codes)
+
+
+def search_symmetries(graph, gf):
+    """Every vertex map v -> perm[v-1] that keeps the edge multiset and the
+    genus function, found by trying all n! maps."""
+    edges = sorted(graph.edges)
+    found = []
+    for perm in itertools.permutations(range(1, graph.n + 1)):
+        image = sorted(tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in graph.edges)
+        keeps_gf = all(gf[perm[v - 1] - 1] == gf[v - 1] for v in range(1, graph.n + 1))
+        if image == edges and keeps_gf:
+            found.append(perm)
+    return found
+
+
+def arrows(graph, order):
+    """The sorted (tail, head) pairs of the edges, the tail earlier in the
+    order."""
+    pos = {v: i for i, v in enumerate(order)}
+    return sorted((u, v) if pos[u] <= pos[v] else (v, u) for u, v in graph.edges)
+
+
+def moved(pairs, perm, reverse=False):
+    """The sorted image of (tail, head) pairs under a vertex map, with tail
+    and head swapped if ``reverse``."""
+    images = [(perm[t - 1], perm[h - 1]) for t, h in pairs]
+    return sorted((h, t) for t, h in images) if reverse else sorted(images)
+
+
+def order_orbits(graph, gf):
+    """The n! vertex orders grouped by the least image of their arrows under
+    the symmetries and reversal; each orbit is the list of its orders, in
+    itertools.permutations order, and the orbits are listed by first order."""
+    syms = search_symmetries(graph, gf)
+    groups = {}
+    for order in itertools.permutations(range(1, graph.n + 1)):
+        pairs = arrows(graph, order)
+        key = min(moved(pairs, perm, reverse) for perm in syms for reverse in (False, True))
+        groups.setdefault(tuple(key), []).append(order)
+    return list(groups.values())
 
 
 def class_representatives(k):
@@ -232,6 +280,72 @@ def test_criterion_08_mirror_sweep():
                     assert integral.get(a, 0) == covers.get(a, 0), (k, graph.edges, gf, order, a)
                     checked += 1
     assert checked == 22608
+
+
+def _edge_images(graph, perm):
+    """Where a vertex symmetry sends each edge slot: to a slot between the
+    images of its endpoints (parallel slots are matched in turn)."""
+    free = list(range(graph.num_edges))
+    images = []
+    for u, v in graph.edges:
+        target = tuple(sorted((perm[u - 1], perm[v - 1])))
+        j = next(j for j in free if graph.edges[j] == target)
+        free.remove(j)
+        images.append(j)
+    return images
+
+
+def _carried(table, images):
+    """A table keyed by multidegree with entry i of every key moved to
+    position images[i]."""
+    out = {}
+    for a, value in table.items():
+        b = [0] * len(a)
+        for i, j in enumerate(images):
+            b[j] = a[i]
+        out[tuple(b)] = value
+    return out
+
+
+def test_orbit_orders_carry_the_representative_tables():
+    # every order in an orbit of weighted_classes has the representative's
+    # cover and integral tables, multidegrees carried along the edge
+    # permutation of a symmetry (reversal keeps every key); the orbit sizes
+    # of each class sum to n!.  Symmetries and orbits come from the
+    # test-side search.
+    for k in SWEEP_KS:
+        labeled = enumerate_labeled_graphs(k)
+        copies = Counter(canonical_code(a.graph, a.gf) for a in labeled)
+        sizes = Counter()
+        for graph, gf, rep, weight in weighted_classes(k):
+            syms = search_symmetries(graph, gf)
+            [members] = [m for m in order_orbits(graph, gf) if m[0] == rep]
+            size = weight * automorphism_count(graph) / copies[canonical_code(graph, gf)]
+            assert size == len(members), (k, graph.edges, gf, rep)
+            sizes[graph, gf] += size
+            covers = cover_table(graph, rep, 3, k)
+            integral = integral_series_refined(graph, rep, 3, gf=gf)
+            rep_arrows = arrows(graph, rep)
+            for order in members:
+                target = arrows(graph, order)
+                perm = next(
+                    p for p in syms
+                    if target in (moved(rep_arrows, p), moved(rep_arrows, p, reverse=True))
+                )
+                images = _edge_images(graph, perm)
+                assert cover_table(graph, order, 3, k) == _carried(covers, images)
+                assert integral_series_refined(graph, order, 3, gf=gf) == _carried(integral, images)
+        assert set(sizes.values()) == {factorial(len(k))}, k
+
+
+def test_reversal_keeps_tables_only_without_leaks():
+    # with a leak vector l the reversed order reads -l, so the orbits of
+    # weighted_classes serve zero-leak sums only
+    gf, a = (1, 0, 0), (1, 0, 0)
+    assert refined_coeff(TRIANGLE, (1, 3, 2), a, l=(1, -1, 0), gf=gf) == Fraction(2, 3)
+    assert refined_coeff(TRIANGLE, (2, 3, 1), a, l=(1, -1, 0), gf=gf) == 0
+    assert refined_coeff(TRIANGLE, (2, 3, 1), a, l=(-1, 1, 0), gf=gf) == Fraction(2, 3)
+    assert refined_coeff(TRIANGLE, (1, 3, 2), a, gf=gf) == refined_coeff(TRIANGLE, (2, 3, 1), a, gf=gf)
 
 
 def test_views_equal_the_sweep_tables():

@@ -102,6 +102,15 @@ def test_integral_needs_a_or_q_order(graphs, capsys):
     assert "--a or --q-order" in err
 
 
+def test_integral_rejects_both_a_and_q_order(graphs, capsys):
+    # one query reads one multidegree or one q-series, never both
+    code, out, err = run(
+        capsys,
+        "integral", "--graph", graphs["triangle"], "--a", "0,0,0", "--q-order", "2",
+    )
+    assert (code, out, err) == (2, "", "error: use one of --a or --q-order\n")
+
+
 def test_integral_bad_vector_is_parse_error(graphs, capsys):
     code, _, _ = run(
         capsys,

@@ -21,7 +21,7 @@ from trofey.graphs import (
     validate_assignment,
     weighted_classes,
 )
-from test_acceptance import SWEEP_KS, canonical_code, class_representatives
+from test_acceptance import SWEEP_KS, canonical_code, class_representatives, order_orbits
 
 TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
 RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
@@ -194,8 +194,9 @@ def test_weighted_classes_visit_each_orbit_once(k):
         Fraction(factorial(len(k)), automorphism_count(a.graph)) for a in labeled
     )
     # representatives: the first labeled member of each isomorphism class
-    # (equal canonical codes), in enumeration order, with every orientation
-    # class weighted by its size * labeled copies / |Aut_vl|, where the
+    # (equal canonical codes), in enumeration order, with every orbit of
+    # vertex orders under its symmetries and reversal (the test-side
+    # search) weighted by its size * labeled copies / |Aut_vl|, where the
     # labeled copies are the members that share the representative's code
     codes = [canonical_code(a.graph, a.gf) for a in labeled]
     first: dict[tuple, int] = {}
@@ -205,8 +206,8 @@ def test_weighted_classes_visit_each_orbit_once(k):
     for i in sorted(first.values()):
         graph, gf = labeled[i].graph, labeled[i].gf
         copies, aut = codes.count(codes[i]), automorphism_count(graph)
-        for order, size in orientation_classes(graph):
-            expected.append((graph, gf, order, Fraction(size * copies, aut)))
+        for members in order_orbits(graph, gf):
+            expected.append((graph, gf, members[0], Fraction(len(members) * copies, aut)))
     assert classes == expected
     # the criteria sweeps read those members, by canonical code
     assert class_representatives(k) == [

@@ -262,12 +262,24 @@ def test_series_q_matches_refined_table(graph, order, gf, q_order):
 
 
 def test_all_orders_equals_explicit_sum():
-    total = integral_series_all_orders(TRIANGLE, (1, 0, 0), 3)
-    by_hand: dict[int, Fraction] = {}
-    for order in all_orders(3):
-        for d, c in integral_series_q(TRIANGLE, (1, 0, 0), order, 3).items():
-            by_hand[d] = by_hand.get(d, 0) + c
-    assert total == {d: c for d, c in by_hand.items() if c != 0}
+    # the sum reads one order per orbit under the symmetries of (graph, gf)
+    # and reversal; here every order is summed, on graphs with loops,
+    # parallel edges, genera and symmetries
+    chain = FeynmanGraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
+    for graph, gf in (
+        (TRIANGLE, (1, 0, 0)),
+        (RIGHT, None),
+        (MIDDLE, (0, 1, 0)),
+        (chain, (1, 0, 1)),
+        (THETA, None),
+        (DBL_DBL, None),
+    ):
+        total = integral_series_all_orders(graph, gf, 3)
+        by_hand: dict[int, Fraction] = {}
+        for order in all_orders(graph.n):
+            for d, c in integral_series_q(graph, gf, order, 3).items():
+                by_hand[d] = by_hand.get(d, 0) + c
+        assert total and total == {d: c for d, c in by_hand.items() if c != 0}, graph.edges
 
 
 def test_integral_series_refined_table():
