@@ -283,15 +283,13 @@ def _compare_tasks(
 
 
 def cmd_invariant(args: argparse.Namespace) -> int:
+    if args.compare and args.route is not None:
+        raise CliError(PARSE_ERROR, "use one of --route or --compare")
     k = _parse_int_vector(args.k, "--k")
     if args.dmax < 1:
         raise CliError(VALIDATION_ERROR, "--dmax must be >= 1")
-    query = {
-        "command": "invariant",
-        "k": list(k),
-        "dmax": args.dmax,
-        "route": "compare" if args.compare else args.route,
-    }
+    route = "compare" if args.compare else args.route or "covers"
+    query = {"command": "invariant", "k": list(k), "dmax": args.dmax, "route": route}
     try:
         if args.compare:
             tasks = _compare_tasks(k, args.dmax)
@@ -308,7 +306,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
                     )
                     return MISMATCH_ERROR
             series = {d: totals.get(d, Fraction(0)) for d in range(1, args.dmax + 1)}
-        elif args.route == "integrals":
+        elif route == "integrals":
             from .integrals import mirror_total_series
 
             series = mirror_total_series(k, args.dmax)
@@ -521,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariant", help="assembled descendant invariants")
     p_inv.add_argument("--k", required=True)
     p_inv.add_argument("--dmax", type=int, required=True)
-    p_inv.add_argument("--route", choices=("covers", "integrals"), default="covers")
+    p_inv.add_argument("--route", choices=("covers", "integrals"))
     p_inv.add_argument(
         "--compare", action="store_true", help="run both routes, exit 4 on any mismatch"
     )

@@ -4,18 +4,21 @@ Unlabeled mode: the charge-zero half of a Heisenberg algebra with
 generators alpha_n, n != 0, commutator [alpha_n, alpha_m] = |n| when
 n = -m (else 0), acting on the span of basis states
 
-    b_mu = prod_j alpha_{-mu_j} |vacuum>,   mu a partition,
+    b_mu = prod_j alpha_{-mu_j} |vacuum>,   mu a partition.
 
-with <b_mu, b_mu> = |Aut(mu)| * prod mu_j and distinct partitions
-orthogonal.  The cut-and-join operator
+Distinct partitions are orthogonal and <b_mu, b_mu> = |Aut(mu)| * prod mu_j,
+so <b_mu | v> = |Aut(mu)| * prod(mu) * v_mu: a matrix element is a known
+norm times a coefficient of M^n b_nu, and no pairing is built.  The
+cut-and-join operator
 
     M = 1/2 sum_{i,j>=1} (alpha_{-i} alpha_{-j} alpha_{i+j}
                           + alpha_{-(i+j)} alpha_i alpha_j)
 
-preserves the energy |mu| and its matrix powers count branched covers of
-the torus: states are evolved as explicit vectors rather than by Wick
-pairing, so every intermediate state is inspectable.  M acts through one
-cached row per basis partition, built when the partition is first reached.
+preserves the energy |mu|, has integer entries in the b_mu basis, and its
+powers count branched covers of the torus (the elliptic Hurwitz number is
+n! tr M^n on degree d).  States are evolved as explicit vectors, so every
+intermediate state is inspectable, through one cached row of M per basis
+partition, built when the partition is first reached.
 
 Labeled mode: one Heisenberg generator alpha^{(k,j)}_n per (edge k,
 germ label j); generators with different (k, j) commute.  A trivalent
@@ -116,21 +119,6 @@ def partition_aut(mu: Partition) -> int:
 # -- states and generators ---------------------------------------------
 
 
-def state_from_partition(mu: Sequence[int]) -> State:
-    return {partition_tuple(mu): 1}
-
-
-def inner_product(u: State, v: State) -> Coeff:
-    """Pairing of two states: <b_mu, b_mu> = |Aut(mu)| * prod(mu)."""
-    total: Coeff = 0
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    for key, cu in small.items():
-        cv = big.get(key)
-        if cv is not None:
-            total = total + cu * cv * partition_aut(key) * prod(key)
-    return total
-
-
 @lru_cache(maxsize=None)
 def _cut_join_row(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """M b_mu as (partition, coefficient) pairs: the row of one basis key.
@@ -173,14 +161,14 @@ def cut_join(state: State) -> State:
     return {k: c for k, c in out.items() if c != 0}
 
 
-def matrix_element(mu: Sequence[int], n: int, nu: Sequence[int]) -> Coeff:
-    """<b_mu | M^n | b_nu>."""
+def _evolve(nu: Partition, n: int) -> State:
+    """M^n b_nu, by n applications of :func:`cut_join`; its coefficients are integers."""
     if n < 0:
         raise ValueError("operator power must be nonnegative")
-    state = state_from_partition(nu)
+    state: State = {nu: 1}
     for _ in range(n):
         state = cut_join(state)
-    return normalize(inner_product(state_from_partition(mu), state))
+    return state
 
 
 # -- Hurwitz-type counts -------------------------------------------------
@@ -188,6 +176,9 @@ def matrix_element(mu: Sequence[int], n: int, nu: Sequence[int]) -> Coeff:
 
 def double_hurwitz(mu: Sequence[int], nu: Sequence[int], n: int) -> Coeff:
     """n! / (prod mu * prod nu) * <b_mu | M^n | b_nu>; degrees must agree.
+
+    The pairing is |Aut mu| * prod mu times the b_mu coefficient of
+    M^n b_nu, so this is n! * |Aut mu| * [M^n b_nu]_mu / prod nu.
 
     Normalization: the classical count of possibly disconnected covers of
     P^1 with profiles mu and nu over two points and n fixed simple branch
@@ -202,14 +193,16 @@ def double_hurwitz(mu: Sequence[int], nu: Sequence[int], n: int) -> Coeff:
     mu_t, nu_t = partition_tuple(mu), partition_tuple(nu)
     if sum(mu_t) != sum(nu_t):
         raise ValueError("ramification profiles must have equal size")
-    value = Fraction(factorial(n), prod(mu_t) * prod(nu_t)) * matrix_element(
-        mu_t, n, nu_t
-    )
-    return normalize(value)
+    coeff = _evolve(nu_t, n).get(mu_t, 0)
+    return normalize(Fraction(factorial(n) * partition_aut(mu_t) * coeff, prod(nu_t)))
 
 
-def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> Coeff:
+def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> int:
     """sum over mu |- d of n!/(|Aut mu| prod mu) <b_mu|M^n|b_mu>, n = 2g-2.
+
+    Each pairing is |Aut mu| * prod mu times the b_mu coefficient of
+    M^n b_mu, so the norms cancel: this is n! * tr M^n on degree d, summed
+    in ``int`` since M has integer entries (:func:`_cut_join_row`).
 
     Normalization: the classical count of possibly disconnected degree-d
     covers of the elliptic curve with n fixed simple branch points, each
@@ -223,12 +216,8 @@ def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> Coeff:
         raise ValueError("degree must be positive")
     if n != 2 * g - 2:
         raise ValueError("simple branch point count must equal 2g - 2")
-    total: Coeff = 0
-    for mu in partitions(d):
-        me = matrix_element(mu, n, mu)
-        if me != 0:
-            total = total + Fraction(factorial(n), partition_aut(mu) * prod(mu)) * me
-    return normalize(total)
+    trace = sum(_evolve(mu, n).get(mu, 0) for mu in partitions(d))
+    return factorial(n) * trace
 
 
 def partition_counts(q_order: int) -> list[int]:

@@ -90,11 +90,6 @@ class FeynmanGraph:
     def num_loops(self) -> int:
         return sum(1 for u, v in self.edges if u == v)
 
-    @property
-    def first_betti(self) -> int:
-        """h1 = #edges - #vertices + 1 for a connected graph."""
-        return self.num_edges - self.n + 1
-
     def degrees(self) -> tuple[int, ...]:
         """Degree of each vertex 1..n, from one pass over the edges; a loop
         counts twice."""

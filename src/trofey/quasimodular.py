@@ -93,15 +93,6 @@ class QuasimodularFit(NamedTuple):
     def is_homogeneous(self) -> bool:
         return len(self.weight_profile) <= 1
 
-    def q_expansion(self, q_order: int) -> list[Coeff]:
-        rows = dict(basis(self.max_weight, q_order))
-        total: list[Coeff] = [0] * (q_order + 1)
-        for monomial, coeff in self.coefficients.items():
-            row = rows[monomial]
-            for d in range(q_order + 1):
-                total[d] = total[d] + coeff * row[d]
-        return [normalize(c) for c in total]
-
     def terms(self) -> list[tuple[str, Coeff]]:
         """(monomial name, coefficient) in display order: by weight, then by
         descending E2 and E4 exponents; names like "E2^2*E4", "1" for the

@@ -281,6 +281,23 @@ def test_invariant_compare_passes(capsys):
     assert out.splitlines() == ["d=1 1/4", "d=2 27", "d=3 279"]
 
 
+def test_invariant_rejects_route_with_compare(capsys):
+    # --compare runs both routes, so a --route beside it would go unread
+    for route in ("covers", "integrals"):
+        code, out, err = run(
+            capsys, "invariant", "--k", "1,1", "--dmax", "2", "--compare", "--route", route
+        )
+        assert (code, out, err) == (2, "", "error: use one of --route or --compare\n")
+    # the query echo names the route that ran, covers by default
+    cases = [((), "covers"), (("--route", "integrals"), "integrals"), (("--compare",), "compare")]
+    for flags, route in cases:
+        code, out, _ = run(
+            capsys, "--format", "json", "invariant", "--k", "1,1", "--dmax", "1", *flags
+        )
+        assert code == 0
+        assert json.loads(out)["query"]["route"] == route
+
+
 def test_invariant_compare_mismatch_prints_reproducible_witness(capsys, monkeypatch, tmp_path):
     # corrupt the integral side off the identity order (the first class
     # representative of every graph), so the witness has to name another order

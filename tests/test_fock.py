@@ -34,14 +34,11 @@ from trofey.fock import (
     elliptic_hurwitz_connected,
     elliptic_hurwitz_disconnected,
     fock_cover_count,
-    inner_product,
     labeled_matrix_element,
     labeled_series_product,
     labeled_series_product_check,
-    matrix_element,
     partition_counts,
     partitions,
-    state_from_partition,
     winding_choices,
 )
 from trofey.graphs import FeynmanGraph, all_orders, identity_order
@@ -56,26 +53,12 @@ ID2 = identity_order(2)
 # -- the partition-basis algebra -------------------------------------------
 
 
-def test_basis_norms():
-    # <b_mu, b_mu> = |Aut(mu)| * prod(mu)
-    assert inner_product(state_from_partition((2,)), state_from_partition((2,))) == 2
-    assert inner_product(state_from_partition((1, 1)), state_from_partition((1, 1))) == 2
-    assert inner_product(state_from_partition((3,)), state_from_partition((3,))) == 3
-    assert (
-        inner_product(state_from_partition((1, 1, 1)), state_from_partition((1, 1, 1)))
-        == 6
-    )
-    assert inner_product(state_from_partition((2, 1)), state_from_partition((2, 1))) == 2
-    # distinct partitions are orthogonal
-    assert inner_product(state_from_partition((2,)), state_from_partition((1, 1))) == 0
-
-
 def test_cut_join_actions():
-    assert cut_join(state_from_partition((2,))) == {(1, 1): 1}
-    assert cut_join(state_from_partition((1, 1))) == {(2,): 1}
-    assert cut_join(state_from_partition((3,))) == {(2, 1): 3}
-    assert cut_join(state_from_partition((2, 1))) == {(1, 1, 1): 1, (3,): 2}
-    assert cut_join(state_from_partition((1, 1, 1))) == {(2, 1): 3}
+    assert cut_join({(2,): 1}) == {(1, 1): 1}
+    assert cut_join({(1, 1): 1}) == {(2,): 1}
+    assert cut_join({(3,): 1}) == {(2, 1): 3}
+    assert cut_join({(2, 1): 1}) == {(1, 1, 1): 1, (3,): 2}
+    assert cut_join({(1, 1, 1): 1}) == {(2, 1): 3}
 
 
 def _cut_join_oracle(state):
@@ -103,7 +86,7 @@ def _cut_join_oracle(state):
 
 def test_cut_join_integer_accumulation_matches_half_oracle():
     for d in range(1, 7):
-        states = [state_from_partition(mu) for mu in partitions(d)]
+        states = [{mu: 1} for mu in partitions(d)]
         # one state mixing every partition of d, so that terms from
         # different keys meet in one output key before the halving
         states.append({mu: i + 1 for i, mu in enumerate(partitions(d))})
@@ -121,7 +104,7 @@ def test_cut_join_rows_equal_the_uncached_body():
     # combinations, against the body that applied M without rows
     for d in range(9):
         for mu in partitions(d):
-            state = state_from_partition(mu)
+            state = {mu: 1}
             assert cut_join(state) == cut_join_reference(state), mu
     rng = random.Random(13)
     for d in range(1, 9):
@@ -136,14 +119,42 @@ def test_cut_join_rows_equal_the_uncached_body():
             assert all(type(c) is int for c in got.values()), ints
 
 
+def _pairing(u, v):
+    """<u, v> in the partition basis: distinct partitions are orthogonal and
+    <b_mu, b_mu> = |Aut(mu)| * prod(mu)."""
+    return sum(c * v[mu] * _aut(mu) * prod(mu) for mu, c in u.items() if mu in v)
+
+
+def test_basis_norms():
+    # <b_mu, b_mu> = |Aut(mu)| * prod(mu)
+    assert _pairing({(2,): 1}, {(2,): 1}) == 2
+    assert _pairing({(1, 1): 1}, {(1, 1): 1}) == 2
+    assert [_pairing({mu: 1}, {mu: 1}) for mu in partitions(3)] == [3, 2, 6]
+    # distinct partitions are orthogonal
+    assert _pairing({(2,): 1}, {(1, 1): 1}) == 0
+    # M is self-adjoint for these norms, which is what lets double_hurwitz
+    # read <b_mu, M^n b_nu> as |Aut(mu)| * prod(mu) * [M^n b_nu]_mu and
+    # still be symmetric in mu and nu
+    for d in range(1, 7):
+        images = {mu: cut_join({mu: 1}) for mu in partitions(d)}
+        for mu, nu in itertools.product(partitions(d), repeat=2):
+            assert _pairing({mu: 1}, images[nu]) == _pairing(images[mu], {nu: 1}), (mu, nu)
+            for n in range(4):
+                assert double_hurwitz(mu, nu, n) == double_hurwitz(nu, mu, n), (mu, nu, n)
+
+
 def test_matrix_element_equals_repeated_reference_application():
+    # double_hurwitz reads a coefficient of M^n b_nu; the reference pairs
+    # b_mu with the state that M, applied term by term, makes of b_nu
     for d in range(1, 7):
         for nu in partitions(d):
-            state = state_from_partition(nu)
+            state = {nu: 1}
             for n in range(5):
                 for mu in partitions(d):
-                    want = inner_product(state_from_partition(mu), state)
-                    assert matrix_element(mu, n, nu) == want, (mu, n, nu)
+                    want = Fraction(factorial(n) * _pairing({mu: 1}, state), prod(mu) * prod(nu))
+                    got = double_hurwitz(mu, nu, n)
+                    assert got == want, (mu, n, nu)
+                    assert type(got) is (int if want.denominator == 1 else Fraction), (mu, n, nu)
                 state = cut_join_reference(state)
 
 
@@ -164,10 +175,13 @@ def test_elliptic_hurwitz_bench_values():
 
 
 def test_degree_three_diagonal_matrix_elements():
-    # M^2 is 18 on every diagonal entry in degree 3
-    for mu in ((3,), (2, 1), (1, 1, 1)):
-        assert matrix_element(mu, 2, mu) == 18
-    assert matrix_element((2, 1), 2, (1, 1, 1)) == 0
+    # <b_mu | M^2 | b_mu> is 18 on every partition of 3, so the diagonal
+    # coefficients of M^2 are 18 divided by each norm: 6, 9 and 3
+    squares = {mu: cut_join(cut_join({mu: 1})) for mu in partitions(3)}
+    assert [squares[mu][mu] for mu in partitions(3)] == [6, 9, 3]
+    for mu in partitions(3):
+        assert squares[mu][mu] * _aut(mu) * prod(mu) == 18
+    assert squares[(1, 1, 1)].get((2, 1), 0) == 0
 
 
 def test_double_hurwitz_values():
@@ -294,6 +308,16 @@ def test_elliptic_disconnected_character_and_monodromy_witnesses(g, d):
             tuples += taus.get(_inverse(commutator), 0)
     monodromy = factorial(n) * Fraction(tuples, factorial(d))
     assert elliptic_hurwitz_disconnected(g, n, d) == characters == monodromy
+
+
+@pytest.mark.parametrize("g, d", [(3, 9), (4, 10), (5, 8)])
+def test_elliptic_disconnected_character_witness_at_benchmark_size(g, d):
+    # the characters alone, where the monodromy count is out of reach:
+    # (4, 10) is the value the benchmark's operator workload asks for
+    n = 2 * g - 2
+    got = elliptic_hurwitz_disconnected(g, n, d)
+    assert type(got) is int
+    assert got == factorial(n) * sum(_content_sum(lam) ** n for lam in _partitions(d))
 
 
 @pytest.mark.parametrize(

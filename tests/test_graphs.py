@@ -35,12 +35,17 @@ DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
 def test_basic_counts():
     assert TRIANGLE.num_edges == 3
     assert TRIANGLE.num_loops == 0
-    assert TRIANGLE.first_betti == 1
     assert RIGHT.num_loops == 1
-    assert RIGHT.first_betti == 2
-    assert THETA.first_betti == 2
     assert DUMBBELL.degrees() == (3, 3)
     assert RIGHT.degrees() == (4, 2, 2)  # the loop counts twice
+    # every enumerated class has total genus g: first Betti number
+    # #edges - #vertices + 1 plus the vertex genera
+    for k in SWEEP_KS:
+        classes = enumerate_labeled_graphs(k)
+        assert classes
+        for a in classes:
+            betti = a.graph.num_edges - a.graph.n + 1
+            assert betti + sum(a.gf) == genus_from_descendants(k), (k, a)
 
 
 def test_single_vertex_rejected():

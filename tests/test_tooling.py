@@ -158,18 +158,46 @@ def test_cli_imports_no_private_name():
     assert private == []
 
 
+def _defs_and_members(path: Path) -> dict[tuple[str, str], set[str]]:
+    """Names referenced by each top-level def of a module, and by each public
+    method or property of its public classes, keyed (module, "Class.member").
+
+    A class keeps the references of its bases, decorators and private or
+    special methods; a public member's own references count only once the
+    member is reached.
+    """
+    defs: dict[tuple[str, str], set[str]] = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[path.stem, node.name] = _referenced_names(node)
+        elif isinstance(node, ast.ClassDef):
+            members = [
+                sub
+                for sub in node.body
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("_") or sub.name.startswith("_"))
+            ]
+            for sub in members:
+                defs[path.stem, f"{node.name}.{sub.name}"] = _referenced_names(sub)
+            rest = [*node.bases, *node.keywords, *node.decorator_list]
+            rest += [sub for sub in node.body if sub not in members]
+            defs[path.stem, node.name] = set().union(*map(_referenced_names, rest))
+    return defs
+
+
 def test_every_public_def_is_reachable():
     # the package keeps what its users reach: cli.main, the names scripts/
     # import, and the names perfbench wraps, imports or patches.  A public
-    # def reached from none of them is a leftover; a test that needs it as
-    # a reference keeps it in its oracle.  References between top-level
-    # defs are followed by name, as in the private-def check above.
-    defs = {
-        (path.stem, node.name): _referenced_names(node)
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+    # def, or a public method or property of a public class, reached from
+    # none of them is a leftover; a test that needs it as a reference keeps
+    # it in its oracle.  References are followed by name, as in the
+    # private-def check above: a member is reached when a reached def reads
+    # its name.
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        defs.update(_defs_and_members(path))
+    # the scan is not vacuous: it sees the public classes' members
+    assert sum("." in name for _, name in defs) >= 9
     roots = {("cli", "main"), ("cli", "_run_tasks")}
     roots |= {(layer, name) for layer, names in _traced().items() for name in names}
     for path in [PERFBENCH / "child.py", *sorted((ROOT / "scripts").glob("*.py"))]:
@@ -180,7 +208,7 @@ def test_every_public_def_is_reachable():
         node = todo.pop()
         if node not in reached:
             reached.add(node)
-            todo += [other for other in defs if other[1] in defs[node]]
+            todo += [other for other in defs if other[1].split(".")[-1] in defs[node]]
     unreached = {
         f"{module}.{name}" for module, name in defs.keys() - reached if not name.startswith("_")
     }
