@@ -5,17 +5,22 @@ Subcommands: ``integral`` (coefficient or q-series of one graph),
 ``--compare`` cross-checking them), ``fock`` (operator-route values and
 sweeps), ``fit`` (match a q-series against Q[E2, E4, E6]).
 
+Each subcommand is one function that argparse dispatches to and that
+ends in :func:`_emit`, the one renderer of all three ``--format``s.
+
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 route
-mismatch, 5 fit failure.  All rationals are printed as "num/den"
-strings; JSON output is byte-deterministic for a given query.  The
-global ``--threads N`` must be at least 1 and is otherwise ignored: every
-query runs on the calling thread.
+mismatch, 5 fit failure.  :func:`main` is the one error boundary: a
+library check that fails on a query (a ``ValueError``) exits 3 with its
+message, from any subcommand but ``fit``, whose failed solve exits 5.
+All rationals are printed as "num/den" strings; JSON output is
+byte-deterministic for a given query.  The global ``--threads N`` must
+be at least 1 and is otherwise ignored: every query runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from fractions import Fraction
@@ -37,9 +42,11 @@ from .integrals import (
     integral_series_q,
     integral_series_all_orders,
     integral_series_refined,
+    mirror_total_series,
     multidegrees,
     refined_coeff,
 )
+from .quasimodular import OVERDETERMINATION_MARGIN, basis
 from .quasimodular import fit as quasimodular_fit
 
 PARSE_ERROR = 2
@@ -76,24 +83,18 @@ def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
         raise CliError(PARSE_ERROR, f"{what} must be comma-separated integers") from exc
 
 
-def _parse_orders(text: str, graph: FeynmanGraph) -> list[tuple[tuple[int, ...], int]]:
-    """The orders ``--order`` names, as (order, multiplicity) pairs: ``all``
-    is one representative per orientation class, weighted by its size,
-    since the integrals see an order only through the edge directions.
-    These serve per-edge queries (``--a``, any leaks); the zero-leak
-    q-series over all orders also groups by the symmetries of (graph, gf)
-    and order reversal (:func:`~trofey.integrals.integral_series_all_orders`)."""
-    n = graph.n
+def _parse_order(text: str, n: int) -> tuple[int, ...] | None:
+    """The vertex order ``--order`` names, or None for ``all``."""
     if text == "id":
-        return [(identity_order(n), 1)]
+        return identity_order(n)
     if text == "all":
-        return orientation_classes(graph)
+        return None
     order = _parse_int_vector(text, "order")
     if sorted(order) != list(range(1, n + 1)):
         raise CliError(
             VALIDATION_ERROR, f"order must be a permutation of 1..{n}, got {text!r}"
         )
-    return [(order, 1)]
+    return order
 
 
 def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[int] | None]:
@@ -147,46 +148,37 @@ def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> Iterator[Any
 # -- output --------------------------------------------------------------
 
 
-def _report(
+def _emit(
+    fmt: str,
     query: dict[str, Any],
     results: list[dict[str, Any]],
-    *,
     edge_relabeling: list[int] | None = None,
-    extra_meta: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    meta: dict[str, Any] = {
-        "version": __version__,
-        "edge_relabeling": edge_relabeling,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    return {"query": query, "results": results, "meta": meta}
-
-
-def _emit(report: dict[str, Any], fmt: str) -> None:
+    **meta: Any,
+) -> int:
+    """Write one query's rows to stdout in ``fmt``; return exit code 0.  Only
+    JSON shows ``query``, the version, ``edge_relabeling`` and ``meta``."""
     if fmt == "json":
+        meta = {"version": __version__, "edge_relabeling": edge_relabeling, **meta}
+        report = {"query": query, "results": results, "meta": meta}
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return
-    results = report["results"]
+        return 0
     if fmt == "csv":
         import csv  # only this format needs it: keep it out of every other run
 
         keys = sorted({key for row in results for key in row["labels"]})
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys + ["value"])
         for row in results:
             writer.writerow([str(row["labels"].get(k, "")) for k in keys] + [row["value"]])
-        sys.stdout.write(buffer.getvalue())
-        return
+        return 0
     # plain: one value per line, labels prefixed when there are several rows
     for row in results:
-        labels = row["labels"]
         if len(results) == 1:
             sys.stdout.write(f"{row['value']}\n")
         else:
-            prefix = " ".join(f"{k}={labels[k]}" for k in sorted(labels))
+            prefix = " ".join(f"{k}={v}" for k, v in sorted(row["labels"].items()))
             sys.stdout.write(f"{prefix} {row['value']}\n".lstrip())
+    return 0
 
 
 # -- integral ------------------------------------------------------------
@@ -195,7 +187,7 @@ def _emit(report: dict[str, Any], fmt: str) -> None:
 def cmd_integral(args: argparse.Namespace) -> int:
     graph, file_gf, relabeling = _load_graph(args.graph)
     gf = _parse_int_vector(args.gf, "--gf") if args.gf else file_gf
-    orders = _parse_orders(args.order, graph)
+    order = _parse_order(args.order, graph.n)
     if args.k:
         k = _parse_int_vector(args.k, "--k")
         reasons = validate_assignment(graph, gf if gf else (0,) * graph.n, k)
@@ -216,35 +208,25 @@ def cmd_integral(args: argparse.Namespace) -> int:
         "l": args.l,
         "q_order": args.q_order,
     }
-    results: list[dict[str, Any]] = []
-    try:
-        if args.a is not None:
-            a = _parse_int_vector(args.a, "--a")
-            total: Any = 0
-            for order, count in orders:
-                total += count * refined_coeff(graph, order, a, l=leaks, gf=gf)
-            results.append(
-                {"labels": {"order": args.order, "a": args.a}, "value": _format_rational(total)}
-            )
+    if args.a is not None:
+        a = _parse_int_vector(args.a, "--a")
+        # ``all``: one order per orientation class, weighted by its size,
+        # since the integrals see an order only through the edge directions
+        orders = [(order, 1)] if order is not None else orientation_classes(graph)
+        total = sum(count * refined_coeff(graph, o, a, l=leaks, gf=gf) for o, count in orders)
+        results = [{"labels": {"order": args.order, "a": args.a}, "value": _format_rational(total)}]
+    else:
+        if leaks is not None:
+            raise CliError(VALIDATION_ERROR, "leaks only combine with --a")
+        if order is None:
+            series = integral_series_all_orders(graph, gf, args.q_order)
         else:
-            if leaks is not None:
-                raise CliError(VALIDATION_ERROR, "leaks only combine with --a")
-            if args.order == "all":
-                series = integral_series_all_orders(graph, gf, args.q_order)
-            else:
-                [(order, _)] = orders
-                series = integral_series_q(graph, gf, order, args.q_order)
-            for d in range(args.q_order + 1):
-                results.append(
-                    {
-                        "labels": {"order": args.order, "d": d},
-                        "value": _format_rational(series.get(d, 0)),
-                    }
-                )
-    except ValueError as exc:
-        raise CliError(VALIDATION_ERROR, str(exc)) from exc
-    _emit(_report(query, results, edge_relabeling=relabeling), args.format)
-    return 0
+            series = integral_series_q(graph, gf, order, args.q_order)
+        results = [
+            {"labels": {"order": args.order, "d": d}, "value": _format_rational(series.get(d, 0))}
+            for d in range(args.q_order + 1)
+        ]
+    return _emit(args.format, query, results, relabeling)
 
 
 # -- invariant -----------------------------------------------------------
@@ -290,104 +272,86 @@ def cmd_invariant(args: argparse.Namespace) -> int:
         raise CliError(VALIDATION_ERROR, "--dmax must be >= 1")
     route = "compare" if args.compare else args.route or "covers"
     query = {"command": "invariant", "k": list(k), "dmax": args.dmax, "route": route}
-    try:
-        if args.compare:
-            tasks = _compare_tasks(k, args.dmax)
-            totals: dict[int, Fraction] = {}
-            for part, witness in _run_tasks(tasks, args.threads):
-                for d, c in part.items():
-                    totals[d] = totals.get(d, Fraction(0)) + c
-                if witness is not None:
-                    edges, gf, order, a, cv, iv = witness
-                    print(
-                        "route mismatch: edges=%s gf=%s order=%s a=%s covers=%s integral=%s"
-                        % (edges, gf, order, a, _format_rational(cv), _format_rational(iv)),
-                        file=sys.stderr,
-                    )
-                    return MISMATCH_ERROR
-            series = {d: totals.get(d, Fraction(0)) for d in range(1, args.dmax + 1)}
-        elif route == "integrals":
-            from .integrals import mirror_total_series
-
-            series = mirror_total_series(k, args.dmax)
-        else:
-            series = invariant_series(k, args.dmax)
-    except ValueError as exc:
-        raise CliError(VALIDATION_ERROR, str(exc)) from exc
+    if args.compare:
+        tasks = _compare_tasks(k, args.dmax)
+        series: dict[int, Fraction] = {}
+        for part, witness in _run_tasks(tasks, args.threads):
+            for d, c in part.items():
+                series[d] = series.get(d, Fraction(0)) + c
+            if witness is not None:
+                edges, gf, order, a, cv, iv = witness
+                print(
+                    "route mismatch: edges=%s gf=%s order=%s a=%s covers=%s integral=%s"
+                    % (edges, gf, order, a, _format_rational(cv), _format_rational(iv)),
+                    file=sys.stderr,
+                )
+                return MISMATCH_ERROR
+    elif route == "integrals":
+        series = mirror_total_series(k, args.dmax)
+    else:
+        series = invariant_series(k, args.dmax)
     results = [
         {"labels": {"d": d}, "value": _format_rational(series.get(d, 0))}
         for d in range(1, args.dmax + 1)
     ]
-    _emit(_report(query, results), args.format)
-    return 0
+    return _emit(args.format, query, results)
 
 
 # -- fock ----------------------------------------------------------------
 
 
-def cmd_fock(args: argparse.Namespace) -> int:
-    try:
-        if args.fock_command == "double":
-            if args.n < 0:
-                raise CliError(VALIDATION_ERROR, f"--n must be >= 0, got {args.n}")
-            mu = _parse_int_vector(args.mu, "--mu")
-            nu = _parse_int_vector(args.nu, "--nu")
-            value = double_hurwitz(mu, nu, args.n)
-            query = {"command": "fock double", "mu": list(mu), "nu": list(nu), "n": args.n}
-            results = [
-                {
-                    "labels": {"mu": args.mu, "nu": args.nu, "n": args.n},
-                    "value": _format_rational(value),
-                }
-            ]
-            _emit(_report(query, results), args.format)
-            return 0
-        if args.fock_command == "elliptic":
-            if args.g < 1:
-                raise CliError(VALIDATION_ERROR, f"--g must be >= 1, got {args.g}")
-            if args.d < 1:
-                raise CliError(VALIDATION_ERROR, f"--d must be >= 1, got {args.d}")
-            value = elliptic_hurwitz_disconnected(args.g, 2 * args.g - 2, args.d)
-            query = {"command": "fock elliptic", "g": args.g, "d": args.d}
-            results = [
-                {"labels": {"g": args.g, "d": args.d}, "value": _format_rational(value)}
-            ]
-            _emit(_report(query, results), args.format)
-            return 0
-        # fock check
-        if args.amax < 0:
-            raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
-        graph, _, relabeling = _load_graph(args.graph)
-        amax = args.amax
-        # one operator walk serves every order; it checks the graph first,
-        # so a bad graph gets no vacuous "0"
-        tables = fock_tables(graph, amax)
-        orders = list(all_orders(graph.n))
+def cmd_double(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise CliError(VALIDATION_ERROR, f"--n must be >= 0, got {args.n}")
+    mu = _parse_int_vector(args.mu, "--mu")
+    nu = _parse_int_vector(args.nu, "--nu")
+    value = double_hurwitz(mu, nu, args.n)
+    query = {"command": "fock double", "mu": list(mu), "nu": list(nu), "n": args.n}
+    labels = {"mu": args.mu, "nu": args.nu, "n": args.n}
+    return _emit(args.format, query, [{"labels": labels, "value": _format_rational(value)}])
 
-        def task(order):
-            """One order's operator table against its cover pass."""
-            return order, _first_mismatch(tables[order], cover_table(graph, order, amax))
 
-        tasks = [lambda order=order: task(order) for order in orders]
-        for order, mismatch in _run_tasks(tasks, args.threads):
-            if mismatch is not None:
-                a, lhs, rhs = mismatch
-                print(
-                    "operator/cover mismatch: order=%s a=%s fock=%s covers=%s"
-                    % (order, a, _format_rational(lhs), _format_rational(rhs)),
-                    file=sys.stderr,
-                )
-                return MISMATCH_ERROR
-        per_order = sum(1 for _ in multidegrees(graph, amax))
-        total_checked = per_order * len(orders)
-        query = {"command": "fock check", "graph": args.graph, "amax": amax}
-        results = [
-            {"labels": {"instances": total_checked}, "value": _format_rational(total_checked)}
-        ]
-        _emit(_report(query, results, edge_relabeling=relabeling), args.format)
-        return 0
-    except ValueError as exc:
-        raise CliError(VALIDATION_ERROR, str(exc)) from exc
+def cmd_elliptic(args: argparse.Namespace) -> int:
+    if args.g < 1:
+        raise CliError(VALIDATION_ERROR, f"--g must be >= 1, got {args.g}")
+    if args.d < 1:
+        raise CliError(VALIDATION_ERROR, f"--d must be >= 1, got {args.d}")
+    value = elliptic_hurwitz_disconnected(args.g, 2 * args.g - 2, args.d)
+    query = {"command": "fock elliptic", "g": args.g, "d": args.d}
+    labels = {"g": args.g, "d": args.d}
+    return _emit(args.format, query, [{"labels": labels, "value": _format_rational(value)}])
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    if args.amax < 0:
+        raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
+    graph, _, relabeling = _load_graph(args.graph)
+    amax = args.amax
+    # one operator walk serves every order; it checks the graph first,
+    # so a bad graph gets no vacuous "0"
+    tables = fock_tables(graph, amax)
+    orders = list(all_orders(graph.n))
+
+    def task(order):
+        """One order's operator table against its cover pass."""
+        return order, _first_mismatch(tables[order], cover_table(graph, order, amax))
+
+    tasks = [lambda order=order: task(order) for order in orders]
+    for order, mismatch in _run_tasks(tasks, args.threads):
+        if mismatch is not None:
+            a, lhs, rhs = mismatch
+            print(
+                "operator/cover mismatch: order=%s a=%s fock=%s covers=%s"
+                % (order, a, _format_rational(lhs), _format_rational(rhs)),
+                file=sys.stderr,
+            )
+            return MISMATCH_ERROR
+    total_checked = sum(1 for _ in multidegrees(graph, amax)) * len(orders)
+    query = {"command": "fock check", "graph": args.graph, "amax": amax}
+    results = [
+        {"labels": {"instances": total_checked}, "value": _format_rational(total_checked)}
+    ]
+    return _emit(args.format, query, results, relabeling)
 
 
 # -- fit -----------------------------------------------------------------
@@ -452,8 +416,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.q_order is not None and args.q_order < 0:
         raise CliError(VALIDATION_ERROR, f"--q-order must be >= 0, got {args.q_order}")
 
-    from .quasimodular import OVERDETERMINATION_MARGIN, basis
-
     q_order = args.q_order
     try:
         n_basis = len(basis(args.max_weight, 0))
@@ -468,6 +430,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"no polynomial of weight <= {args.max_weight} matches the series "
             f"through q^{q_order}",
         )
+    if args.format == "plain":
+        flag = "homogeneous" if result.is_homogeneous else "mixed"
+        profile = ",".join(str(w) for w in sorted(result.weight_profile))
+        sys.stdout.write(f"{result.format_polynomial()}\n")
+        sys.stdout.write(f"weights {{{profile}}} {flag}\n")
+        return 0
     query = {
         "command": "fit",
         "max_weight": args.max_weight,
@@ -478,20 +446,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         {"labels": {"monomial": name}, "value": _format_rational(value)}
         for name, value in result.terms()
     ]
-    extra = {
-        "weight_profile": sorted(result.weight_profile),
-        "homogeneous": result.is_homogeneous,
-        "polynomial": result.format_polynomial(),
-    }
-    report = _report(query, rows, extra_meta=extra)
-    if args.format == "plain":
-        flag = "homogeneous" if result.is_homogeneous else "mixed"
-        profile = ",".join(str(w) for w in sorted(result.weight_profile))
-        sys.stdout.write(f"{result.format_polynomial()}\n")
-        sys.stdout.write(f"weights {{{profile}}} {flag}\n")
-        return 0
-    _emit(report, args.format)
-    return 0
+    return _emit(
+        args.format,
+        query,
+        rows,
+        weight_profile=sorted(result.weight_profile),
+        homogeneous=result.is_homogeneous,
+        polynomial=result.format_polynomial(),
+    )
 
 
 # -- parser --------------------------------------------------------------
@@ -531,14 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_double.add_argument("--mu", required=True)
     p_double.add_argument("--nu", required=True)
     p_double.add_argument("--n", type=int, required=True)
+    p_double.set_defaults(func=cmd_double)
     p_elliptic = fock_sub.add_parser("elliptic", help="disconnected elliptic Hurwitz number")
     p_elliptic.add_argument("--g", type=int, required=True)
     p_elliptic.add_argument("--d", type=int, required=True)
+    p_elliptic.set_defaults(func=cmd_elliptic)
     p_check = fock_sub.add_parser("check", help="operator route vs cover route sweep")
     p_check.add_argument("--graph", required=True)
     p_check.add_argument("--amax", type=int, required=True)
-    for p in (p_double, p_elliptic, p_check):
-        p.set_defaults(func=cmd_fock)
+    p_check.set_defaults(func=cmd_check)
 
     p_fit = sub.add_parser("fit", help="match a q-series against Q[E2,E4,E6]")
     p_fit.add_argument("--from", dest="series", help="prior JSON output with d-labeled rows")
@@ -550,12 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.threads < 1:
             raise CliError(VALIDATION_ERROR, f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ValueError as exc:  # a library check failed on the query
+            raise CliError(VALIDATION_ERROR, str(exc)) from exc
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

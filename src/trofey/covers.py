@@ -86,9 +86,6 @@ class CoverTuple(NamedTuple):
     arrows: tuple[tuple[int, int], ...]
     kinds: tuple[str, ...]
 
-    def weight(self) -> int:
-        return prod(self.windings)
-
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write total as an ordered sum of ``parts`` integers >= 1."""

@@ -456,7 +456,7 @@ def graph_from_json_dict(
     Edges are re-sorted loops-first (stable) when needed; the third return
     value is then the 1-based original position of each edge slot, so
     callers can report how edge variables were renumbered.  ``genus`` is
-    optional.
+    optional.  A disconnected graph is rejected: no route counts its covers.
     """
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
@@ -492,4 +492,6 @@ def graph_from_json_dict(
         if len(raw_gf) != n:
             raise ValueError("'genus' must list one value per vertex")
         gf = tuple(raw_gf)
+    if not graph.is_connected():
+        raise ValueError("graph is not connected")
     return graph, gf, relabeling

@@ -14,7 +14,9 @@ The "vertex-dressed" variants multiply every winding-w term by
 S(w z_tail) S(w z_head), where S(z) = sinh(z/2)/(z/2); for a loop both
 S-factors sit at the loop vertex.  These carry the genus corrections.
 The integral DP of :mod:`trofey.integrals` builds the factors q-slice by
-q-slice from :func:`divisors` and :func:`trofey.series.s_coeff`.
+q-slice from :func:`divisors`, with the S-coefficients scaled to integers
+by factorials and the vertex's 1/S from :func:`trofey.series.invert` of
+:func:`trofey.series.s_series`.
 
 Eisenstein series E2, E4, E6 are provided for the quasimodular fitting
 layer; E2 = 1 - 24 sum sigma_1(d) q^d matches the propagator normalization

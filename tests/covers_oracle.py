@@ -18,6 +18,7 @@ state.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from typing import Iterator, Sequence
 
 from trofey.covers import (
@@ -163,7 +164,7 @@ def split_by_windings(
     for cover in enumerate_tuples(graph, order, a, l):
         key = tuple(cover.windings[idx] for idx in marked)
         if k is None:
-            value = cover.weight()
+            value = prod(cover.windings)
         else:
             value = _descendant_weight(graph.n, cover.windings, cover.arrows, k)
         out[key] = out.get(key, 0) + value

@@ -243,6 +243,25 @@ def test_graph_file_takes_only_json_integers(capsys, tmp_path, payload, message)
     assert err.splitlines() == [f"error: bad graph file: {message}"]
 
 
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        # an isolated vertex: the integral is 0 at every q-order, a vacuous table
+        ({"n": 3, "edges": [[1, 2]]}, ["integral", "--q-order", "2"]),
+        # two disjoint theta graphs: a sweep over a graph the routes do not count
+        (
+            {"n": 4, "edges": [[1, 2], [1, 2], [1, 2], [3, 4], [3, 4], [3, 4]]},
+            ["fock", "check", "--amax", "2"],
+        ),
+    ],
+)
+def test_disconnected_graph_file_is_parse_error(capsys, tmp_path, payload, argv):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, "--graph", str(path))
+    assert (code, out, err) == (2, "", "error: bad graph file: graph is not connected\n")
+
+
 def test_loop_resort_warns_and_records_permutation(graphs, capsys):
     code, out, err = run(
         capsys,
@@ -817,6 +836,36 @@ def test_threads_flag_below_one_is_validation_error(capsys, threads):
         assert err.splitlines() == [f"error: --threads must be >= 1, got {threads}"]
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("integral_series_q", ["integral", "--graph", "theta", "--q-order", "1"]),
+        ("invariant_series", ["invariant", "--k", "2,0,0", "--dmax", "1"]),
+        ("double_hurwitz", ["fock", "double", "--mu", "2", "--nu", "2", "--n", "0"]),
+        ("elliptic_hurwitz_disconnected", ["fock", "elliptic", "--g", "1", "--d", "1"]),
+        ("fock_tables", ["fock", "check", "--graph", "theta", "--amax", "1"]),
+    ],
+)
+def test_a_failed_library_check_exits_3_from_every_subcommand(
+    graphs, capsys, monkeypatch, name, argv
+):
+    # main is the one place that maps a library ValueError to exit 3
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, name, fail)
+    argv = [graphs[arg] if arg in graphs else arg for arg in argv]
+    assert run(capsys, *argv) == (3, "", "error: boom\n")
+
+
+def test_a_failed_fit_solve_still_exits_5(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "quasimodular_fit", fail)
+    assert run(capsys, "fit", "--coeffs", "1", "--max-weight", "0") == (5, "", "error: boom\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -895,6 +944,8 @@ def fuzz_files(tmp_path_factory):
         "n_text.json": '{"n": "3", "edges": [[1, 2], [2, 3], [1, 3]]}',
         "edge_bool.json": '{"n": 3, "edges": [[true, 2], [2, 3], [1, 3]]}',
         "genus_bool.json": '{"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "genus": [true, false, false]}',
+        "disconnected.json": '{"n": 3, "edges": [[1, 2]]}',
+        "two_thetas.json": '{"n": 4, "edges": [[1, 2], [1, 2], [1, 2], [3, 4], [3, 4], [3, 4]]}',
     }
     for name, text in payloads.items():
         (root / name).write_text(text)

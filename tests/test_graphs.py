@@ -252,6 +252,8 @@ def test_json_rejects_garbage():
         graph_from_json_dict({"n": 2, "edges": [[1, 3]]})
     with pytest.raises(ValueError):
         graph_from_json_dict({"n": 2, "edges": [[1, 2]], "genus": [0]})
+    with pytest.raises(ValueError, match="graph is not connected"):
+        graph_from_json_dict({"n": 3, "edges": [[1, 2]]})
 
 
 @pytest.mark.parametrize(
