@@ -32,9 +32,12 @@ from .fock import double_hurwitz, elliptic_hurwitz_disconnected, fock_tables
 from .graphs import (
     FeynmanGraph,
     all_orders,
+    edge_images,
     graph_from_json_dict,
     identity_order,
+    orbit_members,
     orientation_classes,
+    symmetries,
     validate_assignment,
     weighted_classes,
 )
@@ -103,7 +106,7 @@ def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[i
             data = json.load(handle)
     except OSError as exc:
         raise CliError(PARSE_ERROR, f"cannot read graph file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(PARSE_ERROR, f"graph file is not valid JSON: {exc}") from exc
     try:
         graph, gf, relabeling = graph_from_json_dict(data)
@@ -323,6 +326,20 @@ def cmd_elliptic(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """Compare every vertex order's operator table with its cover table, in
+    :func:`~trofey.graphs.all_orders` order, and stop at the first mismatch.
+
+    One operator walk gives every order's table.  The cover side runs one
+    pass per orbit of :func:`~trofey.graphs.orbit_members` under the graph's
+    symmetries and order reversal, at the orbit's first order, and carries
+    that table to each member along the symmetry's
+    :func:`~trofey.graphs.edge_images`.  The carried table is the member's
+    own ``cover_table``: a symmetry permutes a table's multidegrees, and
+    reversal keeps every key at zero leaks
+    (:func:`~trofey.graphs.weighted_classes`).
+    ``tests/test_acceptance.py::test_fock_check_carries_the_orbit_cover_tables``
+    pins this on every order of theta, K4, dbl_dbl and the prism.
+    """
     if args.amax < 0:
         raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
     graph, _, relabeling = _load_graph(args.graph)
@@ -331,10 +348,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     # so a bad graph gets no vacuous "0"
     tables = fock_tables(graph, amax)
     orders = list(all_orders(graph.n))
+    carried_from = {
+        order: (orbit[0][0], edge_images(graph, pi))
+        for orbit in orbit_members(graph, symmetries(graph, (0,) * graph.n))
+        for order, pi in orbit
+    }
+    covers: dict[tuple[int, ...], dict] = {}  # per orbit, at its first order
 
     def task(order):
-        """One order's operator table against its cover pass."""
-        return order, _first_mismatch(tables[order], cover_table(graph, order, amax))
+        """One order's operator table against its carried cover table."""
+        rep, images = carried_from[order]
+        if rep not in covers:  # the first order of its orbit: no earlier task ran it
+            covers[rep] = cover_table(graph, rep, amax)
+        carried = {}
+        for a, value in covers[rep].items():
+            b = [0] * len(a)
+            for k, j in enumerate(images):
+                b[j] = a[k]
+            carried[tuple(b)] = value
+        return order, _first_mismatch(tables[order], carried)
 
     tasks = [lambda order=order: task(order) for order in orders]
     for order, mismatch in _run_tasks(tasks, args.threads):
@@ -363,7 +395,7 @@ def _series_from_json(path: str) -> dict[int, Fraction]:
             data = json.load(handle)
     except OSError as exc:
         raise CliError(PARSE_ERROR, f"cannot read series file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(PARSE_ERROR, f"series file is not valid JSON: {exc}") from exc
     try:
         series: dict[int, Fraction] = {}

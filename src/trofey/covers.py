@@ -34,12 +34,14 @@ The per-multidegree functions (:func:`enumerate_tuples`,
 with the single degree a_k on edge k.  Callers that want many
 multidegrees (the invariant assemblies, ``invariant --compare`` and
 ``fock check``) read one pass per (graph, vertex order) over every
-multidegree as a table, :func:`cover_table`.  The assemblies and
-``--compare`` read it at one order per orbit of
-:func:`~trofey.graphs.weighted_classes`: a symmetry of the graph permutes
-a table's multidegrees, and reversing the order reverses every cover's
-arrows, which keeps each table at zero leaks (with leaks l it would
-need -l); so one orbit's orders give equal totals by degree.
+multidegree as a table, :func:`cover_table`, at one order per orbit of
+vertex orders under the graph's symmetries and order reversal: a
+symmetry of the graph permutes a table's multidegrees, and reversing
+the order reverses every cover's arrows, which keeps each table at zero
+leaks (with leaks l it would need -l).  The assemblies and ``--compare``
+read the orbits of :func:`~trofey.graphs.weighted_classes`, whose
+orders give equal totals by degree; ``fock check`` carries each orbit's
+table to every order of the orbit along the edge permutation.
 The route shares no code with :mod:`trofey.integrals`, which it checks.
 """
 

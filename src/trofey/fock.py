@@ -48,8 +48,10 @@ depth-first walk over the shared suffixes of a list of vertex orders
 serves them all; the weight caps of the a_k = 0 edges are shared by the
 walked orders and never exceed the flow bound sum(a) + n * x_bound.
 :func:`fock_tables` reads one walk over every order as one table per
-order, keyed by multidegree, which ``fock check`` compares with
-:func:`~trofey.covers.cover_table`.  :func:`fock_cover_count`,
+order, keyed by multidegree.  ``fock check`` compares each with that
+order's :func:`~trofey.covers.cover_table`, which it reads once per orbit
+of orders under the graph's symmetries and reversal and carries to the
+orbit's other orders along the edge permutation.  :func:`fock_cover_count`,
 :func:`labeled_series_product` and :func:`labeled_matrix_element` are
 one-order views with one degree (and one winding) per edge.
 """
@@ -476,8 +478,16 @@ def _pass_caps(
     orientation whose sources are the windows (at most x_bound each) and
     the marked edges' -w germs (sum(w) <= sum(a) <= total_cap), and an
     acyclic flow carries at most its total supply on any edge.
+
+    With every degree set ``range(total_cap + 1)`` and x_bound = 0 (the
+    walk of :func:`fock_tables`) each cap is the flow bound, with no loop
+    over ``orders``: a trivalent tail has another germ that may reach
+    total_cap.
     """
     flow_bound = total_cap + graph.n * x_bound
+    if x_bound == 0 and all(d == range(total_cap + 1) for d in degrees):
+        germs = _order_setup(graph, orders[0])[1]
+        return {k: flow_bound for k in range(1, graph.num_edges + 1)}, germs
     caps: dict[int, int] = {}
     germs: dict[int, tuple[int, ...]] = {}
     for order in orders:

@@ -204,19 +204,46 @@ def check_leaks(l: Sequence[int] | None, n: int) -> tuple[int, ...]:
     return leaks
 
 
-def orientation_classes(
+def orbit_members(
     graph: FeynmanGraph, symmetries: Sequence[VertexOrder] | None = None
-) -> list[tuple[VertexOrder, int]]:
+) -> list[list[tuple[VertexOrder, VertexOrder]]]:
     """The n! vertex orders grouped by the edge directions they induce, and
     with ``symmetries`` also under those symmetries and order reversal.
 
-    Returns (representative, orbit size) pairs; the representative is the
-    first order of its orbit in :func:`all_orders`.  An order is keyed by
-    the sorted (tail, head) pairs of :func:`orientation`: parallel edges
-    always point the same way, so the key fixes every edge's direction.
-    When an order opens an orbit, the keys of its images are marked: a
-    symmetry pi (:func:`symmetries`) sends (t, h) to (pi(t), pi(h)), and
-    reversal sends it to (h, t).
+    Each orbit lists its orders in :func:`all_orders` order, each with the
+    symmetry that carries the first order's edge directions to its own,
+    reversed or not (the identity where the directions are the same).  An
+    order is keyed by the sorted (tail, head) pairs of :func:`orientation`:
+    parallel edges always point the same way, so the key fixes every edge's
+    direction.  When an order opens an orbit, the keys of its images are
+    marked, each with the first symmetry that reaches it: a symmetry pi
+    (:func:`symmetries`) sends (t, h) to (pi(t), pi(h)), and reversal sends
+    it to (h, t).
+    """
+    identity = identity_order(graph.n)
+    orbit_of: dict[tuple, tuple[list, VertexOrder]] = {}
+    orbits: list[list] = []
+    for order in all_orders(graph.n):
+        key = tuple(sorted(orientation(graph, order)))
+        marked = orbit_of.get(key)
+        if marked is None:
+            orbit: list = []
+            orbits.append(orbit)
+            marked = orbit_of[key] = (orbit, identity)
+            for pi in symmetries or ():
+                image = sorted((pi[t - 1], pi[h - 1]) for t, h in key)
+                orbit_of.setdefault(tuple(image), (orbit, pi))
+                orbit_of.setdefault(tuple(sorted((h, t) for t, h in image)), (orbit, pi))
+        orbit, pi = marked
+        orbit.append((order, pi))
+    return orbits
+
+
+def orientation_classes(
+    graph: FeynmanGraph, symmetries: Sequence[VertexOrder] | None = None
+) -> list[tuple[VertexOrder, int]]:
+    """(representative, orbit size) per orbit of :func:`orbit_members`; the
+    representative is the first order of its orbit in :func:`all_orders`.
 
     Without symmetries the orbits are the orientation classes.  Integrals
     and covers see an order only through the edge directions, so one
@@ -225,20 +252,22 @@ def orientation_classes(
     this way.  The orbits under the symmetries and reversal keep only the
     zero-leak totals by degree (:func:`weighted_classes` says why).
     """
-    orbit_of: dict[tuple, list] = {}
-    orbits: list[list] = []
-    for order in all_orders(graph.n):
-        key = tuple(sorted(orientation(graph, order)))
-        orbit = orbit_of.get(key)
-        if orbit is None:
-            orbit = orbit_of[key] = [order, 0]
-            orbits.append(orbit)
-            for pi in symmetries or ():
-                image = sorted((pi[t - 1], pi[h - 1]) for t, h in key)
-                orbit_of[tuple(image)] = orbit
-                orbit_of[tuple(sorted((h, t) for t, h in image))] = orbit
-        orbit[1] += 1
-    return [(rep, size) for rep, size in orbits]
+    return [(orbit[0][0], len(orbit)) for orbit in orbit_members(graph, symmetries)]
+
+
+def edge_images(graph: FeynmanGraph, pi: VertexOrder) -> tuple[int, ...]:
+    """Where the vertex symmetry pi sends each edge slot (0-based): to a
+    slot between the images of its endpoints, parallel slots matched in
+    turn.  Entry k of a multidegree at an order moves to slot
+    ``edge_images[k]`` at pi's image of that order."""
+    free = list(range(graph.num_edges))
+    images = []
+    for u, v in graph.edges:
+        target = (min(pi[u - 1], pi[v - 1]), max(pi[u - 1], pi[v - 1]))
+        j = next(j for j in free if graph.edges[j] == target)
+        free.remove(j)
+        images.append(j)
+    return tuple(images)
 
 
 # -- automorphisms -----------------------------------------------------

@@ -53,6 +53,9 @@ MIDDLE = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
 THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
 DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
 K4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+PRISM = FeynmanGraph(
+    6, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6))
+)
 ID3 = identity_order(3)
 
 SWEEP_KS = [(1, 1), (2, 0, 0), (1, 1, 1, 1), (2, 2), (3, 1)]
@@ -336,6 +339,29 @@ def test_orbit_orders_carry_the_representative_tables():
                 assert cover_table(graph, order, 3, k) == _carried(covers, images)
                 assert integral_series_refined(graph, order, 3, gf=gf) == _carried(integral, images)
         assert set(sizes.values()) == {factorial(len(k))}, k
+
+
+def test_fock_check_carries_the_orbit_cover_tables():
+    # the form fock check reads: zero leaks, no k, and the bare cover table.
+    # Every order's table is its orbit's first table carried along the edge
+    # permutation of a symmetry; so one cover pass per orbit serves every
+    # order.  Symmetries and orbits come from the test-side search.
+    for graph, amax, passes in ((THETA, 4, 1), (K4, 4, 1), (DBL_DBL, 4, 4), (PRISM, 2, 12)):
+        gf = (0,) * graph.n
+        syms = search_symmetries(graph, gf)
+        orbits = order_orbits(graph, gf)
+        assert len(orbits) == passes, graph.edges
+        for rep, *members in orbits:
+            covers = cover_table(graph, rep, amax)
+            rep_arrows = arrows(graph, rep)
+            for order in members:
+                target = arrows(graph, order)
+                perm = next(
+                    p for p in syms
+                    if target in (moved(rep_arrows, p), moved(rep_arrows, p, reverse=True))
+                )
+                carried = _carried(covers, _edge_images(graph, perm))
+                assert cover_table(graph, order, amax) == carried, (graph.edges, order)
 
 
 def test_reversal_keeps_tables_only_without_leaks():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import trofey
 from trofey import cli, fock
 from trofey.cli import main
-from trofey.covers import cover_count, descendant_contribution
+from trofey.covers import cover_count, cover_table, descendant_contribution
 from trofey.graphs import FeynmanGraph, all_orders, orientation_classes
 from trofey.integrals import multidegrees, refined_coeff
 from trofey.quasimodular import fit as quasimodular_fit
@@ -203,6 +203,24 @@ def test_missing_graph_file_is_parse_error(capsys, tmp_path):
     )
     assert code == 2
     assert "cannot read graph file" in err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["integral", "--a", "1", "--graph"], "graph"),
+        (["fock", "check", "--amax", "1", "--graph"], "graph"),
+        (["fit", "--max-weight", "2", "--from"], "series"),
+    ],
+)
+def test_non_utf8_file_is_parse_error(capsys, tmp_path, argv, what):
+    # ff fe 7b does not decode as UTF-8, so the file holds no JSON text
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x7b")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {what} file is not valid JSON: ")
 
 
 def test_json_report_schema(graphs, capsys):
@@ -485,6 +503,55 @@ def test_fock_check_stops_at_the_first_mismatch(graphs, capsys, monkeypatch):
     assert err.startswith("operator/cover mismatch: order=(1, 2) a=(2, 0, 0) ")
     assert walks == [2]
     assert cover_orders == [(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "name, amax, out, passes",
+    [("k4", "4", "5040\n", 1), ("dbl_dbl", "4", "5040\n", 4), ("theta", "2", "20\n", 1)],
+)
+def test_fock_check_runs_one_cover_pass_per_orbit(
+    graphs, capsys, monkeypatch, name, amax, out, passes
+):
+    # the cover side runs once per orbit of vertex orders under the graph's
+    # symmetries and reversal: K4's 24 orders are one orbit, dbl_dbl's four
+    true_cover = cli.cover_table
+    cover_orders = []
+
+    def counted_cover(graph, order, *args):
+        cover_orders.append(order)
+        return true_cover(graph, order, *args)
+
+    monkeypatch.setattr(cli, "cover_table", counted_cover)
+    assert run(capsys, "fock", "check", "--graph", graphs[name], "--amax", amax) == (0, out, "")
+    assert len(cover_orders) == passes
+
+
+@pytest.mark.parametrize("order", [(4, 3, 2, 1), (3, 1, 4, 2)])
+def test_fock_check_compares_every_order_of_an_orbit(graphs, capsys, monkeypatch, order):
+    # one order of K4's one orbit has a wrong operator table; it is still
+    # compared, with its own cover values, though only the first order ran
+    # a cover pass
+    k4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+    a = min(cover_table(k4, order, 4))
+    value = cover_count(k4, order, a)
+    true_tables, true_cover = cli.fock_tables, cli.cover_table
+    cover_orders = []
+
+    def one_off(graph, amax):
+        tables = true_tables(graph, amax)
+        tables[order][a] += 1
+        return tables
+
+    def counted_cover(graph, at, *args):
+        cover_orders.append(at)
+        return true_cover(graph, at, *args)
+
+    monkeypatch.setattr(cli, "fock_tables", one_off)
+    monkeypatch.setattr(cli, "cover_table", counted_cover)
+    code, out, err = run(capsys, "fock", "check", "--graph", graphs["k4"], "--amax", "4")
+    assert (code, out) == (4, "")
+    assert err == f"operator/cover mismatch: order={order} a={a} fock={value + 1} covers={value}\n"
+    assert cover_orders == [(1, 2, 3, 4)]
 
 
 def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, monkeypatch):
@@ -923,6 +990,7 @@ def fuzz_files(tmp_path_factory):
         "list.json": "[1, 2]",
         "broken.json": '{"n": 3,',
         "empty.json": "",
+        "not_utf8.json": b"\xff\xfe\x7b",
         "series.json": json.dumps(
             {"results": [{"labels": {"d": d}, "value": v} for d, v in enumerate(["1", "-24", "-72"])]}
         ),
@@ -948,7 +1016,7 @@ def fuzz_files(tmp_path_factory):
         "two_thetas.json": '{"n": 4, "edges": [[1, 2], [1, 2], [1, 2], [3, 4], [3, 4], [3, 4]]}',
     }
     for name, text in payloads.items():
-        (root / name).write_text(text)
+        (root / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     return [str(root / name) for name in payloads] + [str(root / "missing.json")]
 
 

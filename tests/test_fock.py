@@ -703,6 +703,24 @@ def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
                         assert cap <= min(caps[k], bound), (graph.edges, order, a, k)
 
 
+@pytest.mark.parametrize(
+    "graph", [THETA, K4, DBL_DBL, PRISM], ids=["theta", "k4", "dbl_dbl", "prism"]
+)
+def test_full_box_pass_caps_skip_the_order_loop(graph):
+    # fock_tables' walk (every degree set 0..amax, x_bound = 0) takes the
+    # flow bound for every cap; the loop over every order's caps gives the
+    # same caps and germs
+    orders = list(all_orders(graph.n))
+    for amax in range(5):
+        degrees = [range(amax + 1)] * graph.num_edges
+        loop: dict[int, int] = {}
+        for order in orders:
+            tails, germs = fock._order_setup(graph, order)
+            for k, cap in fock._edge_caps(order, tails, germs, degrees, amax, 0).items():
+                loop[k] = min(max(loop.get(k, 0), cap), amax)
+        assert fock._pass_caps(graph, orders, degrees, amax, 0) == (loop, germs)
+
+
 def test_operator_guard_runs_once_per_call(monkeypatch):
     calls = []
     true_guard = fock._check_operator_graph
