@@ -74,7 +74,7 @@ from .graphs import (
     orientation,
 )
 from .propagators import divisors
-from .series import Coeff, invert, mul, normalize
+from .series import Coeff, normalize
 
 Partition = tuple[int, ...]
 State = dict  # partition -> coefficient
@@ -220,59 +220,6 @@ def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> int:
         raise ValueError("simple branch point count must equal 2g - 2")
     trace = sum(_evolve(mu, n).get(mu, 0) for mu in partitions(d))
     return factorial(n) * trace
-
-
-def partition_counts(q_order: int) -> list[int]:
-    """p(0), ..., p(q_order)."""
-    return [len(partitions(d)) for d in range(q_order + 1)]
-
-
-def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for blocks in _set_partitions(rest):
-        for i in range(len(blocks)):
-            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
-        yield [[first]] + blocks
-
-
-def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
-    """Connected count with n simple branch points in degree d.
-
-    Obtained from the disconnected series: dividing out the unbranched
-    contribution (the partition generating series) leaves the exponential
-    generating series of branch-point-carrying components, and the usual
-    set-partition Moebius step isolates the single-component term.
-    """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if n < 1 or n % 2 != 0:
-        raise ValueError("need a positive even number of branch points")
-
-    @lru_cache(maxsize=None)
-    def branched_over_p(m: int) -> tuple[Coeff, ...]:
-        g = (m + 2) // 2
-        disc = [0] + [elliptic_hurwitz_disconnected(g, m, e) for e in range(1, d + 1)]
-        return tuple(mul(disc, invert(partition_counts(d), d), d))
-
-    @lru_cache(maxsize=None)
-    def connected_series(m: int) -> tuple[Coeff, ...]:
-        total = list(branched_over_p(m))
-        for blocks in _set_partitions(tuple(range(m))):
-            if len(blocks) <= 1:
-                continue
-            if any(len(b) % 2 != 0 for b in blocks):
-                continue  # odd branch count cannot occur on a component
-            term: list[Coeff] = [1] + [0] * d
-            for b in blocks:
-                term = mul(term, connected_series(len(b)), d)
-            for e in range(d + 1):
-                total[e] = total[e] - term[e]
-        return tuple(normalize(c) for c in total)
-
-    return connected_series(n)[d]
 
 
 # -- labeled mode --------------------------------------------------------

@@ -100,6 +100,11 @@ class FeynmanGraph:
         return tuple(counts[1:])
 
     def is_connected(self) -> bool:
+        """Whether every vertex is reached from vertex 1.  A connected graph
+        has a spanning tree, so one with fewer than n - 1 non-loop edges is
+        turned down before anything of size n is built."""
+        if self.num_edges - self.num_loops < self.n - 1:
+            return False
         reached = {1}
         frontier = [1]
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
@@ -294,37 +299,6 @@ class GraphAssignment(NamedTuple):
     gf: GenusFunction
 
 
-def _nonloop_multiplicity_vectors(
-    degrees: Sequence[int],
-) -> Iterator[tuple[int, ...]]:
-    """Multiplicities for vertex pairs (lex order) realizing a degree sequence."""
-    n = len(degrees)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-    def rec(idx: int, remaining: list[int], acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if idx == len(pairs):
-            if all(r == 0 for r in remaining):
-                yield tuple(acc)
-            return
-        u, v = pairs[idx]
-        # degree still needed at u must be absorbable by later pairs at u
-        later_at_u = sum(1 for (a, b) in pairs[idx + 1 :] if a == u or b == u)
-        cap = min(remaining[u], remaining[v])
-        lo = remaining[u] if later_at_u == 0 else 0
-        if lo > cap:
-            return
-        for m in range(lo, cap + 1):
-            remaining[u] -= m
-            remaining[v] -= m
-            acc.append(m)
-            yield from rec(idx + 1, remaining, acc)
-            acc.pop()
-            remaining[u] += m
-            remaining[v] += m
-
-    yield from rec(0, list(degrees), [])
-
-
 def enumerate_labeled_graphs(k: Sequence[int]) -> list[GraphAssignment]:
     """All vertex-labeled (graph, genus function) classes for a descendant vector.
 
@@ -334,8 +308,14 @@ def enumerate_labeled_graphs(k: Sequence[int]) -> list[GraphAssignment]:
     vertex set.  Relabeling vertices can map one class to another;
     :func:`weighted_classes` quotients by that, this function does not.
 
-    Deterministic order: by genus function, then loop counts, then pair
-    multiplicities, each lexicographically.
+    For each genus function (lexicographically), one depth-first walk fills
+    the edge slots in turn: each vertex's loop count, then each vertex
+    pair's multiplicity, pairs lexicographically, every slot counting up
+    from its least value.  A slot takes at most the valency its vertices
+    have left, and a vertex's last slot, its pair with vertex n, takes
+    exactly what it has left.  So the classes come ordered by genus
+    function, then loop counts, then pair multiplicities, each
+    lexicographically, and each one's edges are sorted.
     """
     n = len(k)
     if n < 2:
@@ -343,30 +323,31 @@ def enumerate_labeled_graphs(k: Sequence[int]) -> list[GraphAssignment]:
     if any(kv < 0 for kv in k):
         raise ValueError("descendant exponents must be nonnegative")
     g = genus_from_descendants(k)
+    slots = [(v, v) for v in range(1, n + 1)] + list(itertools.combinations(range(1, n + 1), 2))
     out: list[GraphAssignment] = []
-    gf_ranges = []
-    for kv in k:
-        # valency k+2-2g must stay >= 1 on a connected graph with n > 1
-        max_g = (kv + 1) // 2
-        gf_ranges.append(range(0, max_g + 1))
-    for gf in itertools.product(*gf_ranges):
-        if sum(gf) > g:
-            continue
-        val = [k[i] + 2 - 2 * gf[i] for i in range(n)]
-        loop_ranges = [range(0, val[i] // 2 + 1) for i in range(n)]
-        for loops in itertools.product(*loop_ranges):
-            rest = [val[i] - 2 * loops[i] for i in range(n)]
-            for mults in _nonloop_multiplicity_vectors(rest):
-                edges: list[Edge] = []
-                for i in range(n):
-                    edges.extend([(i + 1, i + 1)] * loops[i])
-                pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-                for (u, v), m in zip(pairs, mults):
-                    edges.extend([(u + 1, v + 1)] * m)
-                graph = FeynmanGraph(n, tuple(edges))
-                if not graph.is_connected():
-                    continue
-                out.append(GraphAssignment(graph, tuple(gf)))
+
+    def fill(gf: GenusFunction, left: list[int], i: int, edges: tuple[Edge, ...]) -> None:
+        # left[v]: the valency vertex v has left (left[0] is unused)
+        if i == len(slots):
+            if not any(left):
+                graph = FeynmanGraph(n, edges)
+                if graph.is_connected():
+                    out.append(GraphAssignment(graph, gf))
+            return
+        u, v = slots[i]
+        top = left[u] // 2 if u == v else min(left[u], left[v])
+        last = u < v == n  # u's last slot takes all that u has left
+        for m in range(left[u] if last else 0, top + 1):
+            left[u] -= m
+            left[v] -= m
+            fill(gf, left, i + 1, edges + ((u, v),) * m)
+            left[u] += m
+            left[v] += m
+
+    # valency k+2-2g must stay >= 1 on a connected graph with n > 1
+    for gf in itertools.product(*(range((kv + 1) // 2 + 1) for kv in k)):
+        if sum(gf) <= g:
+            fill(gf, [0] + [kv + 2 - 2 * gv for kv, gv in zip(k, gf)], 0, ())
     return out
 
 
@@ -409,22 +390,6 @@ def symmetries(graph: FeynmanGraph, gf: Sequence[int]) -> list[VertexOrder]:
     return _relabelings(graph, gf, tuple(zip(graph.degrees(), gf)))[1]
 
 
-def _orbit_walk(
-    k: Sequence[int],
-) -> Iterator[tuple[GraphAssignment, int, list[VertexOrder]]]:
-    """(first labeled member, orbit size, its symmetries) per isomorphism
-    class, in the order of :func:`enumerate_labeled_graphs`; later members
-    are skipped.  One pass over the relabelings that keep k gives both the
-    orbit and the symmetries."""
-    seen: set[tuple] = set()
-    for assignment in enumerate_labeled_graphs(k):
-        graph, gf = assignment.graph, assignment.gf
-        if _relabeled_code(graph, gf, identity_order(graph.n)) not in seen:
-            orbit, syms = _relabelings(graph, gf, k)
-            seen |= orbit
-            yield assignment, len(orbit), syms
-
-
 def _check_assignment(graph: FeynmanGraph, gf: Sequence[int], k: Sequence[int]) -> None:
     reasons = validate_assignment(graph, gf, k)
     if reasons:
@@ -439,7 +404,11 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
     An invariant sums a per-order value / |Aut_vl| over all labeled
     (graph, gf) for k and all n! vertex orders.  Relabeling permutes the
     orders and keeps |Aut_vl|, so each isomorphism class is visited (and
-    validated) once, at its first labeled member.  Its orders are grouped
+    validated) once, at its first labeled member.  The walk reads
+    :func:`enumerate_labeled_graphs` in order and skips a member whose
+    code an earlier member's relabelings reached; the one pass over the
+    relabelings that keep k (:func:`_relabelings`) gives the class's
+    labeled copies and its symmetries.  Its orders are grouped
     into orbits under its symmetries and order reversal
     (:func:`orientation_classes`), and each orbit is visited at its first
     order, with weight orbit size * labeled copies / |Aut_vl|.  The bare
@@ -461,12 +430,16 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
     coefficient is 2/3 at order (1,3,2) and 0 at its reverse): only the
     zero-leak sums may use these orbits.
     """
-    for assignment, copies, syms in _orbit_walk(k):
-        graph, gf = assignment.graph, assignment.gf
+    seen: set[tuple] = set()
+    for graph, gf in enumerate_labeled_graphs(k):
+        if _relabeled_code(graph, gf, identity_order(graph.n)) in seen:
+            continue
+        codes, syms = _relabelings(graph, gf, k)
+        seen |= codes
         _check_assignment(graph, gf, k)
         aut = automorphism_count(graph)
         for order, size in orientation_classes(graph, syms):
-            yield graph, gf, order, Fraction(size * copies, aut)
+            yield graph, gf, order, Fraction(size * len(codes), aut)
 
 
 # -- JSON interchange --------------------------------------------------

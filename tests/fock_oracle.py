@@ -1,6 +1,6 @@
 """Test-only oracles for the operator route: the labeled operator pass on
-whole basis keys, the per-winding labeled product, and cut-and-join applied
-without cached rows.
+whole basis keys, the per-winding labeled product, cut-and-join applied
+without cached rows, and the connected elliptic Hurwitz count.
 
 :func:`operator_pass_reference` is the body ``trofey.fock._operator_pass``
 had before its states became per-edge records.  A state there is
@@ -27,16 +27,34 @@ values check the pass's records, opening and closing.
 :func:`cut_join_reference` is the body ``trofey.fock.cut_join`` had before
 it read cached per-partition rows: it applies M to every key of a state on
 the spot.
+
+:func:`elliptic_hurwitz_connected` is the connected count of covers of the
+elliptic curve with n simple branch points, read off the disconnected one
+(``trofey.fock.elliptic_hurwitz_disconnected``): dividing out the
+partition series (:func:`partition_counts`) leaves the exponential series
+of branched components, and the set-partition Moebius step
+(:func:`_set_partitions`) keeps the one-component term.  No command
+reads it; it checks the operator side against
+``trofey.covers.invariant((1, 1), d)``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Iterator, Mapping, Sequence
 
-from trofey.fock import State, _check_operator_graph, _pass_caps, winding_choices
+from trofey.fock import (
+    State,
+    _check_operator_graph,
+    _pass_caps,
+    elliptic_hurwitz_disconnected,
+    partitions,
+    winding_choices,
+)
 from trofey.graphs import FeynmanGraph, Multidegree, VertexOrder
 from trofey.propagators import divisors
+from trofey.series import Coeff, invert, mul, normalize
 
 Plan = tuple[str, int, int]  # (kind, edge index, parameter)
 Triple = tuple[int, int, int]  # (edge index, germ label, weight)
@@ -473,3 +491,56 @@ def cut_join_reference(state: State) -> State:
         for k, c in doubled.items()
         if c != 0
     }
+
+
+def partition_counts(q_order: int) -> list[int]:
+    """p(0), ..., p(q_order)."""
+    return [len(partitions(d)) for d in range(q_order + 1)]
+
+
+def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
+        yield [[first]] + blocks
+
+
+def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
+    """Connected count with n simple branch points in degree d.
+
+    Obtained from the disconnected series: dividing out the unbranched
+    contribution (the partition generating series) leaves the exponential
+    generating series of branch-point-carrying components, and the usual
+    set-partition Moebius step isolates the single-component term.
+    """
+    if d < 1:
+        raise ValueError("degree must be positive")
+    if n < 1 or n % 2 != 0:
+        raise ValueError("need a positive even number of branch points")
+
+    @lru_cache(maxsize=None)
+    def branched_over_p(m: int) -> tuple[Coeff, ...]:
+        g = (m + 2) // 2
+        disc = [0] + [elliptic_hurwitz_disconnected(g, m, e) for e in range(1, d + 1)]
+        return tuple(mul(disc, invert(partition_counts(d), d), d))
+
+    @lru_cache(maxsize=None)
+    def connected_series(m: int) -> tuple[Coeff, ...]:
+        total = list(branched_over_p(m))
+        for blocks in _set_partitions(tuple(range(m))):
+            if len(blocks) <= 1:
+                continue
+            if any(len(b) % 2 != 0 for b in blocks):
+                continue  # odd branch count cannot occur on a component
+            term: list[Coeff] = [1] + [0] * d
+            for b in blocks:
+                term = mul(term, connected_series(len(b)), d)
+            for e in range(d + 1):
+                total[e] = total[e] - term[e]
+        return tuple(normalize(c) for c in total)
+
+    return connected_series(n)[d]

@@ -271,6 +271,10 @@ def test_graph_file_takes_only_json_integers(capsys, tmp_path, payload, message)
             {"n": 4, "edges": [[1, 2], [1, 2], [1, 2], [3, 4], [3, 4], [3, 4]]},
             ["fock", "check", "--amax", "2"],
         ),
+        # 10**12 vertices and one edge: no spanning tree, turned down
+        # before anything of size n is built
+        ({"n": 10**12, "edges": [[1, 2]]}, ["integral", "--a", "0"]),
+        ({"n": 10**12, "edges": [[1, 2]]}, ["fock", "check", "--amax", "1"]),
     ],
 )
 def test_disconnected_graph_file_is_parse_error(capsys, tmp_path, payload, argv):
@@ -1014,6 +1018,7 @@ def fuzz_files(tmp_path_factory):
         "genus_bool.json": '{"n": 3, "edges": [[1, 2], [2, 3], [1, 3]], "genus": [true, false, false]}',
         "disconnected.json": '{"n": 3, "edges": [[1, 2]]}',
         "two_thetas.json": '{"n": 4, "edges": [[1, 2], [1, 2], [1, 2], [3, 4], [3, 4], [3, 4]]}',
+        "huge_n.json": '{"n": 1000000000000, "edges": [[1, 2]]}',
     }
     for name, text in payloads.items():
         (root / name).write_bytes(text if isinstance(text, bytes) else text.encode())

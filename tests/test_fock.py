@@ -20,9 +20,11 @@ from fock_oracle import (
     _operator_setup,
     _vertex_operator,
     cut_join_reference,
+    elliptic_hurwitz_connected,
     fock_cover_count_reference,
     labeled_boundary_states,
     operator_pass_reference,
+    partition_counts,
     series_product_reference,
 )
 
@@ -31,13 +33,11 @@ from trofey.covers import cover_count, cover_table, invariant
 from trofey.fock import (
     cut_join,
     double_hurwitz,
-    elliptic_hurwitz_connected,
     elliptic_hurwitz_disconnected,
     fock_cover_count,
     labeled_matrix_element,
     labeled_series_product,
     labeled_series_product_check,
-    partition_counts,
     partitions,
     winding_choices,
 )

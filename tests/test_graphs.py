@@ -184,6 +184,47 @@ def test_rejects_one_point_inputs():
         enumerate_labeled_graphs((4,))
 
 
+def _brute_force_labeled(k):
+    """(edges, gf) of every connected labeled graph for k, by trying every
+    genus function, loop count and pair multiplicity in range and keeping
+    those whose degrees are k_v + 2 - 2 g_v; sorted by (gf, loops,
+    multiplicities)."""
+    n, g = len(k), (sum(k) + 2) // 2
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    found = []
+    for gf in itertools.product(*(range((kv + 1) // 2 + 1) for kv in k)):
+        if sum(gf) > g:
+            continue
+        valency = [kv + 2 - 2 * gv for kv, gv in zip(k, gf)]
+        loop_ranges = [range(val // 2 + 1) for val in valency]
+        pair_ranges = [range(min(valency[u - 1], valency[v - 1]) + 1) for u, v in pairs]
+        for loops in itertools.product(*loop_ranges):
+            for mults in itertools.product(*pair_ranges):
+                degree = [2 * count for count in loops]
+                for (u, v), m in zip(pairs, mults):
+                    degree[u - 1] += m
+                    degree[v - 1] += m
+                if degree != valency:
+                    continue
+                # each sweep adds the neighbours of what is reached: n - 1
+                # sweeps reach every vertex of a connected graph
+                links = [{u, v} for (u, v), m in zip(pairs, mults) if m]
+                reached = {1}
+                for _ in range(n - 1):
+                    reached = reached.union(*(link for link in links if link & reached))
+                if len(reached) == n:
+                    edges = [(v, v) for v, count in enumerate(loops, 1) for _ in range(count)]
+                    edges += [pair for pair, m in zip(pairs, mults) for _ in range(m)]
+                    found.append(((gf, loops, mults), (tuple(edges), gf)))
+    return [entry for _, entry in sorted(found)]
+
+
+@pytest.mark.parametrize("k", SWEEP_KS + [(2, 1, 1)])
+def test_enumeration_order_matches_brute_force(k):
+    # the slot walk emits exactly the brute-force list, in its order
+    assert [(a.graph.edges, a.gf) for a in enumerate_labeled_graphs(k)] == _brute_force_labeled(k)
+
+
 def test_enumeration_is_deterministic():
     first = [(a.graph.edges, a.gf) for a in enumerate_labeled_graphs((1, 1, 1, 1))]
     second = [(a.graph.edges, a.gf) for a in enumerate_labeled_graphs((1, 1, 1, 1))]
@@ -254,6 +295,15 @@ def test_json_rejects_garbage():
         graph_from_json_dict({"n": 2, "edges": [[1, 2]], "genus": [0]})
     with pytest.raises(ValueError, match="graph is not connected"):
         graph_from_json_dict({"n": 3, "edges": [[1, 2]]})
+    with pytest.raises(ValueError, match="graph is not connected"):
+        graph_from_json_dict({"n": 10**12, "edges": [[1, 2]]})
+
+
+def test_too_few_edges_are_disconnected_without_size_n_work():
+    # a connected graph has a spanning tree, n - 1 non-loop edges at least;
+    # at n = 10**12 anything of size n would run out of memory
+    assert FeynmanGraph(10**12, [(1, 2)]).is_connected() is False
+    assert FeynmanGraph(10**12, [(1, 1), (2, 2), (1, 2)]).is_connected() is False
 
 
 @pytest.mark.parametrize(
