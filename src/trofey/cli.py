@@ -112,12 +112,6 @@ def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[i
         graph, gf, relabeling = graph_from_json_dict(data)
     except ValueError as exc:
         raise CliError(PARSE_ERROR, f"bad graph file: {exc}") from exc
-    if relabeling is not None:
-        print(
-            "warning: loop edges moved to the front; per-edge data (--a) "
-            f"follows the new order, original positions {relabeling}",
-            file=sys.stderr,
-        )
     return graph, gf, relabeling
 
 
@@ -189,6 +183,12 @@ def _emit(
 
 def cmd_integral(args: argparse.Namespace) -> int:
     graph, file_gf, relabeling = _load_graph(args.graph)
+    if relabeling is not None:  # only integral reads per-edge data
+        print(
+            "warning: loop edges moved to the front; per-edge data (--a) "
+            f"follows the new order, original positions {relabeling}",
+            file=sys.stderr,
+        )
     gf = _parse_int_vector(args.gf, "--gf") if args.gf else file_gf
     order = _parse_order(args.order, graph.n)
     if args.k:
@@ -201,6 +201,8 @@ def cmd_integral(args: argparse.Namespace) -> int:
         raise CliError(PARSE_ERROR, "need --a or --q-order")
     if args.a is not None and args.q_order is not None:
         raise CliError(PARSE_ERROR, "use one of --a or --q-order")
+    if leaks is not None and args.a is None:
+        raise CliError(PARSE_ERROR, "leaks only combine with --a")
 
     query = {
         "command": "integral",
@@ -219,8 +221,6 @@ def cmd_integral(args: argparse.Namespace) -> int:
         total = sum(count * refined_coeff(graph, o, a, l=leaks, gf=gf) for o, count in orders)
         results = [{"labels": {"order": args.order, "a": args.a}, "value": _format_rational(total)}]
     else:
-        if leaks is not None:
-            raise CliError(VALIDATION_ERROR, "leaks only combine with --a")
         if order is None:
             series = integral_series_all_orders(graph, gf, args.q_order)
         else:
@@ -342,7 +342,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     """
     if args.amax < 0:
         raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
-    graph, _, relabeling = _load_graph(args.graph)
+    graph = _load_graph(args.graph)[0]
     amax = args.amax
     # one operator walk serves every order; it checks the graph first,
     # so a bad graph gets no vacuous "0"
@@ -383,7 +383,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     results = [
         {"labels": {"instances": total_checked}, "value": _format_rational(total_checked)}
     ]
-    return _emit(args.format, query, results, relabeling)
+    return _emit(args.format, query, results)
 
 
 # -- fit -----------------------------------------------------------------

@@ -45,8 +45,10 @@ so a step's moves depend only on the records it closes and the budget
 left, and are found once for all states that share them.  What a vertex
 does depends only on which of its neighbours have already acted, so one
 depth-first walk over the shared suffixes of a list of vertex orders
-serves them all; the weight caps of the a_k = 0 edges are shared by the
-walked orders and never exceed the flow bound sum(a) + n * x_bound.
+serves them all.  The weight caps of the a_k = 0 edges follow the walk's
+two shapes (:func:`_pass_caps`): one order at one multidegree keeps that
+multidegree's own caps (:func:`_edge_caps`), which are often far lower,
+and any other walk caps every edge at the flow bound sum(a) + n * x_bound.
 :func:`fock_tables` reads one walk over every order as one table per
 order, keyed by multidegree.  ``fock check`` compares each with that
 order's :func:`~trofey.covers.cover_table`, which it reads once per orbit
@@ -257,49 +259,28 @@ def _check_query(
     return order, a
 
 
-def _order_setup(
-    graph: FeynmanGraph, order: VertexOrder
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """What a vertex order fixes: the tail (order-earlier endpoint) of every
-    edge, and every vertex's incident edges (its germs) in index order."""
-    tails = tuple(tail for tail, _ in orientation(graph, order))
-    germs = {v: tuple(idx for idx, edge in enumerate(graph.edges) if v in edge) for v in order}
-    return tails, germs
-
-
 def _edge_caps(
-    order: VertexOrder,
-    tails: Sequence[int],
-    germs: Mapping[int, Sequence[int]],
-    degrees: Sequence[Sequence[int]],
-    total_cap: int,
-    x_bound: int,
+    graph: FeynmanGraph, order: VertexOrder, a: Sequence[int], x_bound: int
 ) -> dict[int, int]:
-    """Largest weight an edge of degree 0 can carry and still contribute a
-    monomial inside the |exponent| <= x_bound window, for every edge whose
-    degree set holds 0.
+    """The create caps of one multidegree at one order: the largest weight
+    each a_k = 0 edge can carry and still contribute a monomial inside the
+    |exponent| <= x_bound window, at most the flow bound sum(a) + n * x_bound
+    (:func:`_pass_caps`).
 
     At the tail of such an edge the positive exponent +w must be offset,
-    within the window, by the other germs there: an edge of degree a_e > 0
-    contributes at most a_e, so at most its largest degree within the
-    total cap, and an incoming edge of degree 0 at most its own (already
-    computed) cap; processing tails in vertex order closes the caps.  With
-    one degree per edge these are the caps of that multidegree.
+    within the window, by the other germs there: a marked edge contributes
+    at most a_e and an incoming a_k = 0 edge at most its own (already
+    computed) cap, so processing tails in vertex order closes the caps.
     """
+    tails = [tail for tail, _ in orientation(graph, order)]
     caps: dict[int, int] = {}
-    for tail_v in order:
-        for idx in germs[tail_v]:
-            if 0 not in degrees[idx] or tails[idx] != tail_v:
-                continue
-            cap = x_bound
-            for other in germs[tail_v]:
-                if other == idx:
-                    continue
-                top = min(max(degrees[other]), total_cap)
-                if 0 in degrees[other] and tails[other] != tail_v:  # incoming: -w here
-                    top = max(top, caps[other + 1])
-                cap += top
-            caps[idx + 1] = cap
+    for v in order:
+        germs = [idx for idx, edge in enumerate(graph.edges) if v in edge]
+        for idx in germs:
+            if a[idx] == 0 and tails[idx] == v:
+                incoming = [caps[i + 1] for i in germs if a[i] == 0 and tails[i] != v]
+                cap = x_bound + sum(a[i] for i in germs) + sum(incoming)
+                caps[idx + 1] = min(cap, sum(a) + graph.n * x_bound)
     return caps
 
 
@@ -413,35 +394,26 @@ def _pass_caps(
     degrees: Sequence[Sequence[int]],
     total_cap: int,
     x_bound: int,
-) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
-    """The create cap of every edge whose degree set holds 0, shared by all
-    ``orders``, and every vertex's germs.
+) -> dict[int, int]:
+    """The create cap of every a_k = 0 edge, shared by all ``orders``.
 
     An edge is created at its head before the walk knows its tail's place
-    in the order, so its cap cannot depend on the order: it is the largest
-    :func:`_edge_caps` value over ``orders``, but at most the flow bound
-    B = total_cap + n * x_bound.  Both bound the weight of any term inside
-    the window: the a_k = 0 weights form a flow along the order's acyclic
-    orientation whose sources are the windows (at most x_bound each) and
-    the marked edges' -w germs (sum(w) <= sum(a) <= total_cap), and an
-    acyclic flow carries at most its total supply on any edge.
+    in the order, so its cap cannot depend on the order.  Every cap is the
+    flow bound B = total_cap + n * x_bound, valid for any orders and any
+    window: the a_k = 0 weights of a term inside the window form a flow
+    along the order's acyclic orientation whose sources are the windows
+    (at most x_bound each) and the marked edges' -w germs
+    (sum(w) <= sum(a) <= total_cap), and an acyclic flow carries at most
+    its total supply on any edge.
 
-    With every degree set ``range(total_cap + 1)`` and x_bound = 0 (the
-    walk of :func:`fock_tables`) each cap is the flow bound, with no loop
-    over ``orders``: a trivalent tail has another germ that may reach
-    total_cap.
+    One order with one degree per edge (the one-multidegree views) keeps
+    that multidegree's own caps (:func:`_edge_caps`): in a wide window
+    they sit well below B, and its walk is more than twice as slow with B.
     """
+    if len(orders) == 1 and all(len(d) == 1 for d in degrees):
+        return _edge_caps(graph, orders[0], [d[0] for d in degrees], x_bound)
     flow_bound = total_cap + graph.n * x_bound
-    if x_bound == 0 and all(d == range(total_cap + 1) for d in degrees):
-        germs = _order_setup(graph, orders[0])[1]
-        return {k: flow_bound for k in range(1, graph.num_edges + 1)}, germs
-    caps: dict[int, int] = {}
-    germs: dict[int, tuple[int, ...]] = {}
-    for order in orders:
-        tails, germs = _order_setup(graph, order)
-        for k, cap in _edge_caps(order, tails, germs, degrees, total_cap, x_bound).items():
-            caps[k] = min(max(caps.get(k, 0), cap), flow_bound)
-    return caps, germs
+    return {k: flow_bound for k in range(1, graph.num_edges + 1)}
 
 
 def _operator_pass(
@@ -482,7 +454,8 @@ def _operator_pass(
     has checked the graph (:func:`_check_operator_graph`).
     """
     n, r = graph.n, graph.num_edges
-    caps, germs = _pass_caps(graph, orders, degrees, total_cap, x_bound)
+    caps = _pass_caps(graph, orders, degrees, total_cap, x_bound)
+    germs = {v: [i for i, edge in enumerate(graph.edges) if v in edge] for v in range(1, n + 1)}
     heads: dict[tuple[int, int], list[Move]] = {}
     joint: dict[tuple[tuple[int, ...], int, int], list[Opened]] = {}
 
@@ -667,8 +640,8 @@ def labeled_series_product_check(
     weighted cover count.
     """
     order, a = _check_query(graph, order, a, x_bound)
-    tails, germs = _order_setup(graph, order)
-    caps = _edge_caps(order, tails, germs, [(x,) for x in a], sum(a), x_bound)
+    tails = [tail for tail, _ in orientation(graph, order)]
+    caps = _pass_caps(graph, [order], [(x,) for x in a], sum(a), x_bound)
     zero = (0,) * graph.n
     total_zero = 0
     for windings in winding_choices(a):

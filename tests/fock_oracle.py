@@ -284,7 +284,8 @@ def operator_pass_reference(
     the pass does.  The caller has checked the graph.
     """
     n, r = graph.n, graph.num_edges
-    caps, germs = _pass_caps(graph, orders, degrees, total_cap, x_bound)
+    caps = _pass_caps(graph, orders, degrees, total_cap, x_bound)
+    germs = {v: [i for i, edge in enumerate(graph.edges) if v in edge] for v in range(1, n + 1)}
 
     def act(groups: dict, vertex: int, acted: frozenset[int]) -> dict:
         tailed = {idx for idx in germs[vertex] if sum(graph.edges[idx]) - vertex in acted}

@@ -111,6 +111,15 @@ def test_integral_rejects_both_a_and_q_order(graphs, capsys):
     assert (code, out, err) == (2, "", "error: use one of --a or --q-order\n")
 
 
+def test_integral_rejects_leaks_with_q_order(graphs, capsys):
+    # a leak vector refines one multidegree: a q-series query has none
+    code, out, err = run(
+        capsys,
+        "integral", "--graph", graphs["triangle"], "--q-order", "2", "--l", "1,-1,0",
+    )
+    assert (code, out, err) == (2, "", "error: leaks only combine with --a\n")
+
+
 def test_integral_bad_vector_is_parse_error(graphs, capsys):
     code, _, _ = run(
         capsys,
@@ -672,13 +681,16 @@ def test_fock_check_rejects_bad_graph(graphs, capsys):
 @pytest.mark.parametrize("amax", ["0", "1"])
 def test_fock_check_rejects_loops_before_any_order(capsys, tmp_path, amax):
     # the dumbbell's two loops need a_k >= 1 each, so at amax 0 or 1 no
-    # multidegree fits; "0 instances" would be a vacuous pass
+    # multidegree fits; "0 instances" would be a vacuous pass.  Listed
+    # after its bridge, the loops are moved to the front with no warning:
+    # fock check reads no per-edge data
     path = tmp_path / "dumbbell.json"
-    path.write_text(json.dumps({"n": 2, "edges": [[1, 1], [2, 2], [1, 2]]}))
-    code, out, err = run(capsys, "fock", "check", "--graph", str(path), "--amax", amax)
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == ["error: labeled matrix elements need a loop-free graph"]
+    for edges in ([[1, 1], [2, 2], [1, 2]], [[1, 2], [1, 1], [2, 2]]):
+        path.write_text(json.dumps({"n": 2, "edges": edges}))
+        code, out, err = run(capsys, "fock", "check", "--graph", str(path), "--amax", amax)
+        assert (code, out, err) == (
+            3, "", "error: labeled matrix elements need a loop-free graph\n"
+        ), edges
 
 
 def test_fit_constant(capsys):

@@ -41,7 +41,7 @@ from trofey.fock import (
     partitions,
     winding_choices,
 )
-from trofey.graphs import FeynmanGraph, all_orders, identity_order
+from trofey.graphs import FeynmanGraph, all_orders, identity_order, orientation
 from trofey.integrals import multidegrees
 
 THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
@@ -638,29 +638,32 @@ def test_series_product_equals_per_winding_oracle():
 
 
 def test_edge_caps_of_one_multidegree_are_its_direct_caps():
-    # the edge-factor side of labeled_series_product_check reads these caps
+    # the caps of one multidegree at one order, which both sides of
+    # labeled_series_product_check read, clamped to the flow bound
     for graph in (THETA, K4, DBL_DBL):
         for order in all_orders(graph.n):
-            tails, germs = fock._order_setup(graph, order)
+            tails = [tail for tail, _ in orientation(graph, order)]
             for a in multidegrees(graph, 3):
                 for x_bound in (0, 1, 2):
-                    got = fock._edge_caps(order, tails, germs, [(x,) for x in a], sum(a), x_bound)
-                    assert got == _direct_edge_caps(graph, order, a, tails, x_bound), (
-                        graph.edges, order, a, x_bound
-                    )
+                    bound = sum(a) + graph.n * x_bound
+                    direct = _direct_edge_caps(graph, order, a, tails, x_bound)
+                    assert fock._edge_caps(graph, order, a, x_bound) == {
+                        k: min(cap, bound) for k, cap in direct.items()
+                    }, (graph.edges, order, a, x_bound)
 
 
 def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
-    # the caps are shared by the orders of a walk; the oracle tests against
-    # _direct_edge_caps and the any-window test show they are sufficient
+    # one order at one multidegree takes min(its direct caps, the flow
+    # bound); any other walk takes the flow bound on every edge, and no
+    # created or annihilated a_k = 0 weight exceeds its cap
     given, seen = [], []
     true_caps, true_step = fock._pass_caps, fock._vertex_step
 
     def recording_caps(*args):
         # the create caps the pass hands to its steps
-        caps, germs = true_caps(*args)
+        caps = true_caps(*args)
         given.append(caps)
-        return caps, germs
+        return caps
 
     def recording_step(groups, vertex, opens, closes, opening, total_cap):
         # the weight of every a_k = 0 edge a head germ creates or a tail
@@ -678,47 +681,58 @@ def test_pass_caps_are_at_most_the_order_caps_and_the_flow_bound(monkeypatch):
     monkeypatch.setattr(fock, "_pass_caps", recording_caps)
     monkeypatch.setattr(fock, "_vertex_step", recording_step)
     for graph in (THETA, K4, DBL_DBL):
-        for order in all_orders(graph.n):
-            tails, germs = fock._order_setup(graph, order)
-            for x_bound in (0, 1, 2):
-                # every multidegree with sum(a) <= 2 in one pass of this order
-                degrees = [range(3)] * graph.num_edges
-                caps = fock._edge_caps(order, tails, germs, degrees, 2, x_bound)
+        edges = range(1, graph.num_edges + 1)
+        orders = list(all_orders(graph.n))
+        for x_bound in (0, 1, 2):
+            flow = {k: 2 + graph.n * x_bound for k in edges}
+            # every multidegree with sum(a) <= 2, in one walk over every
+            # order and in one pass of each order
+            degrees = [range(3)] * graph.num_edges
+            for walked in (orders, *([order] for order in orders)):
                 given.clear()
                 seen.clear()
-                fock._operator_pass(graph, [order], degrees, 2, None, x_bound)
-                (used,) = given
-                assert used.keys() == caps.keys()
+                fock._operator_pass(graph, walked, degrees, 2, None, x_bound)
+                assert given == [flow]
                 assert seen
-                for k, cap in [*used.items(), *seen]:
-                    assert cap <= min(caps[k], 2 + graph.n * x_bound), (graph.edges, order, k)
-                # and the caps of one multidegree at a time, sum(a) <= 3
+                assert all(w <= flow[k] for k, w in seen), (graph.edges, walked, x_bound)
+            # and the caps of one multidegree at a time, sum(a) <= 3, and
+            # the weights its pass creates, sum(a) <= 2
+            for order in orders:
+                tails = [tail for tail, _ in orientation(graph, order)]
                 for a in multidegrees(graph, 3):
-                    one = [(x,) for x in a]
-                    caps = fock._edge_caps(order, tails, germs, one, sum(a), x_bound)
-                    used, _ = true_caps(graph, [order], one, sum(a), x_bound)
-                    assert used.keys() == caps.keys()
                     bound = sum(a) + graph.n * x_bound
-                    for k, cap in used.items():
-                        assert cap <= min(caps[k], bound), (graph.edges, order, a, k)
+                    direct = _direct_edge_caps(graph, order, a, tails, x_bound)
+                    one = [(x,) for x in a]
+                    used = true_caps(graph, [order], one, sum(a), x_bound)
+                    assert used == {k: min(cap, bound) for k, cap in direct.items()}, (
+                        graph.edges, order, a, x_bound
+                    )
+                    if sum(a) <= 2:
+                        given.clear()
+                        seen.clear()
+                        fock._operator_pass(graph, [order], one, sum(a), None, x_bound)
+                        assert given == [used]
+                        assert all(w <= used[k] for k, w in seen), (graph.edges, order, a)
 
 
 @pytest.mark.parametrize(
     "graph", [THETA, K4, DBL_DBL, PRISM], ids=["theta", "k4", "dbl_dbl", "prism"]
 )
 def test_full_box_pass_caps_skip_the_order_loop(graph):
-    # fock_tables' walk (every degree set 0..amax, x_bound = 0) takes the
-    # flow bound for every cap; the loop over every order's caps gives the
-    # same caps and germs
+    # fock_tables' walk (every order, every degree set 0..amax, x_bound = 0)
+    # caps every edge at the flow bound amax
     orders = list(all_orders(graph.n))
     for amax in range(5):
         degrees = [range(amax + 1)] * graph.num_edges
-        loop: dict[int, int] = {}
-        for order in orders:
-            tails, germs = fock._order_setup(graph, order)
-            for k, cap in fock._edge_caps(order, tails, germs, degrees, amax, 0).items():
-                loop[k] = min(max(loop.get(k, 0), cap), amax)
-        assert fock._pass_caps(graph, orders, degrees, amax, 0) == (loop, germs)
+        caps = fock._pass_caps(graph, orders, degrees, amax, 0)
+        assert caps == {k: amax for k in range(1, graph.num_edges + 1)}
+
+
+def test_product_check_caps_are_the_per_order_caps():
+    # the benchmark's product query: dbl_dbl at a = 0 in window 6 keeps its
+    # order's own caps, well below the flow bound 24
+    caps = fock._pass_caps(DBL_DBL, [(1, 2, 3, 4)], [(0,)] * 6, 0, 6)
+    assert caps == {1: 6, 2: 6, 3: 6, 4: 18, 5: 12, 6: 12}
 
 
 def test_operator_guard_runs_once_per_call(monkeypatch):
