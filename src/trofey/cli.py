@@ -100,14 +100,20 @@ def _parse_order(text: str, n: int) -> tuple[int, ...] | None:
     return order
 
 
-def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[int] | None]:
+def _read_json(path: str, what: str) -> Any:
+    """The JSON value in the UTF-8 file at ``path``; ``what`` names the file
+    in the parse error an unreadable or invalid file gets."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise CliError(PARSE_ERROR, f"cannot read graph file: {exc}") from exc
+        raise CliError(PARSE_ERROR, f"cannot read {what} file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(PARSE_ERROR, f"graph file is not valid JSON: {exc}") from exc
+        raise CliError(PARSE_ERROR, f"{what} file is not valid JSON: {exc}") from exc
+
+
+def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[int] | None]:
+    data = _read_json(path, "graph")
     try:
         graph, gf, relabeling = graph_from_json_dict(data)
     except ValueError as exc:
@@ -319,7 +325,7 @@ def cmd_elliptic(args: argparse.Namespace) -> int:
         raise CliError(VALIDATION_ERROR, f"--g must be >= 1, got {args.g}")
     if args.d < 1:
         raise CliError(VALIDATION_ERROR, f"--d must be >= 1, got {args.d}")
-    value = elliptic_hurwitz_disconnected(args.g, 2 * args.g - 2, args.d)
+    value = elliptic_hurwitz_disconnected(args.g, args.d)
     query = {"command": "fock elliptic", "g": args.g, "d": args.d}
     labels = {"g": args.g, "d": args.d}
     return _emit(args.format, query, [{"labels": labels, "value": _format_rational(value)}])
@@ -390,13 +396,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _series_from_json(path: str) -> dict[int, Fraction]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise CliError(PARSE_ERROR, f"cannot read series file: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(PARSE_ERROR, f"series file is not valid JSON: {exc}") from exc
+    data = _read_json(path, "series")
     try:
         series: dict[int, Fraction] = {}
         for row in data["results"]:

@@ -25,24 +25,28 @@ germ label j); generators with different (k, j) commute.  A trivalent
 loop-free graph with a vertex order and a multidegree a gives one
 three-germ operator per vertex, and each germ move m at vertex v also
 multiplies by x_v^m.  Generators of different edges commute and only the
-two endpoints of an edge move its labels, so a basis state is one record
-(a_k, w_k, labels) per edge: its degree, its winding and the sorted
-labels of its germs.  States map such records to {exponent vector:
-coefficient}, and each vertex keeps only the moves that land x_v in a
-window |x_v| <= x_bound.  The operator product, sandwiched between
-explicit bra/ket states, is the product of the edge factors; its
-exponent-zero coefficient at x_bound = 0, where every vertex balances, is
-the labeled matrix element, and it reproduces the weighted cover count
-winding by winding.
+two endpoints of an edge move its labels.  An edge of degree a_k and
+winding w has ket labels 2..c+1 and bra labels 1..c, c = a_k / w; its
+head germ produces label 1 (m = -w) or consumes the end label c + 1
+(m = +w, factor w), and an a_k = 0 edge is created at its head as label 1
+of weight m' (m = -m').  The labels are a function of (a_k, m), so a
+basis state is one record (a_k, m) per edge, m the head germ's signed
+move: (0, 0) before the head acts and (a_k, 0) once the tail has.
+States map records to {exponent vector: coefficient}, and each vertex
+keeps only the moves that land x_v in a window |x_v| <= x_bound.  The
+operator product, sandwiched between explicit bra/ket states, is the
+product of the edge factors; its exponent-zero coefficient at
+x_bound = 0, where every vertex balances, is the labeled matrix element,
+and it reproduces the weighted cover count winding by winding.
 
 One pass, :func:`_operator_pass`, runs the product at every multidegree
 and winding choice at once.  It walks the vertices in acting order, and
 each vertex is one fused step (:func:`_vertex_step`): its head germs open
-their edges (choosing a_k from a degree set and w | a_k, with that edge's
-ket labels) and move, and its tail germs make the one move that leaves
-their edge's bra labels, which closes the edge.  x_v is 0 before v acts,
-so a step's moves depend only on the records it closes and the budget
-left, and are found once for all states that share them.  What a vertex
+their edges (choosing a_k from a degree set and w | a_k) and move, and
+its tail germs undo their head's move, the one move that leaves the bra
+labels, which closes the edge.  x_v is 0 before v acts, so a step's head
+moves depend only on the sum of its tail moves and the budget left, and
+are found once for all states that share them.  What a vertex
 does depends only on which of its neighbours have already acted, so one
 depth-first walk over the shared suffixes of a list of vertex orders
 serves them all.  The weight caps of the a_k = 0 edges follow the walk's
@@ -201,7 +205,7 @@ def double_hurwitz(mu: Sequence[int], nu: Sequence[int], n: int) -> Coeff:
     return normalize(Fraction(factorial(n) * partition_aut(mu_t) * coeff, prod(nu_t)))
 
 
-def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> int:
+def elliptic_hurwitz_disconnected(g: int, d: int) -> int:
     """sum over mu |- d of n!/(|Aut mu| prod mu) <b_mu|M^n|b_mu>, n = 2g-2.
 
     Each pairing is |Aut mu| * prod mu times the b_mu coefficient of
@@ -218,16 +222,15 @@ def elliptic_hurwitz_disconnected(g: int, n: int, d: int) -> int:
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    if n != 2 * g - 2:
-        raise ValueError("simple branch point count must equal 2g - 2")
+    n = 2 * g - 2
     trace = sum(_evolve(mu, n).get(mu, 0) for mu in partitions(d))
     return factorial(n) * trace
 
 
 # -- labeled mode --------------------------------------------------------
 
-Record = tuple[int, int, tuple[int, ...]]  # one edge in the pass: (a_k, w_k, labels)
-Move = tuple[int, int, Record, int]  # (m, a_k it opens, new record, factor)
+Record = tuple[int, int]  # one edge in the pass: (a_k, signed move of its head germ)
+Move = tuple[int, int, int]  # (m, a_k it opens, factor)
 Opened = tuple[tuple[Record, ...], int, int]  # (new records, sum of moves, factor)
 
 
@@ -304,44 +307,21 @@ def _opening_moves(
     for i, moves in enumerate(germs):
         if i != widest:
             partial = [
-                (base + m, spent + a_k, records + (record,), factor * f)
+                (base + m, spent + a_k, records + ((a_k, m),), factor * f)
                 for base, spent, records, factor in partial
-                for m, a_k, record, f in moves
+                for m, a_k, f in moves
                 if spent + a_k <= budget
             ]
     found = []
     for base, spent, records, factor in partial:
         for total in targets:
-            for _, a_k, record, f in by_move.get(total - base, ()):
+            m = total - base
+            for _, a_k, f in by_move.get(m, ()):
                 if spent + a_k <= budget:
                     found.append(
-                        (records[:widest] + (record,) + records[widest:], total, factor * f)
+                        (records[:widest] + ((a_k, m),) + records[widest:], total, factor * f)
                     )
     return found
-
-
-def _closing_moves(ended: Sequence[Record]) -> tuple[tuple[Record, ...], int, int] | None:
-    """The tail germs' moves on the edges a vertex closes, as (closed
-    records, sum of the moves, factor), or None if some edge cannot reach
-    its bra labels 1..c (none when a_k = 0).
-
-    A record's labels are sorted and distinct: the head left either 1..c+1
-    or 2..c.  So the tail germ consumes the end label c + 1 (m = +w, factor
-    w) from the first or produces label 1 (m = -w) in the second.  The edge
-    then closes to (a_k, 0, ()), so states of different windings merge.
-    """
-    closed, total, factor = [], 0, 1
-    for a_k, w, labels in ended:
-        end = a_k // w + 1
-        bra = tuple(range(1, end))
-        if labels == (*bra, end):
-            total, factor = total + w, factor * w
-        elif (1, *labels) == bra:
-            total -= w
-        else:
-            return None
-        closed.append((a_k, 0, ()))
-    return tuple(closed), total, factor
 
 
 def _vertex_step(
@@ -356,29 +336,29 @@ def _vertex_step(
     opens the edges ``opens``, moves its germs, and closes the edges
     ``closes``.
 
-    The tail germs' moves are fixed by the records they close
-    (:func:`_closing_moves`), so the head germs' moves depend on a state
-    only through the remaining budget and that fixed sum of moves:
-    ``opening(opens, budget, sum)`` returns them, with x_vertex (0 before
-    the vertex acts) inside the window.  Each is applied to every state of
-    a group by replacing the vertex's records and setting slot ``vertex``
-    of each exponent vector.
+    A close always succeeds, with one move: the head left the labels
+    1..c+1 (m < 0: it produced label 1, or created an a_k = 0 edge as label
+    1) or 2..c (m = +w), so only -m, consuming the end label c + 1 with
+    factor -m or producing label 1 with factor 1, leaves the bra labels
+    1..c.  The record closes to (a_k, 0), so states of different windings
+    merge.  The head germs' moves then depend on a state only through the
+    remaining budget and the tail moves' sum: ``opening(opens, budget,
+    sum)`` returns them, with x_vertex (0 before the vertex acts) inside the
+    window.  Each is applied to every state of a group by replacing the
+    vertex's records and setting slot ``vertex`` of each exponent vector.
     """
     vi = vertex - 1
-    slots = [*opens, *closes]
-    closing: dict = {}
     out: dict = {}
     for records, states in groups.items():
-        ended = tuple(records[idx] for idx in closes)
-        if ended not in closing:
-            closing[ended] = _closing_moves(ended)
-        if closing[ended] is None:
-            continue
-        closed, m_close, f_close = closing[ended]
+        closed, m_close, f_close = list(records), 0, 1
+        for idx in closes:
+            a_k, m = records[idx]
+            closed[idx] = (a_k, 0)
+            m_close, f_close = m_close - m, f_close * (-m if m < 0 else 1)
         budget = total_cap - sum([rec[0] for rec in records]) if opens else 0
         for opened, m_open, f_open in opening(opens, budget, m_close):
-            new = list(records)
-            for idx, record in zip(slots, opened + closed):
+            new = closed.copy()
+            for idx, record in zip(opens, opened):
                 new[idx] = record
             target = out.setdefault(tuple(new), {})
             xv, factor = m_open + m_close, f_open * f_close
@@ -430,20 +410,19 @@ def _operator_pass(
     (or at the one choice ``windings``), inside the window |x_v| <= x_bound.
 
     The vertices act in reverse order (the order-last vertex acts on the
-    ket first).  A state is one record (a_k, w_k, labels) per edge, mapped
-    to {exponent vector: coefficient}; ``labels`` is the sorted tuple of
-    the edge's germ labels, all of weight w_k.  An edge is (0, 0, ()) until
-    its head acts and (a_k, 0, ()) once its tail has.  Each vertex is one
-    :func:`_vertex_step`: the germ at its head opens the edge, choosing
-    a_k within the remaining budget and w | a_k (or the one given winding)
-    with ket labels 2..c+1, c = a_k / w, and producing label 1 (m = -w) or
-    consuming label c+1 (m = +w, factor w); an a_k = 0 edge is created as
-    label 1 of weight m <= its cap.  The germ at its tail keeps only the
-    moves that leave exactly the bra labels 1..c (:func:`_closing_moves`).
-    This is exact for any window: vertex v's operator is the only one that
-    moves x_v, an edge's labels change only at its two endpoints, and the
-    bra's labels are distinct, so each coefficient is the bra component of
-    :func:`labeled_series_product`.
+    ket first).  A state is one record (a_k, m) per edge, mapped to
+    {exponent vector: coefficient}, m the signed move of the edge's head
+    germ; an edge is (0, 0) until its head acts and (a_k, 0) once its tail
+    has.  Each vertex is one :func:`_vertex_step`: the germ at its head
+    opens the edge, choosing a_k within the remaining budget and w | a_k
+    (or the one given winding) with ket labels 2..c+1, c = a_k / w, and
+    producing label 1 (m = -w) or consuming label c+1 (m = +w, factor w);
+    an a_k = 0 edge is created as label 1 of weight m' <= its cap
+    (m = -m').  The germ at its tail makes the one move, -m, that leaves
+    exactly the bra labels 1..c.  This is exact for any window: vertex v's
+    operator is the only one that moves x_v, an edge's labels change only
+    at its two endpoints, and the bra's labels are distinct, so each
+    coefficient is the bra component of :func:`labeled_series_product`.
 
     Which edges a vertex heads or tails depends only on which of its
     neighbours have already acted, and the create caps are shared
@@ -468,12 +447,10 @@ def _operator_pass(
                 if a_k > budget:
                     break
                 if a_k == 0:
-                    found += [(-m, 0, (0, m, (1,)), 1) for m in range(1, caps[idx + 1] + 1)]
+                    found += [(-m, 0, 1) for m in range(1, caps[idx + 1] + 1)]
                     continue
                 for w in divisors(a_k) if windings is None else (windings[idx + 1],):
-                    ket = tuple(range(2, a_k // w + 2))
-                    found.append((-w, a_k, (a_k, w, (1, *ket)), 1))
-                    found.append((w, a_k, (a_k, w, ket[:-1]), w))
+                    found += [(-w, a_k, 1), (w, a_k, w)]
         return found
 
     def opening(opens: tuple[int, ...], budget: int, m_close: int) -> list[Opened]:
@@ -490,7 +467,7 @@ def _operator_pass(
     # acting sequence, each one reuses the states of the longest acting
     # prefix it shares with the one before
     tables: dict[VertexOrder, dict] = {}
-    stack = [{((0, 0, ()),) * r: {(0,) * n: 1}}]  # states after each step
+    stack = [{((0, 0),) * r: {(0,) * n: 1}}]  # states after each step
     done: tuple[int, ...] = ()
     for acting in sorted({order[::-1] for order in orders}):
         shared = next((i for i, (u, v) in enumerate(zip(acting, done)) if u != v), len(done))

@@ -21,8 +21,9 @@ plans, then, for each winding choice on its own, applies the vertex
 operators in acting order to the full ket of that choice and keeps the bra
 component (:func:`labeled_boundary_states` builds both).  It uses this
 module's windowed vertex operator (which has its own product-then-filter
-oracle in ``tests/test_fock.py``) and no code of the pass, so equal
-values check the pass's records, opening and closing.
+oracle in ``tests/test_fock.py``) and no code of the pass.  It keeps the
+explicit germ labels that the pass's (a_k, m) records leave implicit, so
+equal values check the head moves and each tail's one closing move, -m.
 
 :func:`cut_join_reference` is the body ``trofey.fock.cut_join`` had before
 it read cached per-partition rows: it applies M to every key of a state on
@@ -526,7 +527,7 @@ def elliptic_hurwitz_connected(n: int, d: int) -> Coeff:
     @lru_cache(maxsize=None)
     def branched_over_p(m: int) -> tuple[Coeff, ...]:
         g = (m + 2) // 2
-        disc = [0] + [elliptic_hurwitz_disconnected(g, m, e) for e in range(1, d + 1)]
+        disc = [0] + [elliptic_hurwitz_disconnected(g, e) for e in range(1, d + 1)]
         return tuple(mul(disc, invert(partition_counts(d), d), d))
 
     @lru_cache(maxsize=None)

@@ -232,7 +232,7 @@ def test_criterion_05_quasimodular_fits():
 def test_criterion_06_fock_route_values():
     assert double_hurwitz((2, 1), (2, 1), 2) == 9
     # 36 = 2!·18, and 18 is the content-sum/monodromy count
-    assert elliptic_hurwitz_disconnected(2, 2, 3) == 36
+    assert elliptic_hurwitz_disconnected(2, 3) == 36
     # witness 1, the character formula n!·Σ_{λ⊢3} f₂(λ)ⁿ with n = 2, where
     # f₂(λ) is the content sum of λ
     contents = [

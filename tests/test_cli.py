@@ -128,6 +128,14 @@ def test_integral_bad_vector_is_parse_error(graphs, capsys):
     assert code == 2
 
 
+def test_integral_order_that_is_no_permutation_is_validation_error(graphs, capsys):
+    code, out, err = run(
+        capsys, "integral", "--graph", graphs["triangle"], "--a", "0,0,3", "--order", "1,1,2"
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: order must be a permutation of 1..3, got '1,1,2'"]
+
+
 def test_integral_negative_q_order_is_validation_error(graphs, capsys):
     for order in ("id", "all"):
         code, out, err = run(
@@ -212,6 +220,15 @@ def test_missing_graph_file_is_parse_error(capsys, tmp_path):
     )
     assert code == 2
     assert "cannot read graph file" in err
+
+
+def test_missing_series_file_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "nope.json"
+    code, out, err = run(capsys, "fit", "--from", str(path), "--max-weight", "2")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read series file: ")
+    assert str(path) in err
 
 
 @pytest.mark.parametrize(
@@ -395,6 +412,12 @@ def test_invariant_rejects_one_point(capsys):
     code, _, err = run(capsys, "invariant", "--k", "1", "--dmax", "1")
     assert code == 3
     assert "error:" in err
+
+
+def test_invariant_rejects_dmax_below_one(capsys):
+    code, out, err = run(capsys, "invariant", "--k", "1,1", "--dmax", "0")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: --dmax must be >= 1"]
 
 
 def test_invariant_csv(capsys):
@@ -763,6 +786,12 @@ def test_fit_odd_weight_bound_is_exit_5(capsys):
 def test_fit_needs_exactly_one_source(capsys):
     code, _, _ = run(capsys, "fit", "--max-weight", "2")
     assert code == 2
+
+
+def test_fit_rejects_a_coefficient_that_is_no_rational(capsys):
+    code, out, err = run(capsys, "fit", "--coeffs", "1,x", "--max-weight", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: not a rational number: 'x'"]
 
 
 SERIES_FILE_ERROR = (

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "trofey"
@@ -139,6 +140,87 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def _observed_arguments() -> dict[str, int]:
+    """``perfbench/spans.OBSERVERS``: for each observer that reads the traced
+    call's positional arguments, how many it needs (one past the largest i
+    of its ``args[i]``), keyed by the observed "layer.name"."""
+    spans = ast.parse((PERFBENCH / "spans.py").read_text())
+    helpers = {node.name: node for node in spans.body if isinstance(node, ast.FunctionDef)}
+    [observers] = [
+        node.value
+        for node in spans.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "OBSERVERS"
+    ]
+    needed = {}
+    for key, value in zip(observers.keys, observers.values):
+        observer = helpers[value.id] if isinstance(value, ast.Name) else value
+        args = observer.args.args[0].arg
+        read = [
+            sub.slice.value
+            for sub in ast.walk(observer)
+            if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == args
+        ]
+        if read:
+            needed[key.value] = max(read) + 1
+    return needed
+
+
+def _observed_calls(path: Path, observed: set[str]) -> Iterator[tuple[str, ast.Call]]:
+    """(observed "layer.name", call) for every call in a module of
+    ``src/trofey`` to an observed function: by its own name in its module,
+    or through any import of it or of its module, aliases included."""
+    tree = ast.parse(path.read_text())
+    functions = {name.split(".")[1]: name for name in observed if name.startswith(f"{path.stem}.")}
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("trofey")):
+            layer = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if f"{layer}.{alias.name}" in observed:
+                    functions[local] = f"{layer}.{alias.name}"
+                elif layer in ("", "trofey"):
+                    modules[local] = alias.name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in functions:
+            yield functions[func.id], node
+        elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules:
+            name = f"{modules[func.value.id]}.{func.attr}"
+            if name in observed:
+                yield name, node
+
+
+def test_benchmark_observers_find_their_positional_arguments():
+    # perfbench/spans.OBSERVERS reads some traced calls' positional
+    # arguments (args[i]), so a signature that loses them, or a call that
+    # passes them by keyword, breaks ``run.py --trace 1`` without failing
+    # any other test.  Read the observers by ast, like _traced().
+    needed = _observed_arguments()
+    assert len(needed) >= 2
+    for name, count in needed.items():
+        layer, func = name.split(".")
+        parameters = inspect.signature(getattr(importlib.import_module(f"trofey.{layer}"), func))
+        positional = [
+            p
+            for p in parameters.parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        ]
+        assert len(positional) >= count, name
+    called, short = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for name, call in _observed_calls(path, set(needed)):
+            called.add(name)
+            passed = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+            if len(passed) < needed[name]:
+                short.append(f"{path.name}:{call.lineno} {name}")
+    # the scan is not vacuous: it finds a call of every observed function
+    assert called == needed.keys()
+    assert short == []
 
 
 def test_cli_imports_no_private_name():
