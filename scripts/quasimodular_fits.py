@@ -12,7 +12,7 @@ Usage: python3 scripts/quasimodular_fits.py [--q-order N]
 
 import argparse
 
-from trofey.graphs import FeynmanGraph, identity_order
+from trofey.graphs import FeynmanGraph, graph_sum, identity_order
 from trofey.integrals import integral_series_q
 from trofey.quasimodular import fit, weight_bound
 
@@ -35,7 +35,7 @@ def main() -> None:
     parser.add_argument("--q-order", type=int, default=16)
     args = parser.parse_args()
 
-    total: dict[int, object] = {}
+    pair = []  # the triangle and right series, summed below
     for name, graph, gf in GRAPHS:
         order = identity_order(graph.n)
         series = integral_series_q(graph, gf, order, args.q_order)
@@ -43,10 +43,9 @@ def main() -> None:
         assert result.residual_ok, name
         describe(name, result)
         if name in ("triangle", "right"):
-            for d, c in series.items():
-                total[d] = total.get(d, 0) + c
+            pair.append((series, 1))
 
-    result = fit(total, 8, args.q_order)
+    result = fit(graph_sum(pair), 8, args.q_order)
     assert result.residual_ok
     describe("tri+right", result)
 

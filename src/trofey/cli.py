@@ -12,6 +12,10 @@ Exit codes: 0 success, 2 parse error, 3 validation error, 4 route
 mismatch, 5 fit failure.  :func:`main` is the one error boundary: a
 library check that fails on a query (a ``ValueError``) exits 3 with its
 message, from any subcommand but ``fit``, whose failed solve exits 5.
+A route mismatch is raised by the task that finds it and exits 4 with
+its witness line, without the ``error: `` prefix.
+:func:`~trofey.graphs.graph_sum` totals the ``--compare`` tables, as it
+does the library's assemblies.
 All rationals are printed as "num/den" strings; JSON output is
 byte-deterministic for a given query.  The global ``--threads N`` must
 be at least 1 and is otherwise ignored: every query runs on the calling
@@ -21,7 +25,6 @@ thread.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence
@@ -34,6 +37,7 @@ from .graphs import (
     all_orders,
     edge_images,
     graph_from_json_dict,
+    graph_sum,
     identity_order,
     orbit_members,
     orientation_classes,
@@ -103,6 +107,8 @@ def _parse_order(text: str, n: int) -> tuple[int, ...] | None:
 def _read_json(path: str, what: str) -> Any:
     """The JSON value in the UTF-8 file at ``path``; ``what`` names the file
     in the parse error an unreadable or invalid file gets."""
+    import json  # only JSON input and output need it: keep it out of every other run
+
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
@@ -121,25 +127,29 @@ def _load_graph(path: str) -> tuple[FeynmanGraph, tuple[int, ...] | None, list[i
     return graph, gf, relabeling
 
 
-def _first_mismatch(left: dict, right: dict) -> tuple | None:
-    """(a, left value, right value) at the lexicographically least key
-    where two tables differ (a missing key reads 0), or None.
+def _raise_first_mismatch(left: dict, right: dict, witness: str, names: tuple[str, str]) -> None:
+    """Raise the route mismatch (exit 4) at the lexicographically least key
+    a where two tables differ (a missing key reads 0), if there is one: the
+    line ``witness``, then a and each side's value under its name.
 
     That key is the first mismatch that :func:`multidegrees` would yield,
     since both tables hold only multidegrees it yields.
     """
     differing = [a for a in left.keys() | right.keys() if left.get(a, 0) != right.get(a, 0)]
-    if not differing:
-        return None
-    a = min(differing)
-    return a, left.get(a, 0), right.get(a, 0)
+    if differing:
+        a = min(differing)
+        raise CliError(
+            MISMATCH_ERROR,
+            f"{witness} a={a} {names[0]}={_format_rational(left.get(a, 0))} "
+            f"{names[1]}={_format_rational(right.get(a, 0))}",
+        )
 
 
 def _run_tasks(tasks: Sequence[Callable[[], Any]], threads: int) -> Iterator[Any]:
     """Run independent tasks in order on the calling thread, lazily.
 
-    Each task runs when its result is taken, so a caller that stops at
-    the first mismatch runs no task after it.  ``threads`` (the checked
+    Each task runs when its result is taken, so when a task raises its
+    mismatch witness, no task after it runs.  ``threads`` (the checked
     ``--threads``) is ignored: the tasks are pure-Python CPU work, which a
     thread pool only slows down under the GIL.  This is the one place
     that every task passes through, so a tracer can wrap it to time each
@@ -161,6 +171,8 @@ def _emit(
     """Write one query's rows to stdout in ``fmt``; return exit code 0.  Only
     JSON shows ``query``, the version, ``edge_relabeling`` and ``meta``."""
     if fmt == "json":
+        import json  # only this format needs it, as in _read_json
+
         meta = {"version": __version__, "edge_relabeling": edge_relabeling, **meta}
         report = {"query": query, "results": results, "meta": meta}
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -243,13 +255,15 @@ def cmd_integral(args: argparse.Namespace) -> int:
 
 def _compare_tasks(
     k: tuple[int, ...], dmax: int
-) -> list[Callable[[], tuple[dict[int, Fraction], tuple | None]]]:
+) -> list[Callable[[], tuple[dict, Fraction]]]:
     """One task per (isomorphism class, orbit of vertex orders) of
-    :func:`~trofey.graphs.weighted_classes`, carrying its weight.
+    :func:`~trofey.graphs.weighted_classes`, returning its cover table and
+    weight for :func:`~trofey.graphs.graph_sum`.
 
     A task reads each side at every multidegree from one pass (the
-    integral DP and the cover pass) at the orbit's first order and
-    compares the two full tables over the union of their keys.  The other
+    integral DP and the cover pass) at the orbit's first order, compares
+    the two full tables over the union of their keys and raises the first
+    mismatch (:func:`_raise_first_mismatch`).  The other
     orders of the orbit are relabelings by a symmetry of the class, or
     reversals, whose tables at zero leaks are the same up to a permutation
     of the edges.
@@ -260,14 +274,9 @@ def _compare_tasks(
         def task(graph=graph, gf=gf, order=order, weight=weight):
             integral = integral_series_refined(graph, order, dmax, gf=gf)
             covers = cover_table(graph, order, dmax, k)
-            mismatch = _first_mismatch(covers, integral)
-            if mismatch is not None:
-                return {}, (graph.edges, gf, order) + mismatch
-            part: dict[int, Fraction] = {}
-            for a, value in covers.items():
-                d = sum(a)
-                part[d] = part.get(d, Fraction(0)) + value * weight
-            return part, None
+            witness = f"route mismatch: edges={graph.edges} gf={gf} order={order}"
+            _raise_first_mismatch(covers, integral, witness, ("covers", "integral"))
+            return covers, weight
 
         tasks.append(task)
     return tasks
@@ -282,19 +291,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     route = "compare" if args.compare else args.route or "covers"
     query = {"command": "invariant", "k": list(k), "dmax": args.dmax, "route": route}
     if args.compare:
-        tasks = _compare_tasks(k, args.dmax)
-        series: dict[int, Fraction] = {}
-        for part, witness in _run_tasks(tasks, args.threads):
-            for d, c in part.items():
-                series[d] = series.get(d, Fraction(0)) + c
-            if witness is not None:
-                edges, gf, order, a, cv, iv = witness
-                print(
-                    "route mismatch: edges=%s gf=%s order=%s a=%s covers=%s integral=%s"
-                    % (edges, gf, order, a, _format_rational(cv), _format_rational(iv)),
-                    file=sys.stderr,
-                )
-                return MISMATCH_ERROR
+        series = graph_sum(_run_tasks(_compare_tasks(k, args.dmax), args.threads))
     elif route == "integrals":
         series = mirror_total_series(k, args.dmax)
     else:
@@ -362,7 +359,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     covers: dict[tuple[int, ...], dict] = {}  # per orbit, at its first order
 
     def task(order):
-        """One order's operator table against its carried cover table."""
+        """One order's operator table against its carried cover table; a
+        mismatch raises its witness."""
         rep, images = carried_from[order]
         if rep not in covers:  # the first order of its orbit: no earlier task ran it
             covers[rep] = cover_table(graph, rep, amax)
@@ -372,18 +370,11 @@ def cmd_check(args: argparse.Namespace) -> int:
             for k, j in enumerate(images):
                 b[j] = a[k]
             carried[tuple(b)] = value
-        return order, _first_mismatch(tables[order], carried)
+        witness = f"operator/cover mismatch: order={order}"
+        _raise_first_mismatch(tables[order], carried, witness, ("fock", "covers"))
 
-    tasks = [lambda order=order: task(order) for order in orders]
-    for order, mismatch in _run_tasks(tasks, args.threads):
-        if mismatch is not None:
-            a, lhs, rhs = mismatch
-            print(
-                "operator/cover mismatch: order=%s a=%s fock=%s covers=%s"
-                % (order, a, _format_rational(lhs), _format_rational(rhs)),
-                file=sys.stderr,
-            )
-            return MISMATCH_ERROR
+    for _ in _run_tasks([lambda order=order: task(order) for order in orders], args.threads):
+        pass
     total_checked = sum(1 for _ in multidegrees(graph, amax)) * len(orders)
     query = {"command": "fock check", "graph": args.graph, "amax": amax}
     results = [
@@ -554,7 +545,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:  # a library check failed on the query
             raise CliError(VALIDATION_ERROR, str(exc)) from exc
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a mismatch's message is its whole witness line
+        prefix = "" if exc.exit_code == MISMATCH_ERROR else "error: "
+        print(f"{prefix}{exc}", file=sys.stderr)
         return exc.exit_code
 
 

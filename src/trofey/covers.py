@@ -42,7 +42,10 @@ leaks (with leaks l it would need -l).  The assemblies and ``--compare``
 read the orbits of :func:`~trofey.graphs.weighted_classes`, whose
 orders give equal totals by degree; ``fock check`` carries each orbit's
 table to every order of the orbit along the edge permutation.
-The route shares no code with :mod:`trofey.integrals`, which it checks.
+The route shares no table code with :mod:`trofey.integrals`, which it
+checks: the two read the same graph sum,
+:func:`~trofey.graphs.weighted_classes`, and total it with
+:func:`~trofey.graphs.graph_sum`.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .graphs import (
     check_multidegree,
     check_order,
     enumerate_labeled_graphs,
+    graph_sum,
     orientation,
     weighted_classes,
 )
@@ -349,15 +353,13 @@ def invariant_fixed_order(
     if d < 1:
         raise ValueError("degree must be >= 1")
     order = check_order(order, len(k))
-    total: Coeff = 0
-    for assignment in enumerate_labeled_graphs(k):
-        graph, gf = assignment.graph, assignment.gf
+    labeled = enumerate_labeled_graphs(k)
+    for graph, gf in labeled:
         _check_assignment(graph, gf, k)
-        aut = automorphism_count(graph)
-        for a, value in cover_table(graph, order, d, k).items():
-            if sum(a) == d:
-                total = total + value * Fraction(1, aut)
-    return total
+    return graph_sum(
+        (cover_table(graph, order, d, k), Fraction(1, automorphism_count(graph)))
+        for graph, _ in labeled
+    ).get(d, 0)
 
 
 def invariant(k: Sequence[int], d: int) -> Coeff:
@@ -369,15 +371,14 @@ def invariant(k: Sequence[int], d: int) -> Coeff:
 
 
 def invariant_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
-    """Invariant values for all degrees 1..q_order (zero values dropped),
-    from one cover pass per (isomorphism class, orbit of vertex orders) of
-    :func:`~trofey.graphs.weighted_classes`, its table bucketed by d."""
+    """Invariant values for all degrees 1..q_order (zero values dropped;
+    with no leaks no cover has degree 0), from one cover pass per
+    (isomorphism class, orbit of vertex orders) of
+    :func:`~trofey.graphs.weighted_classes`, summed by
+    :func:`~trofey.graphs.graph_sum`."""
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
-    totals: dict[int, Coeff] = {}
-    for graph, gf, order, weight in weighted_classes(k):
-        for a, value in cover_table(graph, order, q_order, k).items():
-            d = sum(a)
-            if d >= 1:
-                totals[d] = totals.get(d, 0) + value * weight
-    return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
+    return graph_sum(
+        (cover_table(graph, order, q_order, k), weight)
+        for graph, _, order, weight in weighted_classes(k)
+    )

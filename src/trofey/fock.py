@@ -210,7 +210,10 @@ def elliptic_hurwitz_disconnected(g: int, d: int) -> int:
 
     Each pairing is |Aut mu| * prod mu times the b_mu coefficient of
     M^n b_mu, so the norms cancel: this is n! * tr M^n on degree d, summed
-    in ``int`` since M has integer entries (:func:`_cut_join_row`).
+    in ``int`` since M has integer entries (:func:`_cut_join_row`).  n is
+    even, so the trace comes from half the power, h = g - 1:
+    tr M^n = sum over mu, nu |- d of [M^h b_mu]_nu * [M^h b_nu]_mu, which
+    takes h * p(d) applications of M instead of n * p(d).
 
     Normalization: the classical count of possibly disconnected degree-d
     covers of the elliptic curve with n fixed simple branch points, each
@@ -222,9 +225,9 @@ def elliptic_hurwitz_disconnected(g: int, d: int) -> int:
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    n = 2 * g - 2
-    trace = sum(_evolve(mu, n).get(mu, 0) for mu in partitions(d))
-    return factorial(n) * trace
+    half = {mu: _evolve(mu, g - 1) for mu in partitions(d)}
+    trace = sum(c * half[nu].get(mu, 0) for mu, row in half.items() for nu, c in row.items())
+    return factorial(2 * g - 2) * trace
 
 
 # -- labeled mode --------------------------------------------------------

@@ -25,7 +25,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 GenusFunction = tuple[int, ...]
@@ -440,6 +440,19 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
         aut = automorphism_count(graph)
         for order, size in orientation_classes(graph, syms):
             yield graph, gf, order, Fraction(size * len(codes), aut)
+
+
+def graph_sum(parts: Iterable[tuple[dict, Any]]) -> dict[int, Any]:
+    """Sum of weight * table over (table, weight) pairs, by degree d in
+    ascending order, zero sums dropped: the one assembly of every route's
+    series over graphs and vertex orders.  A table is keyed by d, or by a
+    multidegree a, which counts at d = sum(a)."""
+    totals: dict[int, Any] = {}
+    for table, weight in parts:
+        for key, value in table.items():
+            d = key if isinstance(key, int) else sum(key)
+            totals[d] = totals.get(d, 0) + value * weight
+    return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
 
 
 # -- JSON interchange --------------------------------------------------

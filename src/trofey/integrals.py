@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     FeynmanGraph,
@@ -60,6 +60,7 @@ from .graphs import (
     check_leaks,
     check_multidegree,
     check_order,
+    graph_sum,
     identity_order,
     orientation,
     orientation_classes,
@@ -414,16 +415,6 @@ def integral_series_q(
     return _graded_pass(graph, gf_t, order, degrees, q_order, (0,) * graph.n, False)
 
 
-def _weighted_total(parts: Iterable[tuple[dict[int, Coeff], Coeff]]) -> dict[int, Coeff]:
-    """Sum of weight * series over (series, weight) pairs, in ascending d,
-    zero coefficients dropped."""
-    totals: dict[int, Coeff] = {}
-    for series, weight in parts:
-        for d, c in series.items():
-            totals[d] = totals.get(d, 0) + c * weight
-    return {d: totals[d] for d in sorted(totals) if totals[d] != 0}
-
-
 def integral_series_all_orders(
     graph: FeynmanGraph, gf: Sequence[int] | None, q_order: int
 ) -> dict[int, Coeff]:
@@ -437,15 +428,13 @@ def integral_series_all_orders(
     """
     _, _, _, gf_t = _normalize_query(graph, identity_order(graph.n), None, None, gf)
     orbits = orientation_classes(graph, symmetries(graph, gf_t))
-    return _weighted_total(
-        (integral_series_q(graph, gf_t, rep, q_order), size) for rep, size in orbits
-    )
+    return graph_sum((integral_series_q(graph, gf_t, rep, q_order), size) for rep, size in orbits)
 
 
 def mirror_total_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
     """The graph-sum side of the mirror identity: the dressed q-series summed
     as in :func:`~trofey.graphs.weighted_classes` (zero coefficients dropped)."""
-    return _weighted_total(
+    return graph_sum(
         (integral_series_q(graph, gf, order, q_order), weight)
         for graph, gf, order, weight in weighted_classes(k)
     )

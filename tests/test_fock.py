@@ -174,6 +174,21 @@ def test_elliptic_hurwitz_bench_values():
     assert elliptic_hurwitz_connected(4, 6) == 2203008
 
 
+def test_elliptic_trace_applies_half_the_operator_power(monkeypatch):
+    # n = 2g - 2 is even, so tr M^n pairs the states M^(g-1) b_mu: at
+    # g = 4 that is 3 applications of M per partition of d, not 6
+    calls = []
+    true_cut_join = fock.cut_join
+
+    def counted(state):
+        calls.append(state)
+        return true_cut_join(state)
+
+    monkeypatch.setattr(fock, "cut_join", counted)
+    assert elliptic_hurwitz_disconnected(4, 10) == 15765963912000
+    assert len(calls) == 3 * len(partitions(10)) == 126
+
+
 def test_degree_three_diagonal_matrix_elements():
     # <b_mu | M^2 | b_mu> is 18 on every partition of 3, so the diagonal
     # coefficients of M^2 are 18 divided by each norm: 6, 9 and 3

@@ -15,6 +15,7 @@ from trofey.graphs import (
     enumerate_labeled_graphs,
     genus_from_descendants,
     graph_from_json_dict,
+    graph_sum,
     identity_order,
     orientation,
     orientation_classes,
@@ -229,6 +230,17 @@ def test_enumeration_is_deterministic():
     first = [(a.graph.edges, a.gf) for a in enumerate_labeled_graphs((1, 1, 1, 1))]
     second = [(a.graph.edges, a.gf) for a in enumerate_labeled_graphs((1, 1, 1, 1))]
     assert first == second
+
+
+def test_graph_sum_totals_weighted_tables_by_degree():
+    # a multidegree counts at d = sum(a) and a d-keyed table at d; degrees
+    # come out ascending, and a degree whose weighted sum cancels is dropped
+    by_multidegree = {(0, 3): 4, (1, 0): 2, (0, 2): 1, (1, 1): 1}
+    parts = iter([(by_multidegree, Fraction(1, 2)), ({2: Fraction(-1, 3), 1: 1}, 3)])
+    total = graph_sum(parts)
+    assert total == {1: 4, 3: 2}
+    assert list(total) == [1, 3]
+    assert graph_sum([]) == {}
 
 
 @pytest.mark.parametrize("k", SWEEP_KS)

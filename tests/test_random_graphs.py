@@ -1,0 +1,79 @@
+"""The fine-level identity on random graphs.
+
+Covers and integral monomials agree for every (graph, genus function,
+vertex order, multidegree), not only on the fixed graph lists of the
+other tests.  The strategies here draw decorated graphs for the cover and
+integral routes, and loop-free cubic graphs for the operator route.
+"""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from trofey.covers import cover_table
+from trofey.fock import fock_tables
+from trofey.graphs import FeynmanGraph, validate_assignment
+from trofey.integrals import integral_series_refined
+
+
+def _graph(n: int, edges: list[tuple[int, int]]) -> FeynmanGraph:
+    """The multigraph with these edges, loops moved to the front."""
+    return FeynmanGraph(n, sorted(edges, key=lambda e: e[0] != e[1]))
+
+
+@st.composite
+def decorated_graphs(draw) -> tuple[FeynmanGraph, tuple[int, ...], tuple[int, ...]]:
+    """(graph, gf, k): a random spanning tree on n <= 5 vertices plus 0-3
+    extra edges or loops, vertex genera in {0, 1} and the descendant vector
+    k = valency - 2 + 2g, which must be >= 0 with sum(k) <= 8.
+
+    sum(k) = 2 (edges - n + sum(gf)) is always even.  A leaf has valency 1,
+    so k >= 0 forces its genus to 1.
+    """
+    n = draw(st.integers(2, 5))
+    edges = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    vertex = st.integers(1, n)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    graph = _graph(n, edges)
+    gf = tuple(1 if deg == 1 else draw(st.integers(0, 1)) for deg in graph.degrees())
+    k = tuple(deg - 2 + 2 * g for deg, g in zip(graph.degrees(), gf))
+    assume(sum(k) <= 8)
+    return graph, gf, k
+
+
+@st.composite
+def cubic_graphs(draw) -> FeynmanGraph:
+    """A connected loop-free cubic multigraph on n = 2, 4 or 6 vertices:
+    a random perfect matching of the 3n half-edges, each one matched to a
+    half-edge at another vertex."""
+    n = draw(st.sampled_from((2, 4, 6)))
+    halves = [v for v in range(1, n + 1) for _ in range(3)]
+    edges = []
+    while halves:
+        u = halves.pop()
+        partners = [i for i, v in enumerate(halves) if v != u]
+        assume(partners)
+        edges.append((u, halves.pop(draw(st.sampled_from(partners)))))
+    graph = _graph(n, edges)
+    assume(graph.is_connected())
+    return graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(decorated=decorated_graphs(), data=st.data())
+def test_cover_table_equals_integral_table_on_random_graphs(decorated, data):
+    graph, gf, k = decorated
+    assert validate_assignment(graph, gf, k) == []
+    order = tuple(data.draw(st.permutations(range(1, graph.n + 1))))
+    dmax = data.draw(st.integers(0, 3))
+    assert cover_table(graph, order, dmax, k) == integral_series_refined(graph, order, dmax, gf=gf)
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=cubic_graphs())
+def test_fock_tables_equal_cover_tables_on_random_cubic_graphs(graph):
+    tables = fock_tables(graph, 2)
+    assert len(tables) > 0
+    for order, table in tables.items():
+        assert table == cover_table(graph, order, 2), (graph.edges, order)
