@@ -15,11 +15,6 @@ from trofey.integrals import mirror_total_series
 VECTORS = [(1, 1), (2, 0, 0), (1, 1, 1, 1), (2, 2), (3, 1)]
 
 
-def fmt(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dmax", type=int, default=4)
@@ -37,7 +32,7 @@ def main() -> None:
     widths = [max(len(h), 10) for h in header]
     print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
     for d in range(1, args.dmax + 1):
-        row = [str(d)] + [fmt(columns[k].get(d, 0)) for k in VECTORS]
+        row = [str(d)] + [str(Fraction(columns[k].get(d, 0))) for k in VECTORS]
         print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     print("\nall values agree between the cover and integral routes")
 

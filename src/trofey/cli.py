@@ -72,8 +72,7 @@ class CliError(Exception):
 
 
 def _format_rational(value: Any) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def _parse_rational(text: str) -> Fraction:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -61,9 +62,8 @@ from .graphs import (
     VertexOrder,
     _check_assignment,
     automorphism_count,
-    check_leaks,
-    check_multidegree,
     check_order,
+    check_query,
     enumerate_labeled_graphs,
     graph_sum,
     orientation,
@@ -94,19 +94,16 @@ class CoverTuple(NamedTuple):
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write total as an ordered sum of ``parts`` integers >= 1."""
+    """All ways to write total as an ordered sum of ``parts`` integers >= 1,
+    by stars and bars: parts - 1 cuts among the total - 1 inner gaps."""
+    if total < parts:
+        return  # the pass hands in negative residuals too
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if total < parts:
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 def _cover_pass(
@@ -219,9 +216,7 @@ def _single(
 ) -> Iterator[Cover]:
     """The pass at one multidegree (the degree set (a_k,) on edge k), its
     inputs checked."""
-    order = check_order(order, graph.n)
-    a = check_multidegree(a, graph.num_edges)
-    leaks = check_leaks(l, graph.n)
+    order, a, leaks, _ = check_query(graph, order, a, l)
     return _cover_pass(graph, order, [(a_k,) for a_k in a], sum(a), leaks)
 
 

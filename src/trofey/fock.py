@@ -75,8 +75,7 @@ from .graphs import (
     Multidegree,
     VertexOrder,
     all_orders,
-    check_multidegree,
-    check_order,
+    check_query,
     orientation,
 )
 from .propagators import divisors
@@ -258,8 +257,7 @@ def _check_query(
 ) -> tuple[VertexOrder, Multidegree]:
     """The guards of one labeled entry point: graph, order, multidegree, window."""
     _check_operator_graph(graph)
-    order = check_order(order, graph.n)
-    a = check_multidegree(a, graph.num_edges)
+    order, a, _, _ = check_query(graph, order, a)
     if x_bound < 0:
         raise ValueError(f"x_bound must be >= 0, got {x_bound}")
     return order, a

@@ -15,8 +15,8 @@ number of the graph then satisfies ``h1 + sum(g_v) = g`` automatically.
 Vertex orders (total orders on the vertex set) orient the non-loop edges:
 every edge points from its earlier endpoint to its later endpoint
 (:func:`orientation`).
-:func:`check_order`, :func:`check_multidegree` and :func:`check_leaks`
-are the query checks every route's entry points share.
+:func:`check_query` is the one check of a (graph, order, multidegree,
+leaks, genus function) query that every route's entry points share.
 """
 
 from __future__ import annotations
@@ -193,20 +193,28 @@ def check_order(order: Sequence[int], n: int) -> VertexOrder:
     return order
 
 
-def check_multidegree(a: Sequence[int], r: int) -> Multidegree:
-    """The multidegree as a tuple, if it is r nonnegative integers."""
-    a = tuple(a)
-    if len(a) != r or any(x < 0 for x in a):
-        raise ValueError(f"multidegree must be {r} nonnegative integers")
-    return a
-
-
-def check_leaks(l: Sequence[int] | None, n: int) -> tuple[int, ...]:
-    """The leak vector as a tuple (None: no leaks), if it has length n."""
-    leaks = (0,) * n if l is None else tuple(l)
-    if len(leaks) != n:
-        raise ValueError(f"leak vector must have length {n}")
-    return leaks
+def check_query(
+    graph: FeynmanGraph,
+    order: Sequence[int],
+    a: Sequence[int] | None = None,
+    l: Sequence[int] | None = None,
+    gf: Sequence[int] | None = None,
+) -> tuple[VertexOrder, Multidegree | None, tuple[int, ...], GenusFunction]:
+    """The checked order, multidegree (None stays None: a series query),
+    leak vector (None: no leaks) and genus function (None: genus 0 at every
+    vertex) of one (graph, order) query of any route."""
+    order = check_order(order, graph.n)
+    if a is not None:
+        a = tuple(a)
+        if len(a) != graph.num_edges or any(x < 0 for x in a):
+            raise ValueError(f"multidegree must be {graph.num_edges} nonnegative integers")
+    leaks = (0,) * graph.n if l is None else tuple(l)
+    if len(leaks) != graph.n:
+        raise ValueError(f"leak vector must have length {graph.n}")
+    gf = (0,) * graph.n if gf is None else tuple(gf)
+    if len(gf) != graph.n or any(g < 0 for g in gf):
+        raise ValueError("genus function must be n nonnegative integers")
+    return order, a, leaks, gf
 
 
 def orbit_members(

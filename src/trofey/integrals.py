@@ -15,14 +15,15 @@ then extracts x- and z-coefficients.
 
 One DP does every extraction.  Edge k multiplies in its q^a slices for
 the a in a degree set: the single a_k for one multidegree
-(:func:`refined_sweep`, :func:`refined_coeff`), 0..q_order for a series
-(:func:`integral_series_q`, :func:`integral_series_refined`), always with
-sum(a) <= a total cap.  The state maps a monomial (x-exponents,
-z-exponents) to its coefficient at every grade: the total q-degree d, or
-the degrees of the edges done so far, packed into one integer.  An
-edge's slice terms are grouped by the exponent shift they apply, so the
-pass builds each new monomial once per (monomial, shift) and then walks
-the grades.  A pass extracts one leak vector, so its result is one table.
+(:func:`refined_coeff`, which :func:`refined_sweep` reads once per leak
+vector), 0..q_order for a series (:func:`integral_series_q`,
+:func:`integral_series_refined`), always with sum(a) <= a total cap.  The
+state maps a monomial (x-exponents, z-exponents) to its coefficient at
+every grade: the total q-degree d, or the degrees of the edges done so
+far, packed into one integer.  An edge's slice terms are grouped by the
+exponent shift they apply, so the pass builds each new monomial once per
+(monomial, shift) and then walks the grades.  A pass extracts one leak
+vector, so its result is one table.
 
 Genus dressing stays in integers.  A z^{2m} term at a vertex of genus g
 carries s_m = 1/(4^m (2m+1)!), m <= g; the pass scales it by K_g^m with
@@ -57,9 +58,7 @@ from .graphs import (
     FeynmanGraph,
     Multidegree,
     VertexOrder,
-    check_leaks,
-    check_multidegree,
-    check_order,
+    check_query,
     graph_sum,
     identity_order,
     orientation,
@@ -144,26 +143,6 @@ def _shift_groups(
         shift + (tuple((a * step_unit, c) for a, c in sorted(terms.items())),)
         for shift, terms in groups.items()
     )
-
-
-def _normalize_query(
-    graph: FeynmanGraph,
-    order: Sequence[int],
-    a: Sequence[int] | None,
-    l: Sequence[int] | None,
-    gf: Sequence[int] | None,
-) -> tuple[VertexOrder, Multidegree | None, LeakVector, tuple[int, ...]]:
-    """The checked order, multidegree (None for a series), leaks and genus
-    function.  No genus function means genus 0 at every vertex, where the
-    dressed factors are the plain ones."""
-    order = check_order(order, graph.n)
-    if a is not None:
-        a = check_multidegree(a, graph.num_edges)
-    leaks = check_leaks(l, graph.n)
-    gf = (0,) * graph.n if gf is None else tuple(gf)
-    if len(gf) != graph.n or any(g < 0 for g in gf):
-        raise ValueError("genus function must be n nonnegative integers")
-    return order, a, leaks, gf
 
 
 def _edge_plan(graph: FeynmanGraph, order: VertexOrder) -> tuple[tuple[int, int, int], ...]:
@@ -318,28 +297,11 @@ def refined_sweep(
     leak_targets: Sequence[Sequence[int]],
     gf: Sequence[int] | None = None,
 ) -> dict[LeakVector, Coeff]:
-    """Coefficients at one multidegree for several leak vectors: the
-    :func:`refined_coeff` pass, once per leak vector."""
-    order, a_t, _, gf_t = _normalize_query(graph, order, a, None, gf)
-    targets = [check_leaks(t, graph.n) for t in leak_targets]
-    if not targets:
+    """Coefficients at one multidegree for several leak vectors: one
+    :func:`refined_coeff` per leak vector."""
+    if not leak_targets:
         raise ValueError("refined_sweep needs at least one leak target")
-    return {t: _coeff(graph, order, a_t, t, gf_t) for t in targets}
-
-
-def _coeff(
-    graph: FeynmanGraph,
-    order: VertexOrder,
-    a_t: Multidegree,
-    leaks: LeakVector,
-    gf_t: tuple[int, ...],
-) -> Coeff:
-    """:func:`refined_coeff` on an already normalized query: the pass with
-    the single degree a_k on edge k."""
-    if sum(leaks) != 0:
-        return 0  # every edge term moves weight between vertices, net zero
-    d = sum(a_t)
-    return _graded_pass(graph, gf_t, order, [(a_k,) for a_k in a_t], d, leaks, False).get(d, 0)
+    return {tuple(t): refined_coeff(graph, order, a, t, gf) for t in leak_targets}
 
 
 def refined_coeff(
@@ -350,9 +312,13 @@ def refined_coeff(
     gf: Sequence[int] | None = None,
 ) -> Coeff:
     """Single coefficient of the dressed edge-factor product; with no genus
-    function, of the plain one (genus 0 everywhere)."""
-    order, a_t, leaks, gf_t = _normalize_query(graph, order, a, l, gf)
-    return _coeff(graph, order, a_t, leaks, gf_t)
+    function, of the plain one (genus 0 everywhere): the pass with the
+    single degree a_k on edge k."""
+    order, a_t, leaks, gf_t = check_query(graph, order, a, l, gf)
+    if sum(leaks) != 0:
+        return 0  # every edge term moves weight between vertices, net zero
+    d = sum(a_t)
+    return _graded_pass(graph, gf_t, order, [(a_k,) for a_k in a_t], d, leaks, False).get(d, 0)
 
 
 def multidegrees(graph: FeynmanGraph, amax: int) -> Iterator[Multidegree]:
@@ -388,7 +354,7 @@ def integral_series_refined(
     degrees of the edges done so far, gives every multidegree at once;
     each value equals :func:`refined_coeff` at it.
     """
-    order, _, leaks, gf_t = _normalize_query(graph, order, None, l, gf)
+    order, _, leaks, gf_t = check_query(graph, order, l=l, gf=gf)
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
     if sum(leaks) != 0:
@@ -408,7 +374,7 @@ def integral_series_q(
     One DP over the edges whose state also carries the total q-degree d,
     so every multidegree with Σa <= q_order is covered in a single pass.
     """
-    order, _, _, gf_t = _normalize_query(graph, order, None, None, gf)
+    order, _, _, gf_t = check_query(graph, order, gf=gf)
     if q_order < 0:
         raise ValueError(f"q-order must be >= 0, got {q_order}")
     degrees = [range(q_order + 1)] * graph.num_edges
@@ -426,7 +392,7 @@ def integral_series_all_orders(
     once per orbit (:func:`~trofey.graphs.orientation_classes`) and
     multiplied by the orbit size.
     """
-    _, _, _, gf_t = _normalize_query(graph, identity_order(graph.n), None, None, gf)
+    _, _, _, gf_t = check_query(graph, identity_order(graph.n), gf=gf)
     orbits = orientation_classes(graph, symmetries(graph, gf_t))
     return graph_sum((integral_series_q(graph, gf_t, rep, q_order), size) for rep, size in orbits)
 

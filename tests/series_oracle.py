@@ -31,8 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence, Union
 
-from trofey.graphs import FeynmanGraph, VertexOrder
-from trofey.integrals import _normalize_query
+from trofey.graphs import FeynmanGraph, VertexOrder, check_query
 from trofey.propagators import divisors, sigma
 from trofey.quasimodular import (
     OVERDETERMINATION_MARGIN,
@@ -508,7 +507,7 @@ def refined_coeff_reference(
     missing genus function as genus 0 and dresses anyway, so comparing it
     with the plain factors here checks that the dressing is trivial there.
     """
-    order, a_t, leaks, gf_t = _normalize_query(graph, order, a, l, gf)
+    order, a_t, leaks, gf_t = check_query(graph, order, a, l, gf)
     dressed = gf is not None
     direct_cap = sum(a_t) + sum(abs(x) for x in leaks)
     x_bound = max(1, direct_cap * max(graph.degrees()))

@@ -78,13 +78,13 @@ def test_unbalanced_leak_vanishes():
 
 def test_refined_coeff_normalizes_its_query_once(monkeypatch):
     calls = []
-    normalize_query = integrals._normalize_query
+    check_query = integrals.check_query
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return normalize_query(*args)
+        return check_query(*args, **kwargs)
 
-    monkeypatch.setattr(integrals, "_normalize_query", counted)
+    monkeypatch.setattr(integrals, "check_query", counted)
     assert refined_coeff(TRIANGLE, ID3, (0, 0, 3), gf=(1, 0, 0)) == Fraction(115, 6)
     assert len(calls) == 1
 

@@ -1,9 +1,10 @@
 """The fine-level identity on random graphs.
 
 Covers and integral monomials agree for every (graph, genus function,
-vertex order, multidegree), not only on the fixed graph lists of the
-other tests.  The strategies here draw decorated graphs for the cover and
-integral routes, and loop-free cubic graphs for the operator route.
+vertex order, multidegree, leak vector), not only on the fixed graph
+lists of the other tests.  The strategies here draw decorated graphs for
+the cover and integral routes, and loop-free cubic graphs for the
+operator route.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trofey.covers import cover_table
+from trofey.covers import cover_count, cover_table
 from trofey.fock import fock_tables
 from trofey.graphs import FeynmanGraph, validate_assignment
-from trofey.integrals import integral_series_refined
+from trofey.integrals import integral_series_refined, multidegrees, refined_coeff
 
 
 def _graph(n: int, edges: list[tuple[int, int]]) -> FeynmanGraph:
@@ -68,6 +69,24 @@ def test_cover_table_equals_integral_table_on_random_graphs(decorated, data):
     order = tuple(data.draw(st.permutations(range(1, graph.n + 1))))
     dmax = data.draw(st.integers(0, 3))
     assert cover_table(graph, order, dmax, k) == integral_series_refined(graph, order, dmax, gf=gf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decorated=decorated_graphs(), data=st.data())
+def test_leaked_cover_count_equals_refined_coeff_on_random_graphs(decorated, data):
+    # leaks l in [-2, 2]^n; an unbalanced vector has no covers and no
+    # monomial, so half of them are balanced to sum(l) = 0 by the last entry
+    # and placed in descending order along the vertex order, the direction
+    # in which uncurled edges carry winding
+    graph, _, _ = decorated
+    order = tuple(data.draw(st.permutations(range(1, graph.n + 1))))
+    a = data.draw(st.sampled_from(list(multidegrees(graph, 3))))
+    leaks = data.draw(st.lists(st.integers(-2, 2), min_size=graph.n, max_size=graph.n))
+    if data.draw(st.booleans()):
+        leaks[-1] -= sum(leaks)
+        ranked = dict(zip(order, sorted(leaks, reverse=True)))
+        leaks = [ranked[v] for v in range(1, graph.n + 1)]
+    assert refined_coeff(graph, order, a, leaks) == cover_count(graph, order, a, leaks)
 
 
 @settings(max_examples=25, deadline=None)

@@ -51,7 +51,7 @@ def test_every_private_def_is_used_in_the_package():
         and not node.name.startswith("__")
     ]
     # the scan is not vacuous: it sees the package's private helpers
-    assert len(private) >= 40
+    assert len(private) >= 38
     # a reference from the def's own body (recursion) does not count
     unused = [
         f"{module}:{name}"
@@ -59,6 +59,19 @@ def test_every_private_def_is_used_in_the_package():
         if not any(name in used for j, used in enumerate(names) if j != i)
     ]
     assert unused == []
+
+
+def test_only_graphs_says_what_a_valid_query_is():
+    # graphs.check_query is the one check of a query's multidegree, leaks
+    # and genus function; no route words those messages again
+    messages = ("multidegree must be", "leak vector must have length", "genus function must be")
+    found = {
+        (path.name, message)
+        for path in sorted(SRC.glob("*.py"))
+        for message in messages
+        if message in path.read_text()
+    }
+    assert found == {("graphs.py", message) for message in messages}
 
 
 def test_no_module_reads_the_environment():
