@@ -6,7 +6,8 @@ Subcommands: ``integral`` (coefficient or q-series of one graph),
 sweeps), ``fit`` (match a q-series against Q[E2, E4, E6]).
 
 Each subcommand is one function that argparse dispatches to and that
-ends in :func:`_emit`, the one renderer of all three ``--format``s.
+ends in :func:`_emit`, the one renderer of all three ``--format``s, but
+for plain ``fit``, which writes its polynomial and weights line itself.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 route
 mismatch, 5 fit failure.  :func:`main` is the one error boundary: a
@@ -34,8 +35,6 @@ from .covers import cover_table, invariant_series
 from .fock import double_hurwitz, elliptic_hurwitz_disconnected, fock_tables
 from .graphs import (
     FeynmanGraph,
-    all_orders,
-    edge_images,
     graph_from_json_dict,
     graph_sum,
     identity_order,
@@ -329,18 +328,19 @@ def cmd_elliptic(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Compare every vertex order's operator table with its cover table, in
-    :func:`~trofey.graphs.all_orders` order, and stop at the first mismatch.
+    the order :func:`~trofey.fock.fock_tables` lists them, and stop at the
+    first mismatch.
 
     One operator walk gives every order's table.  The cover side runs one
     pass per orbit of :func:`~trofey.graphs.orbit_members` under the graph's
     symmetries and order reversal, at the orbit's first order, and carries
-    that table to each member along the symmetry's
-    :func:`~trofey.graphs.edge_images`.  The carried table is the member's
-    own ``cover_table``: a symmetry permutes a table's multidegrees, and
-    reversal keeps every key at zero leaks
+    that table to each member along the member's edge slots.  The carried
+    table is the member's own ``cover_table``: a symmetry permutes a
+    table's multidegrees, and reversal keeps every key at zero leaks
     (:func:`~trofey.graphs.weighted_classes`).
     ``tests/test_acceptance.py::test_fock_check_carries_the_orbit_cover_tables``
-    pins this on every order of theta, K4, dbl_dbl and the prism.
+    pins this on every order of theta, K4, dbl_dbl and the prism.  A run
+    in which every table is empty compared nothing, and exits 3.
     """
     if args.amax < 0:
         raise CliError(VALIDATION_ERROR, f"--amax must be >= 0, got {args.amax}")
@@ -349,11 +349,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     # one operator walk serves every order; it checks the graph first,
     # so a bad graph gets no vacuous "0"
     tables = fock_tables(graph, amax)
-    orders = list(all_orders(graph.n))
     carried_from = {
-        order: (orbit[0][0], edge_images(graph, pi))
+        order: (orbit[0][0], images)
         for orbit in orbit_members(graph, symmetries(graph, (0,) * graph.n))
-        for order, pi in orbit
+        for order, images in orbit
     }
     covers: dict[tuple[int, ...], dict] = {}  # per orbit, at its first order
 
@@ -372,9 +371,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         witness = f"operator/cover mismatch: order={order}"
         _raise_first_mismatch(tables[order], carried, witness, ("fock", "covers"))
 
-    for _ in _run_tasks([lambda order=order: task(order) for order in orders], args.threads):
+    for _ in _run_tasks([lambda order=order: task(order) for order in tables], args.threads):
         pass
-    total_checked = sum(1 for _ in multidegrees(graph, amax)) * len(orders)
+    if not any(tables.values()):
+        no_cover = f"no vertex order has a cover with sum(a) <= {amax}, so nothing was compared"
+        raise CliError(VALIDATION_ERROR, f"--amax {amax}: {no_cover}")
+    total_checked = sum(1 for _ in multidegrees(graph, amax)) * len(tables)
     query = {"command": "fock check", "graph": args.graph, "amax": amax}
     results = [
         {"labels": {"instances": total_checked}, "value": _format_rational(total_checked)}

@@ -125,11 +125,14 @@ def _cover_pass(
     carry the compositions of its residual l_v - (net outgoing winding so
     far), and with none the residual must be 0.  Loops move no winding, so
     they are chosen after the last close, and until then the budget keeps
-    back each loop's least degree.
+    back each loop's least degree.  The pass is the one guard of every
+    cover query's cap and leak balance.
     """
-    n, r = graph.n, graph.num_edges
+    if total_cap < 0:
+        raise ValueError(f"q-order must be >= 0, got {total_cap}")
     if sum(leaks) != 0:
         return  # every edge moves winding between vertices, net zero
+    n, r = graph.n, graph.num_edges
     outs: dict[int, list[tuple[int, int]]] = {v: [] for v in order}
     loops: list[tuple[int, int, int]] = []  # (edge, vertex, least degree)
     for idx, (tail, head) in enumerate(orientation(graph, order)):
@@ -348,12 +351,9 @@ def invariant_fixed_order(
     if d < 1:
         raise ValueError("degree must be >= 1")
     order = check_order(order, len(k))
-    labeled = enumerate_labeled_graphs(k)
-    for graph, gf in labeled:
-        _check_assignment(graph, gf, k)
     return graph_sum(
         (cover_table(graph, order, d, k), Fraction(1, automorphism_count(graph)))
-        for graph, _ in labeled
+        for graph, _ in enumerate_labeled_graphs(k)
     ).get(d, 0)
 
 
@@ -370,9 +370,7 @@ def invariant_series(k: Sequence[int], q_order: int) -> dict[int, Coeff]:
     with no leaks no cover has degree 0), from one cover pass per
     (isomorphism class, orbit of vertex orders) of
     :func:`~trofey.graphs.weighted_classes`, summed by
-    :func:`~trofey.graphs.graph_sum`."""
-    if q_order < 0:
-        raise ValueError(f"q-order must be >= 0, got {q_order}")
+    :func:`~trofey.graphs.graph_sum`; k is checked before q_order."""
     return graph_sum(
         (cover_table(graph, order, q_order, k), weight)
         for graph, _, order, weight in weighted_classes(k)

@@ -219,22 +219,24 @@ def check_query(
 
 def orbit_members(
     graph: FeynmanGraph, symmetries: Sequence[VertexOrder] | None = None
-) -> list[list[tuple[VertexOrder, VertexOrder]]]:
+) -> list[list[tuple[VertexOrder, tuple[int, ...]]]]:
     """The n! vertex orders grouped by the edge directions they induce, and
     with ``symmetries`` also under those symmetries and order reversal.
 
     Each orbit lists its orders in :func:`all_orders` order, each with the
-    symmetry that carries the first order's edge directions to its own,
-    reversed or not (the identity where the directions are the same).  An
-    order is keyed by the sorted (tail, head) pairs of :func:`orientation`:
-    parallel edges always point the same way, so the key fixes every edge's
-    direction.  When an order opens an orbit, the keys of its images are
-    marked, each with the first symmetry that reaches it: a symmetry pi
-    (:func:`symmetries`) sends (t, h) to (pi(t), pi(h)), and reversal sends
-    it to (h, t).
+    edge slots (:func:`edge_images`) of the symmetry that carries the first
+    order's edge directions to its own, reversed or not (the identity
+    where they are the same): they carry the first order's zero-leak
+    table to this order's.  An order is keyed by the sorted (tail, head)
+    pairs of :func:`orientation`: parallel edges always point the same
+    way, so the key fixes every edge's direction.  When an order opens an
+    orbit, the keys of its images are marked, each with the first
+    symmetry that reaches it: a symmetry pi (:func:`symmetries`) sends
+    (t, h) to (pi(t), pi(h)), and reversal sends it to (h, t).
     """
-    identity = identity_order(graph.n)
-    orbit_of: dict[tuple, tuple[list, VertexOrder]] = {}
+    moves = [(pi, edge_images(graph, pi)) for pi in symmetries or ()]
+    identity = tuple(range(graph.num_edges))
+    orbit_of: dict[tuple, tuple[list, tuple[int, ...]]] = {}
     orbits: list[list] = []
     for order in all_orders(graph.n):
         key = tuple(sorted(orientation(graph, order)))
@@ -243,12 +245,12 @@ def orbit_members(
             orbit: list = []
             orbits.append(orbit)
             marked = orbit_of[key] = (orbit, identity)
-            for pi in symmetries or ():
+            for pi, images in moves:
                 image = sorted((pi[t - 1], pi[h - 1]) for t, h in key)
-                orbit_of.setdefault(tuple(image), (orbit, pi))
-                orbit_of.setdefault(tuple(sorted((h, t) for t, h in image)), (orbit, pi))
-        orbit, pi = marked
-        orbit.append((order, pi))
+                orbit_of.setdefault(tuple(image), (orbit, images))
+                orbit_of.setdefault(tuple(sorted((h, t) for t, h in image)), (orbit, images))
+        orbit, images = marked
+        orbit.append((order, images))
     return orbits
 
 
@@ -411,8 +413,9 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
 
     An invariant sums a per-order value / |Aut_vl| over all labeled
     (graph, gf) for k and all n! vertex orders.  Relabeling permutes the
-    orders and keeps |Aut_vl|, so each isomorphism class is visited (and
-    validated) once, at its first labeled member.  The walk reads
+    orders and keeps |Aut_vl|, so each isomorphism class is visited once,
+    at its first labeled member; the labeled walk admits only valid
+    classes, so none is validated again.  The walk reads
     :func:`enumerate_labeled_graphs` in order and skips a member whose
     code an earlier member's relabelings reached; the one pass over the
     relabelings that keep k (:func:`_relabelings`) gives the class's
@@ -444,7 +447,6 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
             continue
         codes, syms = _relabelings(graph, gf, k)
         seen |= codes
-        _check_assignment(graph, gf, k)
         aut = automorphism_count(graph)
         for order, size in orientation_classes(graph, syms):
             yield graph, gf, order, Fraction(size * len(codes), aut)

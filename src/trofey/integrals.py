@@ -202,8 +202,13 @@ def _graded_pass(
     [l_v - remaining, l_v + remaining], with the remaining edges at their
     pruning caps (:func:`_winding_caps`).  Every scaled slice coefficient
     is a positive integer, so the pass never cancels; zero sums are
-    dropped at extraction.
+    dropped at extraction.  The pass is the one guard of every integral
+    query's cap and leak balance.
     """
+    if total_cap < 0:
+        raise ValueError(f"q-order must be >= 0, got {total_cap}")
+    if sum(leaks) != 0:
+        return {}  # every edge term moves weight between vertices, net zero
     n = graph.n
     plan = _edge_plan(graph, order)
     winding_cap, caps = _winding_caps(graph, degrees, total_cap, leaks)
@@ -315,8 +320,6 @@ def refined_coeff(
     function, of the plain one (genus 0 everywhere): the pass with the
     single degree a_k on edge k."""
     order, a_t, leaks, gf_t = check_query(graph, order, a, l, gf)
-    if sum(leaks) != 0:
-        return 0  # every edge term moves weight between vertices, net zero
     d = sum(a_t)
     return _graded_pass(graph, gf_t, order, [(a_k,) for a_k in a_t], d, leaks, False).get(d, 0)
 
@@ -355,10 +358,6 @@ def integral_series_refined(
     each value equals :func:`refined_coeff` at it.
     """
     order, _, leaks, gf_t = check_query(graph, order, l=l, gf=gf)
-    if q_order < 0:
-        raise ValueError(f"q-order must be >= 0, got {q_order}")
-    if sum(leaks) != 0:
-        return {}
     degrees = [range(q_order + 1)] * graph.num_edges
     return _graded_pass(graph, gf_t, order, degrees, q_order, leaks, True)
 
@@ -375,8 +374,6 @@ def integral_series_q(
     so every multidegree with Σa <= q_order is covered in a single pass.
     """
     order, _, _, gf_t = check_query(graph, order, gf=gf)
-    if q_order < 0:
-        raise ValueError(f"q-order must be >= 0, got {q_order}")
     degrees = [range(q_order + 1)] * graph.num_edges
     return _graded_pass(graph, gf_t, order, degrees, q_order, (0,) * graph.n, False)
 

@@ -83,11 +83,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-def mono_degree(m: Monomial, kind: str) -> int:
-    """Total degree of a monomial in one variable family."""
-    return sum(e for (k, _), e in m if k == kind)
-
-
 @dataclass(frozen=True)
 class TruncationSpec:
     """Per-variable truncation bounds.

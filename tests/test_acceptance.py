@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
+from fixtures import DBL_DBL, ID2, ID3, K4, MIDDLE, PRISM, RIGHT, SWEEP_KS, THETA, TRIANGLE
 from covers_oracle import split_by_windings
 from trofey.covers import (
     _cover_pass,
@@ -30,7 +31,6 @@ from trofey.fock import (
     labeled_series_product_check,
 )
 from trofey.graphs import (
-    FeynmanGraph,
     all_orders,
     automorphism_count,
     enumerate_labeled_graphs,
@@ -46,19 +46,6 @@ from trofey.integrals import (
     refined_sweep,
 )
 from trofey.quasimodular import fit
-
-TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
-MIDDLE = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
-THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
-DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
-K4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
-PRISM = FeynmanGraph(
-    6, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6))
-)
-ID3 = identity_order(3)
-
-SWEEP_KS = [(1, 1), (2, 0, 0), (1, 1, 1, 1), (2, 2), (3, 1)]
 
 
 def canonical_code(graph, gf):
@@ -406,11 +393,11 @@ def test_criterion_09_operator_route():
                 assert fock_cover_count(graph, order, a) == cover_count(
                     graph, order, a
                 ), (graph.edges, order, a)
-    id2, id4 = identity_order(2), identity_order(4)
+    id4 = identity_order(4)
     product_checks = [
-        (THETA, id2, (0, 0, 0)),
-        (THETA, id2, (1, 0, 0)),
-        (THETA, id2, (2, 1, 0)),
+        (THETA, ID2, (0, 0, 0)),
+        (THETA, ID2, (1, 0, 0)),
+        (THETA, ID2, (2, 1, 0)),
         (THETA, (2, 1), (3, 0, 0)),
         (DBL_DBL, id4, (0, 0, 0, 0, 0, 0)),
         (DBL_DBL, id4, (1, 0, 0, 0, 0, 1)),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import ID3, K4, THETA, TRIANGLE
 import trofey
 from trofey import cli, fock
 from trofey.cli import main
@@ -32,6 +33,11 @@ def graphs(tmp_path):
         "k4": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
         "dbl_dbl": {"n": 4, "edges": [[1, 2], [1, 2], [1, 3], [2, 4], [3, 4], [3, 4]]},
         "unsorted": {"n": 3, "edges": [[1, 2], [1, 1], [2, 3], [1, 3]]},
+        # two triangles with a doubled edge each, joined by the bridge (1, 4)
+        "bridged": {
+            "n": 6,
+            "edges": [[1, 2], [1, 3], [2, 3], [2, 3], [4, 5], [4, 6], [5, 6], [5, 6], [1, 4]],
+        },
     }
     for name, payload in specs.items():
         path = tmp_path / f"{name}.json"
@@ -469,6 +475,38 @@ def test_fock_check_passes(graphs, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "name, amax",
+    [("theta", "0"), ("theta", "1"), ("dbl_dbl", "1"), ("k4", "2"), ("bridged", "3")],
+)
+def test_fock_check_refuses_a_run_that_compares_only_zeros(graphs, capsys, name, amax):
+    # every order's operator and cover tables agree because all are empty:
+    # "N instances" would be a vacuous pass.  A bridge's winding is the net
+    # flow out of one side, 0 without leaks, so a graph with a bridge has
+    # no cover at any amax
+    code, out, err = run(capsys, "fock", "check", "--graph", graphs[name], "--amax", amax)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: --amax {amax}: no vertex order has a cover with sum(a) <= {amax}, "
+        "so nothing was compared\n"
+    )
+
+
+def test_fock_check_reports_a_mismatch_before_empty_cover_tables(graphs, capsys, monkeypatch):
+    # theta has no cover at amax 1; an operator entry there is a mismatch (exit 4)
+    true_tables = cli.fock_tables
+
+    def one_entry(graph, amax):
+        tables = true_tables(graph, amax)
+        tables[1, 2][1, 0, 0] = 1
+        return tables
+
+    monkeypatch.setattr(cli, "fock_tables", one_entry)
+    code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "1")
+    assert (code, out) == (4, "")
+    assert err == "operator/cover mismatch: order=(1, 2) a=(1, 0, 0) fock=1 covers=0\n"
+
+
 def test_fock_check_mismatch_prints_one_witness(graphs, capsys, monkeypatch):
     true_tables = cli.fock_tables
 
@@ -490,8 +528,7 @@ def test_fock_check_mismatch_prints_one_witness(graphs, capsys, monkeypatch):
     assert match, lines[0]
     order, a = ast.literal_eval(match.group(1)), ast.literal_eval(match.group(2))
     assert a == (2, 0, 0)
-    theta = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
-    covers = cover_count(theta, order, a)
+    covers = cover_count(THETA, order, a)
     assert Fraction(match.group(4)) == covers
     assert Fraction(match.group(3)) == covers + 1
 
@@ -567,9 +604,8 @@ def test_fock_check_compares_every_order_of_an_orbit(graphs, capsys, monkeypatch
     # one order of K4's one orbit has a wrong operator table; it is still
     # compared, with its own cover values, though only the first order ran
     # a cover pass
-    k4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
-    a = min(cover_table(k4, order, 4))
-    value = cover_count(k4, order, a)
+    a = min(cover_table(K4, order, 4))
+    value = cover_count(K4, order, a)
     true_tables, true_cover = cli.fock_tables, cli.cover_table
     cover_orders = []
 
@@ -594,9 +630,8 @@ def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, mon
     # two multidegrees of the first order mismatch, one of them missing from
     # the table; the witness is the one multidegrees yields first, whatever
     # order the table holds them in
-    theta = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
     first, later = (0, 1, 1), (2, 0, 0)
-    yielded = list(multidegrees(theta, 2))
+    yielded = list(multidegrees(THETA, 2))
     assert yielded.index(first) < yielded.index(later)
     true_tables = cli.fock_tables
 
@@ -612,7 +647,7 @@ def test_fock_check_prints_the_first_mismatching_multidegree(graphs, capsys, mon
     code, out, err = run(capsys, "fock", "check", "--graph", graphs["theta"], "--amax", "2")
     assert code == 4
     assert out == ""
-    covers = cover_count(theta, (1, 2), first)
+    covers = cover_count(THETA, (1, 2), first)
     assert covers != 0
     assert err == f"operator/cover mismatch: order=(1, 2) a={first} fock=0 covers={covers}\n"
 
@@ -740,11 +775,9 @@ def test_fit_round_trip_from_json(graphs, capsys, tmp_path):
     report = json.loads(fit_out)
 
     # byte-for-byte agreement with the in-process fit
-    from trofey.graphs import FeynmanGraph, identity_order
     from trofey.integrals import integral_series_q
 
-    triangle = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-    series = integral_series_q(triangle, (1, 0, 0), identity_order(3), 16)
+    series = integral_series_q(TRIANGLE, (1, 0, 0), ID3, 16)
     direct = quasimodular_fit(series, 8, 16)
     assert report["meta"]["polynomial"] == direct.format_polynomial()
     assert report["meta"]["homogeneous"] is False

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import TRIANGLE, RIGHT, THETA, DUMBBELL, EDGE, ID2, ID3
 from covers_oracle import enumerate_tuples_reference, split_by_windings
 from test_acceptance import class_representatives
 from trofey.covers import (
@@ -26,7 +27,6 @@ from trofey.covers import (
     one_point_mult,
 )
 from trofey.graphs import (
-    FeynmanGraph,
     all_orders,
     enumerate_labeled_graphs,
     identity_order,
@@ -41,14 +41,6 @@ from trofey.integrals import (
     refined_coeff,
     refined_sweep,
 )
-
-TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
-THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
-DUMBBELL = FeynmanGraph(2, ((1, 1), (2, 2), (1, 2)))
-EDGE = FeynmanGraph(2, ((1, 2),))
-ID2 = identity_order(2)
-ID3 = identity_order(3)
 
 
 # -- tuple enumeration, hand-checked ---------------------------------------

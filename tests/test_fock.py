@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+
+from fixtures import DBL_DBL, DUMBBELL, ID2, ID3, K4, PRISM, THETA, TRIANGLE
 from covers_oracle import split_by_windings
 from fock_oracle import (
     _apply_moves,
@@ -41,13 +43,8 @@ from trofey.fock import (
     partitions,
     winding_choices,
 )
-from trofey.graphs import FeynmanGraph, all_orders, identity_order, orientation
+from trofey.graphs import all_orders, identity_order, orientation
 from trofey.integrals import multidegrees
-
-THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
-DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
-K4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
-ID2 = identity_order(2)
 
 
 # -- the partition-basis algebra -------------------------------------------
@@ -390,18 +387,17 @@ def test_labeled_matrix_element_splits_cover_count():
 
 
 def test_labeled_matrix_element_guards():
-    dumbbell = FeynmanGraph(2, ((1, 1), (2, 2), (1, 2)))
     windings = {1: 1, 2: 1, 3: 1}
     with pytest.raises(ValueError):
-        labeled_matrix_element(dumbbell, ID2, (1, 1, 1), windings)
+        labeled_matrix_element(DUMBBELL, ID2, (1, 1, 1), windings)
     # one set-up guards every labeled entry point
     with pytest.raises(ValueError, match="loop-free"):
-        labeled_series_product(dumbbell, ID2, (1, 1, 1), windings, 2)
+        labeled_series_product(DUMBBELL, ID2, (1, 1, 1), windings, 2)
     with pytest.raises(ValueError, match="loop-free"):
-        labeled_series_product_check(dumbbell, ID2, (1, 1, 1), 2)
+        labeled_series_product_check(DUMBBELL, ID2, (1, 1, 1), 2)
     with pytest.raises(ValueError):
         labeled_matrix_element(
-            FeynmanGraph(3, ((1, 2), (2, 3), (1, 3))), identity_order(3), (1, 1, 1),
+            TRIANGLE, ID3, (1, 1, 1),
             {1: 1, 2: 1, 3: 1},
         )
 
@@ -555,11 +551,6 @@ def test_fock_table_equals_oracle_and_cover_table():
                 want = fock_cover_count_reference(graph, order, a)
                 assert table.get(a, 0) == want, (graph.edges, order, a)
                 assert fock_cover_count(graph, order, a) == want, (graph.edges, order, a)
-
-
-PRISM = FeynmanGraph(
-    6, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6))
-)
 
 
 @pytest.mark.parametrize("graph", [THETA, K4, DBL_DBL], ids=["theta", "k4", "dbl_dbl"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import TRIANGLE, RIGHT, MIDDLE, THETA, DUMBBELL, DBL_DBL, K4, SWEEP_KS
 from trofey.graphs import (
     FeynmanGraph,
     all_orders,
@@ -22,15 +23,7 @@ from trofey.graphs import (
     validate_assignment,
     weighted_classes,
 )
-from test_acceptance import SWEEP_KS, canonical_code, class_representatives, order_orbits
-
-TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
-MIDDLE = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
-THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
-DUMBBELL = FeynmanGraph(2, ((1, 1), (2, 2), (1, 2)))
-K4 = FeynmanGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
-DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
+from test_acceptance import canonical_code, class_representatives, order_orbits
 
 
 def test_basic_counts():
@@ -39,12 +32,15 @@ def test_basic_counts():
     assert RIGHT.num_loops == 1
     assert DUMBBELL.degrees() == (3, 3)
     assert RIGHT.degrees() == (4, 2, 2)  # the loop counts twice
-    # every enumerated class has total genus g: first Betti number
-    # #edges - #vertices + 1 plus the vertex genera
-    for k in SWEEP_KS:
+    # every enumerated class is admissible, which is why weighted_classes
+    # and invariant_fixed_order do not validate the walk's output again,
+    # and has total genus g: first Betti number #edges - #vertices + 1
+    # plus the vertex genera
+    for k in SWEEP_KS + [(1,) * 6]:
         classes = enumerate_labeled_graphs(k)
         assert classes
         for a in classes:
+            assert validate_assignment(a.graph, a.gf, k) == [], (k, a)
             betti = a.graph.num_edges - a.graph.n + 1
             assert betti + sum(a.gf) == genus_from_descendants(k), (k, a)
 

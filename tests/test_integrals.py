@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import TRIANGLE, RIGHT, MIDDLE, THETA, DBL_DBL, ID3
 from series_oracle import refined_coeff_reference
 from test_acceptance import class_representatives
 from trofey import integrals
 from trofey.graphs import (
     FeynmanGraph,
     all_orders,
-    identity_order,
     orientation_classes,
 )
 from trofey.integrals import (
@@ -33,13 +33,6 @@ from trofey.integrals import (
     refined_coeff,
     refined_sweep,
 )
-
-TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
-MIDDLE = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
-THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
-DBL_DBL = FeynmanGraph(4, ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)))
-ID3 = identity_order(3)
 
 
 def refined_table_by_coeff(graph, order, q_order, l=None, gf=None):

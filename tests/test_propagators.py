@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fixtures import TRIANGLE, RIGHT
 from series_oracle import (
     EdgeContext,
     TruncationSpec,
@@ -12,11 +13,7 @@ from series_oracle import (
     vertex_loop_propagator,
     vertex_propagator,
 )
-from trofey.graphs import FeynmanGraph
 from trofey.propagators import divisors, eisenstein_coefficients, sigma
-
-TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
 
 
 def test_divisors_and_sigma():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trofey.graphs import FeynmanGraph, identity_order
+from fixtures import TRIANGLE, RIGHT, MIDDLE, ID3
 from trofey.integrals import integral_series_q
 from trofey.propagators import eisenstein_coefficients
 from trofey.quasimodular import (
@@ -17,10 +17,6 @@ from trofey.quasimodular import (
 )
 from series_oracle import fit_reference
 
-TRIANGLE = FeynmanGraph(3, ((1, 2), (2, 3), (1, 3)))
-RIGHT = FeynmanGraph(3, ((1, 1), (1, 2), (2, 3), (1, 3)))
-MIDDLE = FeynmanGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3)))
-ID3 = identity_order(3)
 Q_ORDER = 16  # 11 basis monomials at weight 8, plus the safety margin
 
 

@@ -74,6 +74,44 @@ def test_only_graphs_says_what_a_valid_query_is():
     assert found == {("graphs.py", message) for message in messages}
 
 
+def _guards(node: ast.AST) -> set[str]:
+    """Which of the two table-pass guards a def holds: "cap" for a raise
+    whose message says the q-order must be >= 0, "leaks" for a comparison
+    of a ``sum(...)`` call with 0."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Raise):
+            texts = [c.value for c in ast.walk(sub) if isinstance(c, ast.Constant)]
+            if any(isinstance(t, str) and "q-order must be >= 0" in t for t in texts):
+                found.add("cap")
+        elif isinstance(sub, ast.Compare):
+            sides = [sub.left, *sub.comparators]
+            summed = any(
+                isinstance(side, ast.Call) and getattr(side.func, "id", None) == "sum"
+                for side in sides
+            )
+            if summed and any(getattr(side, "value", None) == 0 for side in sides):
+                found.add("leaks")
+    return found
+
+
+def test_each_table_pass_owns_its_guards():
+    # a negative q-order cap and a leak vector with nonzero sum are decided
+    # once per route, by the pass every entry point reads; only the CLI,
+    # which checks its own flags, words the q-order message again
+    found = {
+        f"{path.stem}.{node.name}": _guards(node)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _guards(node)
+    }
+    assert found == {
+        "covers._cover_pass": {"cap", "leaks"},
+        "integrals._graded_pass": {"cap", "leaks"},
+    }
+
+
 def test_no_module_reads_the_environment():
     # every setting is a flag or a parameter: nothing reads os.environ or
     # os.getenv, by attribute or by import
@@ -109,15 +147,21 @@ def test_cli_import_stays_light():
     assert loaded & {"dataclasses", "inspect", "csv", "json"} == set()
 
 
-def _traced() -> dict[str, tuple[str, ...]]:
-    """``perfbench/spans.TRACED``: the names the tracer wraps, per module."""
+def _spans_value(name: str) -> ast.expr:
+    """The value of the top-level annotated assignment ``name`` in
+    ``perfbench/spans.py``, read by ast."""
     spans = ast.parse((PERFBENCH / "spans.py").read_text())
-    [traced] = [
+    [value] = [
         node.value
         for node in spans.body
-        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED"
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == name
     ]
-    return ast.literal_eval(traced)
+    return value
+
+
+def _traced() -> dict[str, tuple[str, ...]]:
+    """``perfbench/spans.TRACED``: the names the tracer wraps, per module."""
+    return ast.literal_eval(_spans_value("TRACED"))
 
 
 def _trofey_imports(path: Path) -> list[tuple[str, str]]:
@@ -135,8 +179,12 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     # ``import trofey.cli``, and patches cli._run_tasks; perfbench/child.py
     # imports library names for its product query.  Read both by ast, so
     # that no simplification of trofey can break ``run.py --trace 1``.
+    # Every observer keys a traced "layer.name".
     traced = _traced()
     assert len(traced) >= 7
+    observed = {key.value for key in _spans_value("OBSERVERS").keys}
+    names = {f"{layer}.{name}" for layer, funcs in traced.items() for name in funcs}
+    assert observed and observed <= names
     loaded = _loaded_by_cli_import()
     missing = []
     for layer, funcs in traced.items():
@@ -161,11 +209,7 @@ def _observed_arguments() -> dict[str, int]:
     of its ``args[i]``), keyed by the observed "layer.name"."""
     spans = ast.parse((PERFBENCH / "spans.py").read_text())
     helpers = {node.name: node for node in spans.body if isinstance(node, ast.FunctionDef)}
-    [observers] = [
-        node.value
-        for node in spans.body
-        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "OBSERVERS"
-    ]
+    observers = _spans_value("OBSERVERS")
     needed = {}
     for key, value in zip(observers.keys, observers.values):
         observer = helpers[value.id] if isinstance(value, ast.Name) else value
