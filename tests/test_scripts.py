@@ -1,5 +1,7 @@
-"""Smoke tests: the example scripts run and print what they document."""
+"""Smoke tests: the example scripts and the benchmark tracer fit the library."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -48,3 +50,24 @@ def test_script_exits_cleanly(argv):
     for name, verdict in CLAIMS.get(argv[0], {}).items():
         assert printed.get(name) == verdict, (name, proc.stdout)
 
+
+def test_tracer_names_resolve():
+    # perfbench/spans.py patches these names at run time; a renamed or removed
+    # library function would otherwise only break `perfbench/run.py --trace 1`.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # read-only load
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        sys.dont_write_bytecode = saved
+    traced = set()
+    for layer, funcs in spans.TRACED.items():
+        module = importlib.import_module(f"trofey.{layer}")
+        for func in funcs:
+            assert callable(getattr(module, func, None)), f"trofey.{layer}.{func}"
+            traced.add(f"{layer}.{func}")
+    assert set(spans.OBSERVERS) <= traced
+    assert callable(importlib.import_module("trofey.cli")._run_tasks)

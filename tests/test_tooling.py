@@ -179,12 +179,8 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     # ``import trofey.cli``, and patches cli._run_tasks; perfbench/child.py
     # imports library names for its product query.  Read both by ast, so
     # that no simplification of trofey can break ``run.py --trace 1``.
-    # Every observer keys a traced "layer.name".
     traced = _traced()
     assert len(traced) >= 7
-    observed = {key.value for key in _spans_value("OBSERVERS").keys}
-    names = {f"{layer}.{name}" for layer, funcs in traced.items() for name in funcs}
-    assert observed and observed <= names
     loaded = _loaded_by_cli_import()
     missing = []
     for layer, funcs in traced.items():
