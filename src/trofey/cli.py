@@ -261,10 +261,9 @@ def _compare_tasks(
     A task reads each side at every multidegree from one pass (the
     integral DP and the cover pass) at the orbit's first order, compares
     the two full tables over the union of their keys and raises the first
-    mismatch (:func:`_raise_first_mismatch`).  The other
-    orders of the orbit are relabelings by a symmetry of the class, or
-    reversals, whose tables at zero leaks are the same up to a permutation
-    of the edges.
+    mismatch (:func:`_raise_first_mismatch`).  The orbit's other orders
+    have the same table up to permuting the edges
+    (:func:`~trofey.graphs.weighted_classes` says why).
     """
     tasks = []
     for graph, gf, order, weight in weighted_classes(k):
@@ -334,10 +333,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     One operator walk gives every order's table.  The cover side runs one
     pass per orbit of :func:`~trofey.graphs.orbit_members` under the graph's
     symmetries and order reversal, at the orbit's first order, and carries
-    that table to each member along the member's edge slots.  The carried
-    table is the member's own ``cover_table``: a symmetry permutes a
-    table's multidegrees, and reversal keeps every key at zero leaks
-    (:func:`~trofey.graphs.weighted_classes`).
+    that table to each member along the member's edge slots: it is the
+    member's own ``cover_table`` (:func:`~trofey.graphs.weighted_classes`
+    says why).
     ``tests/test_acceptance.py::test_fock_check_carries_the_orbit_cover_tables``
     pins this on every order of theta, K4, dbl_dbl and the prism.  A run
     in which every table is empty compared nothing, and exits 3.
@@ -440,20 +438,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.q_order is not None and args.q_order < 0:
         raise CliError(VALIDATION_ERROR, f"--q-order must be >= 0, got {args.q_order}")
 
-    q_order = args.q_order
+    q_order = args.q_order if args.q_order is not None else known_order
     try:
-        n_basis = len(basis(args.max_weight, 0))
-        if q_order is None:
-            q_order = known_order if known_order is not None else n_basis + OVERDETERMINATION_MARGIN
+        if q_order is None:  # --coeffs alone: the least q-order the fit accepts
+            q_order = len(basis(args.max_weight, 0)) + OVERDETERMINATION_MARGIN
         result = quasimodular_fit(series, args.max_weight, q_order)
     except ValueError as exc:
         raise CliError(FIT_ERROR, str(exc)) from exc
-    if not result.residual_ok:
-        raise CliError(
-            FIT_ERROR,
-            f"no polynomial of weight <= {args.max_weight} matches the series "
-            f"through q^{q_order}",
-        )
     if args.format == "plain":
         flag = "homogeneous" if result.is_homogeneous else "mixed"
         profile = ",".join(str(w) for w in sorted(result.weight_profile))

@@ -35,13 +35,12 @@ with the single degree a_k on edge k.  Callers that want many
 multidegrees (the invariant assemblies, ``invariant --compare`` and
 ``fock check``) read one pass per (graph, vertex order) over every
 multidegree as a table, :func:`cover_table`, at one order per orbit of
-vertex orders under the graph's symmetries and order reversal: a
-symmetry of the graph permutes a table's multidegrees, and reversing
-the order reverses every cover's arrows, which keeps each table at zero
-leaks (with leaks l it would need -l).  The assemblies and ``--compare``
-read the orbits of :func:`~trofey.graphs.weighted_classes`, whose
-orders give equal totals by degree; ``fock check`` carries each orbit's
-table to every order of the orbit along the edge permutation.
+vertex orders under the graph's symmetries and order reversal, which
+keep a zero-leak table (:func:`~trofey.graphs.weighted_classes`).  The
+assemblies and ``--compare`` read the orbits of
+:func:`~trofey.graphs.weighted_classes`, whose orders give equal totals
+by degree; ``fock check`` carries each orbit's table to every order of
+the orbit along the edge permutation.
 The route shares no table code with :mod:`trofey.integrals`, which it
 checks: the two read the same graph sum,
 :func:`~trofey.graphs.weighted_classes`, and total it with

@@ -57,7 +57,8 @@ and any other walk caps every edge at the flow bound sum(a) + n * x_bound.
 order, keyed by multidegree.  ``fock check`` compares each with that
 order's :func:`~trofey.covers.cover_table`, which it reads once per orbit
 of orders under the graph's symmetries and reversal and carries to the
-orbit's other orders along the edge permutation.  :func:`fock_cover_count`,
+orbit's other orders along the edge permutation
+(:func:`~trofey.graphs.weighted_classes` says why).  :func:`fock_cover_count`,
 :func:`labeled_series_product` and :func:`labeled_matrix_element` are
 one-order views with one degree (and one winding) per edge.
 """

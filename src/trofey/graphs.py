@@ -264,8 +264,8 @@ def orientation_classes(
     and covers see an order only through the edge directions, so one
     computation per class, weighted by its size, stands for the sum over
     all orders; per-edge queries (one multidegree, any leaks) group orders
-    this way.  The orbits under the symmetries and reversal keep only the
-    zero-leak totals by degree (:func:`weighted_classes` says why).
+    this way.  The orbits under the symmetries and reversal hold only at
+    zero leaks (:func:`weighted_classes`).
     """
     return [(orbit[0][0], len(orbit)) for orbit in orbit_members(graph, symmetries)]
 
@@ -426,15 +426,17 @@ def weighted_classes(k: Sequence[int]) -> Iterator[tuple]:
     unlabeled 1/|Aut| misses the pinned values; one vertex order is not
     relabeling-invariant, so its slice sums labeled graphs.
 
-    Both moves keep every total by degree d:
+    At zero leaks both moves keep a table up to permuting its
+    multidegrees, so they keep every total by degree d:
 
     * a symmetry pi permutes the edges, so the table at the order pi(sigma)
       is the table at sigma with every multidegree permuted;
-    * reversal flips every edge.  Reversing a cover's arrows gives a cover
-      of the reversed order: balance holds because there are no leaks, and
-      a one-point multiplicity reads only the multiset of windings at its
-      vertex.  The integrand maps to itself under x_v -> 1/x_v, and S is
-      even, so its constant term in x does not change.
+    * reversal flips every edge and keeps every entry of the table.
+      Reversing a cover's arrows gives a cover of the reversed order:
+      balance holds because there are no leaks, and a one-point
+      multiplicity reads only the multiset of windings at its vertex.
+      The integrand maps to itself under x_v -> 1/x_v, and S is even, so
+      its constant term in x does not change.
 
     With a leak vector l, reversal trades l for -l, and the totals differ
     (on the triangle with gf (1,0,0), a = (1,0,0) and l = (1,-1,0), the

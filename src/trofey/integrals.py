@@ -383,10 +383,10 @@ def integral_series_all_orders(
 ) -> dict[int, Coeff]:
     """Sum of integral_series_q over all n! vertex orders.
 
-    The series is summed at zero leaks, so orders in one orbit under the
-    symmetries of (graph, gf) and order reversal give the same series
-    (:func:`~trofey.graphs.weighted_classes` says why); it is computed
-    once per orbit (:func:`~trofey.graphs.orientation_classes`) and
+    It is computed once per orbit of orders under the symmetries of
+    (graph, gf) and order reversal
+    (:func:`~trofey.graphs.orientation_classes`), which give the same
+    zero-leak series (:func:`~trofey.graphs.weighted_classes`), and
     multiplied by the orbit size.
     """
     _, _, _, gf_t = check_query(graph, identity_order(graph.n), gf=gf)

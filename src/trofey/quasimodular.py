@@ -5,7 +5,8 @@ E2^a E4^b E6^c of weight 2a + 4b + 6c <= max_weight by exact linear
 algebra.  The monomials are linearly independent as q-series, so when a
 solution exists it is unique; the solve uses more coefficients than
 monomials so that wrong normalizations or too small weight bounds fail
-loudly instead of producing a spurious polynomial.
+loudly instead of producing a spurious polynomial: :func:`fit` returns
+the matching polynomial or raises ``ValueError``.
 
 The solve runs in integers: the basis q-expansions are integral, the
 target is scaled by the lcm of its denominators, and fraction-free
@@ -76,14 +77,12 @@ def weight_bound(graph: FeynmanGraph, gf: Sequence[int]) -> int:
 class QuasimodularFit(NamedTuple):
     """An exact polynomial in E2, E4, E6 matched to a q-series.
 
-    ``coefficients`` holds only nonzero entries.  ``residual_ok`` is False
-    when no polynomial within the weight bound reproduces the series;
-    the coefficients are then empty.
+    ``coefficients`` holds only nonzero entries.  A fit that returns is a
+    match: :func:`fit` raises when no polynomial within the weight bound
+    reproduces the series.
     """
 
     coefficients: Mapping[EisensteinMonomial, Coeff]
-    max_weight: int
-    residual_ok: bool
 
     @property
     def weight_profile(self) -> frozenset[int]:
@@ -137,7 +136,7 @@ def fit(series: Mapping[int, Coeff], max_weight: int, q_order: int) -> Quasimodu
     least (number of basis monomials) + OVERDETERMINATION_MARGIN --
     otherwise the system is declared underdetermined and raises.  All
     q-coefficients through q_order participate: an exact solution must
-    reproduce every one of them, else residual_ok is False.
+    reproduce every one of them, else no polynomial matches and it raises.
     """
     bas = basis(max_weight, q_order)
     if q_order < len(bas) + OVERDETERMINATION_MARGIN:
@@ -178,7 +177,9 @@ def fit(series: Mapping[int, Coeff], max_weight: int, q_order: int) -> Quasimodu
             ]
         previous = p
     if any(row[ncols] != 0 for row in rows[ncols:]):
-        return QuasimodularFit({}, max_weight, False)
+        raise ValueError(
+            f"no polynomial of weight <= {max_weight} matches the series through q^{q_order}"
+        )
     # back-substitution for y = det * x, integral by Cramer's rule
     det = previous
     scaled: list[int] = [0] * ncols
@@ -190,4 +191,4 @@ def fit(series: Mapping[int, Coeff], max_weight: int, q_order: int) -> Quasimodu
     for (monomial, _), y in zip(bas, scaled):
         if y != 0:
             solution[monomial] = normalize(Fraction(y, det * scale))
-    return QuasimodularFit(solution, max_weight, True)
+    return QuasimodularFit(solution)

@@ -587,10 +587,12 @@ def fit_reference(
     if rank < ncols:
         raise ValueError("basis q-expansions are not independent at this order")
     if not all(row[ncols] == 0 for row in rows[rank:]):
-        return QuasimodularFit({}, max_weight, False)
+        raise ValueError(
+            f"no polynomial of weight <= {max_weight} matches the series through q^{q_order}"
+        )
     solution: dict[EisensteinMonomial, Coeff] = {}
     for col, (monomial, _) in enumerate(bas):
         value = rows[pivot_of_col[col]][ncols]
         if value != 0:
             solution[monomial] = _norm_coeff(value)
-    return QuasimodularFit(solution, max_weight, True)
+    return QuasimodularFit(solution)

@@ -33,6 +33,14 @@ def graphs(tmp_path):
         "k4": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
         "dbl_dbl": {"n": 4, "edges": [[1, 2], [1, 2], [1, 3], [2, 4], [3, 4], [3, 4]]},
         "unsorted": {"n": 3, "edges": [[1, 2], [1, 1], [2, 3], [1, 3]]},
+        # the 3-cube: 8! vertex orders, 37 orbits under its 48 symmetries and reversal
+        "cube": {
+            "n": 8,
+            "edges": [
+                [1, 2], [2, 3], [3, 4], [1, 4], [5, 6], [6, 7],
+                [7, 8], [5, 8], [1, 5], [2, 6], [3, 7], [4, 8],
+            ],
+        },
         # two triangles with a doubled edge each, joined by the bridge (1, 4)
         "bridged": {
             "n": 6,
@@ -580,13 +588,19 @@ def test_fock_check_stops_at_the_first_mismatch(graphs, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "name, amax, out, passes",
-    [("k4", "4", "5040\n", 1), ("dbl_dbl", "4", "5040\n", 4), ("theta", "2", "20\n", 1)],
+    [
+        ("k4", "4", "5040\n", 1),
+        ("dbl_dbl", "4", "5040\n", 4),
+        ("theta", "2", "20\n", 1),
+        ("cube", "3", "18345600\n", 37),
+    ],
 )
 def test_fock_check_runs_one_cover_pass_per_orbit(
     graphs, capsys, monkeypatch, name, amax, out, passes
 ):
     # the cover side runs once per orbit of vertex orders under the graph's
-    # symmetries and reversal: K4's 24 orders are one orbit, dbl_dbl's four
+    # symmetries and reversal: K4's 24 orders are one orbit, dbl_dbl's fall
+    # into four and the cube's 40,320 into 37
     true_cover = cli.cover_table
     cover_orders = []
 

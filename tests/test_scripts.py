@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -71,3 +72,54 @@ def test_tracer_names_resolve():
             traced.add(f"{layer}.{func}")
     assert set(spans.OBSERVERS) <= traced
     assert callable(importlib.import_module("trofey.cli")._run_tasks)
+
+
+# Runs one CLI query under the benchmark tracer, as perfbench/child.py
+# does with TRACE=1, and prints its exit code and the spans' raw sums.
+TRACED_QUERY = """
+import contextlib, io, json, sys
+from spans import Tracer, analyse
+import trofey.cli
+
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = tracer.run_root(lambda: trofey.cli.main(sys.argv[1:]))
+raw, _ = analyse(tracer.dump())
+print(json.dumps({"code": code, "raw": raw}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, rows, bases",
+    [
+        # --coeffs alone: the CLI builds the basis once for the least
+        # accepted q-order (6), the fit once more
+        (["fit", "--coeffs", "1", "--max-weight", "0"], 7, 2),
+        # --from: the file's last q-exponent (7) is the q-order
+        (["fit", "--from", "SERIES", "--max-weight", "2"], 8, 1),
+    ],
+    ids=["coeffs", "from"],
+)
+def test_tracer_observes_the_fit_cli(tmp_path, argv, rows, bases):
+    # spans.OBSERVERS reads the fit's q-order as args[2]: the CLI must pass
+    # it an int, positionally, on every path, or `run.py --trace 1` breaks
+    e2 = [1, -24, -72, -96, -168, -144, -288, -192]
+    series = tmp_path / "series.json"
+    series.write_text(
+        json.dumps({"results": [{"labels": {"d": d}, "value": str(c)} for d, c in enumerate(e2)]})
+    )
+    argv = [str(series) if arg == "SERIES" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", TRACED_QUERY, *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    done = json.loads(proc.stdout)
+    assert done["code"] == 0
+    raw = done["raw"]
+    assert raw["quasimodular.errors"] == 0
+    assert raw["quasimodular.fit.calls"] == 1
+    assert raw["quasimodular.fit.rows"] == rows
+    assert raw["quasimodular.basis.calls"] == bases

@@ -74,6 +74,14 @@ def test_only_graphs_says_what_a_valid_query_is():
     assert found == {("graphs.py", message) for message in messages}
 
 
+def test_only_the_fit_says_that_no_polynomial_matches():
+    # quasimodular.fit owns a fit's outcome: it returns the matching
+    # polynomial or raises, and the CLI passes its message on
+    message = "no polynomial of weight"
+    found = {path.name for path in sorted(SRC.glob("*.py")) if message in path.read_text()}
+    assert found == {"quasimodular.py"}
+
+
 def _guards(node: ast.AST) -> set[str]:
     """Which of the two table-pass guards a def holds: "cap" for a raise
     whose message says the q-order must be >= 0, "leaks" for a comparison
