@@ -61,6 +61,14 @@ MISMATCH_ERROR = 4
 FIT_ERROR = 5
 
 
+# invariant's routes by --route name, the first the default; each looks its
+# function up when called, so a wrapper on this module's name sees the call
+ROUTES = {
+    "covers": lambda k, dmax: invariant_series(k, dmax),
+    "integrals": lambda k, dmax: mirror_total_series(k, dmax),
+}
+
+
 class CliError(Exception):
     def __init__(self, exit_code: int, message: str) -> None:
         super().__init__(message)
@@ -289,10 +297,8 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     query = {"command": "invariant", "k": list(k), "dmax": args.dmax, "route": route}
     if args.compare:
         series = graph_sum(_run_tasks(_compare_tasks(k, args.dmax), args.threads))
-    elif route == "integrals":
-        series = mirror_total_series(k, args.dmax)
     else:
-        series = invariant_series(k, args.dmax)
+        series = ROUTES[route](k, args.dmax)
     results = [
         {"labels": {"d": d}, "value": _format_rational(series.get(d, 0))}
         for d in range(1, args.dmax + 1)
@@ -415,33 +421,36 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if (args.coeffs is None) == (args.series is None):
         raise CliError(PARSE_ERROR, "need exactly one of --coeffs or --from")
     if args.coeffs is not None:
-        values = [_parse_rational(part) for part in args.coeffs.split(",")]
-        series = {d: c for d, c in enumerate(values)}
-        known_order = None  # a finite polynomial: exact at every order
+        series = dict(enumerate(_parse_rational(part) for part in args.coeffs.split(",")))
+        last = len(series) - 1
     else:
         series = _series_from_json(args.series)
-        known_order = max(series)
-        gap = next((d for d in range(min(series), known_order) if d not in series), None)
+        last = max(series)
+        gap = next((d for d in range(min(series), last) if d not in series), None)
         if gap is not None:
             raise CliError(
                 VALIDATION_ERROR,
                 f"series file has no row for q^{gap} (its rows run from q^{min(series)} "
-                f"to q^{known_order})",
+                f"to q^{last})",
             )
-        if args.q_order is not None and args.q_order > known_order:
+        if args.q_order is not None and args.q_order > last:
             raise CliError(
                 VALIDATION_ERROR,
                 f"--q-order {args.q_order} is past the series file's last coefficient, "
-                f"q^{known_order}",
+                f"q^{last}",
             )
 
     if args.q_order is not None and args.q_order < 0:
         raise CliError(VALIDATION_ERROR, f"--q-order must be >= 0, got {args.q_order}")
+    if args.coeffs is not None and args.q_order is not None and args.q_order < last:
+        below = f"--q-order {args.q_order} is below the last --coeffs term, q^{last}"
+        raise CliError(VALIDATION_ERROR, below)
 
-    q_order = args.q_order if args.q_order is not None else known_order
+    q_order = last if args.q_order is None else args.q_order
     try:
-        if q_order is None:  # --coeffs alone: the least q-order the fit accepts
-            q_order = len(basis(args.max_weight, 0)) + OVERDETERMINATION_MARGIN
+        if args.q_order is None and args.coeffs is not None:
+            # every given term, and at least the least q-order the fit accepts
+            q_order = max(len(basis(args.max_weight, 0)) + OVERDETERMINATION_MARGIN, last)
         result = quasimodular_fit(series, args.max_weight, q_order)
     except ValueError as exc:
         raise CliError(FIT_ERROR, str(exc)) from exc
@@ -496,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariant", help="assembled descendant invariants")
     p_inv.add_argument("--k", required=True)
     p_inv.add_argument("--dmax", type=int, required=True)
-    p_inv.add_argument("--route", choices=("covers", "integrals"))
+    p_inv.add_argument("--route", choices=ROUTES)
     p_inv.add_argument(
         "--compare", action="store_true", help="run both routes, exit 4 on any mismatch"
     )

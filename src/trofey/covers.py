@@ -1,7 +1,8 @@
 """Graph covers: the combinatorial route to the descendant invariants.
 
 A cover datum ("tuple") for (graph, vertex order, multidegree a, leaks l)
-assigns to every edge a winding and a transport direction:
+assigns to every edge a winding and a transport direction.  An edge's
+kind is read off the edge and a_k:
 
 * loop edges need a_k >= 1 and carry a winding w | a_k (no direction);
 * non-loop edges with a_k > 0 ("curled") carry w | a_k and either
@@ -53,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     FeynmanGraph,
@@ -71,25 +72,8 @@ from .graphs import (
 from .propagators import divisors
 from .series import Coeff, invert, mul, s_series
 
-LOOP = "loop"
-CURLED = "curled"
-DIRECT = "direct"
-
 # one cover as the pass yields it: (multidegree, windings, arrows)
 Cover = tuple[Multidegree, tuple[int, ...], tuple[tuple[int, int], ...]]
-
-
-class CoverTuple(NamedTuple):
-    """Windings and directions of one cover.
-
-    ``windings[k]`` is the winding of edge k+1; ``arrows[k]`` is the
-    (from, to) vertex pair of the transported direction, with from == to
-    for loops; ``kinds[k]`` is one of "loop", "curled", "direct".
-    """
-
-    windings: tuple[int, ...]
-    arrows: tuple[tuple[int, int], ...]
-    kinds: tuple[str, ...]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -227,8 +211,10 @@ def enumerate_tuples(
     order: VertexOrder,
     a: Sequence[int],
     l: Sequence[int] | None = None,
-) -> list[CoverTuple]:
-    """The complete, duplicate-free list of covers for the given data.
+) -> list[Cover]:
+    """The complete, duplicate-free list of covers for the given data, as
+    the pass yields them: (a, windings, arrows), with ``arrows[k]`` the
+    (from, to) pair of edge k's transport and from == to for a loop.
 
     A view of :func:`_cover_pass` at the single multidegree a: the
     vertices are visited in order, each one choosing the windings and
@@ -236,17 +222,7 @@ def enumerate_tuples(
     branch is cut as soon as a vertex cannot balance.  The order of the
     list is not specified; compare lists as multisets.
     """
-    return [
-        CoverTuple(
-            windings,
-            arrows,
-            tuple(
-                LOOP if u == v else CURLED if a_k > 0 else DIRECT
-                for (u, v), a_k in zip(graph.edges, a_t)
-            ),
-        )
-        for a_t, windings, arrows in _single(graph, order, a, l)
-    ]
+    return list(_single(graph, order, a, l))
 
 
 def cover_count(

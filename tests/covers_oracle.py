@@ -21,14 +21,7 @@ import itertools
 from math import prod
 from typing import Iterator, Sequence
 
-from trofey.covers import (
-    CURLED,
-    DIRECT,
-    LOOP,
-    CoverTuple,
-    _descendant_weight,
-    enumerate_tuples,
-)
+from trofey.covers import Cover, _descendant_weight, enumerate_tuples
 from trofey.graphs import FeynmanGraph, VertexOrder
 from trofey.propagators import divisors
 from trofey.series import Coeff
@@ -55,8 +48,9 @@ def enumerate_tuples_reference(
     order: VertexOrder,
     a: Sequence[int],
     l: Sequence[int] | None = None,
-) -> list[CoverTuple]:
-    """The complete, duplicate-free list of covers for the given data."""
+) -> list[Cover]:
+    """The complete, duplicate-free list of covers for the given data, as
+    (a, windings, arrows) triples."""
     r = graph.num_edges
     n = graph.n
     a = tuple(a)
@@ -90,7 +84,7 @@ def enumerate_tuples_reference(
         [(w, s) for w in divisors(a[idx]) for s in (1, -1)] for idx in curled_idx
     ]
 
-    tuples: list[CoverTuple] = []
+    tuples: list[Cover] = []
     for loop_ws in itertools.product(*loop_choices):
         for curled_ws in itertools.product(*curled_choices):
             # known exponent contributions at each vertex (curled only)
@@ -130,22 +124,16 @@ def enumerate_tuples_reference(
             for assignment in partial:
                 windings = [0] * r
                 arrows: list[tuple[int, int]] = [(0, 0)] * r
-                kinds = [""] * r
                 for idx, w in zip(loop_idx, loop_ws):
                     windings[idx] = w
                     arrows[idx] = orient[idx]
-                    kinds[idx] = LOOP
                 for idx, (w, _) in zip(curled_idx, curled_ws):
                     windings[idx] = w
                     arrows[idx] = arrow[idx]
-                    kinds[idx] = CURLED
                 for idx in direct_idx:
                     windings[idx] = assignment[idx]
                     arrows[idx] = orient[idx]
-                    kinds[idx] = DIRECT
-                tuples.append(
-                    CoverTuple(tuple(windings), tuple(arrows), tuple(kinds))
-                )
+                tuples.append((a, tuple(windings), tuple(arrows)))
     return tuples
 
 
@@ -161,11 +149,11 @@ def split_by_windings(
     descendant weight; groups that sum to 0 are dropped."""
     marked = [idx for idx, a_k in enumerate(a) if a_k > 0]
     out: dict[tuple[int, ...], Coeff] = {}
-    for cover in enumerate_tuples(graph, order, a, l):
-        key = tuple(cover.windings[idx] for idx in marked)
+    for _, windings, arrows in enumerate_tuples(graph, order, a, l):
+        key = tuple(windings[idx] for idx in marked)
         if k is None:
-            value = prod(cover.windings)
+            value = prod(windings)
         else:
-            value = _descendant_weight(graph.n, cover.windings, cover.arrows, k)
+            value = _descendant_weight(graph.n, windings, arrows, k)
         out[key] = out.get(key, 0) + value
     return {key: value for key, value in out.items() if value != 0}

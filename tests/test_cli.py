@@ -889,6 +889,22 @@ def test_fit_q_order_past_the_file_is_validation_error(capsys, tmp_path):
     assert (code, out) == (0, "1\nweights {0} homogeneous\n")
 
 
+def test_fit_reads_every_coeffs_term(capsys):
+    # E2 through q^9 with a wrong q^9 (E2's is -312): the default q-order
+    # reaches the last given term, and an explicit one may not stop short
+    e2 = "1,-24,-72,-96,-168,-144,-288,-192,-360"
+    code, out, err = run(capsys, "fit", "--coeffs", f"{e2},999", "--max-weight", "2")
+    assert (code, out) == (5, "")
+    assert err.splitlines() == [
+        "error: no polynomial of weight <= 2 matches the series through q^9"
+    ]
+    argv = ("fit", "--coeffs", f"{e2},-312", "--max-weight", "2")
+    assert run(capsys, *argv) == (0, "E2\nweights {2} homogeneous\n", "")
+    code, out, err = run(capsys, *argv, "--q-order", "8")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: --q-order 8 is below the last --coeffs term, q^9"]
+
+
 def test_fit_row_missing_inside_the_file_is_validation_error(capsys, tmp_path):
     # the file holds E2 through q^7 without q^3: that coefficient is
     # unknown, not 0; a file that starts past q^0 still reads q^0 as 0

@@ -14,9 +14,6 @@ from fixtures import TRIANGLE, RIGHT, THETA, DUMBBELL, EDGE, ID2, ID3
 from covers_oracle import enumerate_tuples_reference, split_by_windings
 from test_acceptance import class_representatives
 from trofey.covers import (
-    CURLED,
-    DIRECT,
-    LOOP,
     cover_count,
     cover_table,
     descendant_contribution,
@@ -51,8 +48,9 @@ def test_single_direct_edge_needs_leaks():
     assert enumerate_tuples(EDGE, ID2, (0,)) == []
     tuples = enumerate_tuples(EDGE, ID2, (0,), l=(2, -2))
     assert len(tuples) == 1
-    t = tuples[0]
-    assert t.windings == (2,) and t.arrows == ((1, 2),) and t.kinds == (DIRECT,)
+    a, windings, arrows = tuples[0]
+    assert windings == (2,) and arrows == ((1, 2),)
+    assert a == (0,)  # direct: a non-loop edge at a_k = 0, pointing along the order
     # a direct edge cannot point against the vertex order
     assert enumerate_tuples(EDGE, ID2, (0,), l=(-1, 1)) == []
 
@@ -62,10 +60,11 @@ def test_theta_balance_hand_count():
     # edges of winding 1 each; weight 2*1*1
     tuples = enumerate_tuples(THETA, ID2, (2, 0, 0))
     assert len(tuples) == 1
-    t = tuples[0]
-    assert t.windings == (2, 1, 1)
-    assert t.kinds == (CURLED, DIRECT, DIRECT)
-    assert t.arrows[0] == (2, 1)  # curled against the order
+    a, windings, arrows = tuples[0]
+    assert windings == (2, 1, 1)
+    # edge 1 curls (a_1 > 0); edges 2 and 3 are direct (a_k = 0) along the order
+    assert a == (2, 0, 0) and arrows[1:] == ((1, 2), (1, 2))
+    assert arrows[0] == (2, 1)  # curled against the order
     assert cover_count(THETA, ID2, (2, 0, 0)) == 2
     # a = (1,1,0): both marked edges must run backwards with w=1, the
     # direct edge carries w=2
@@ -82,16 +81,18 @@ def test_dumbbell_loops_do_not_transport():
     # a leak pair absorbs the connecting winding
     tuples = enumerate_tuples(DUMBBELL, ID2, (1, 1, 1), l=(1, -1))
     assert len(tuples) == 1
-    assert tuples[0].kinds == (LOOP, LOOP, CURLED)
-    assert tuples[0].arrows[2] == (1, 2)
+    a, _, arrows = tuples[0]
+    # two loops (arrow (v, v)) and a curled connecting edge (a_3 > 0)
+    assert arrows[:2] == ((1, 1), (2, 2)) and a[2] > 0
+    assert arrows[2] == (1, 2)
 
 
 def test_loop_winding_divides_degree():
     tuples = enumerate_tuples(DUMBBELL, ID2, (4, 1, 2), l=(2, -2))
-    loop_windings = {t.windings[0] for t in tuples}
+    loop_windings = {windings[0] for _, windings, _ in tuples}
     assert loop_windings == {1, 2, 4}
     # every tuple carries the forced w=2 on the connecting edge
-    assert {t.windings[2] for t in tuples} == {2}
+    assert {windings[2] for _, windings, _ in tuples} == {2}
 
 
 def test_cover_count_by_windings_keys_marked_edges():

@@ -11,10 +11,13 @@ leak can cross a bridge, draws any connected graph.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trofey.covers import cover_count, cover_table
+from covers_oracle import enumerate_tuples_reference
+from trofey.covers import cover_count, cover_table, enumerate_tuples
 from trofey.fock import fock_tables
 from trofey.graphs import FeynmanGraph, validate_assignment
 from trofey.integrals import integral_series_refined, multidegrees, refined_coeff
@@ -129,6 +132,32 @@ def test_leaked_cover_count_equals_refined_coeff_on_random_graphs(decorated, dat
         ranked = dict(zip(order, sorted(leaks, reverse=True)))
         leaks = [ranked[v] for v in range(1, graph.n + 1)]
     assert refined_coeff(graph, order, a, leaks) == cover_count(graph, order, a, leaks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decorated=decorated_graphs(), data=st.data())
+def test_enumerate_tuples_matches_oracle_on_random_graphs(decorated, data):
+    # the vertex-order pass against the product-then-solve oracle, cover by
+    # cover, at zero, balanced or unbalanced leaks in [-3, 3]^n.  Balanced
+    # leaks, the kind listed first and so drawn most, descend along the
+    # vertex order, the way uncurled edges carry winding, so that more of
+    # them have covers
+    graph, _, _ = decorated
+    order = tuple(data.draw(st.permutations(range(1, graph.n + 1))))
+    a = data.draw(st.sampled_from(list(multidegrees(graph, 3))))
+    leaks = data.draw(st.lists(st.integers(-3, 3), min_size=graph.n, max_size=graph.n))
+    kind = data.draw(st.sampled_from(["balanced", "zero", "unbalanced"]))
+    if kind == "zero":
+        leaks = None
+    elif kind == "balanced":
+        leaks[-1] -= sum(leaks)
+        ranked = dict(zip(order, sorted(leaks, reverse=True)))
+        leaks = [ranked[v] for v in range(1, graph.n + 1)]
+    elif sum(leaks) == 0:
+        leaks[0] += 1
+    assert Counter(enumerate_tuples(graph, order, a, leaks)) == Counter(
+        enumerate_tuples_reference(graph, order, a, leaks)
+    )
 
 
 @settings(max_examples=15, deadline=None)
